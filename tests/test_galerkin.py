@@ -1,7 +1,11 @@
 """Spectral sine-mode solver: cutoffs, modal dynamics, and integration."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obstring.core import (
     ConfigurationError,
@@ -13,7 +17,8 @@ from obstring.core import (
 from obstring.galerkin import (
     ModalState,
     SmoothCutoff,
-    cutoff_eval,
+    _free_amplitude_bound,
+    _free_propagator,
     integrate,
     modal_energy,
     modal_rhs,
@@ -23,10 +28,10 @@ from obstring.galerkin import (
 
 def test_cutoff_endpoint_values():
     c = SmoothCutoff(a=0.05)
-    assert cutoff_eval(c, -0.1) == 1.0        # saturated region x <= -a
-    assert cutoff_eval(c, 0.1) == 0.0         # off region x >= 0
-    assert cutoff_eval(c, 0.0) == 0.0
-    assert cutoff_eval(c, -0.025) == 0.5      # quintic smoothstep at s = 1/2
+    assert c(-0.1) == 1.0        # saturated region x <= -a
+    assert c(0.1) == 0.0         # off region x >= 0
+    assert c(0.0) == 0.0
+    assert c(-0.025) == 0.5      # quintic smoothstep at s = 1/2
 
 
 def test_cutoff_monotone_and_bounded():
@@ -190,7 +195,7 @@ def test_integrate_matches_damped_mode_closed_form():
     exact = 1.0 + (c1 * np.exp(mu1 * t) + c2 * np.exp(mu2 * t)) * np.sin(
         np.pi * series.xs[None, :]
     )
-    assert np.max(np.abs(series.fields["eta"] - exact)) <= 1e-8
+    assert np.max(np.abs(series.fields["eta"] - exact)) <= 1e-12
 
 
 def test_integrate_respects_output_stride():
@@ -200,3 +205,98 @@ def test_integrate_respects_output_stride():
         n_modes=2, output_stride=4,
     )
     assert np.allclose(series.times, [0.0, 0.04, 0.08, 0.1], atol=1e-15)
+
+
+def _closed_form_flow(lam, alpha, h):
+    """exp(h [[0, 1], [-lam, -alpha lam]]) from the textbook solutions.
+
+    Columns are (q(h), qdot(h)) started from (1, 0) and from (0, 1).
+    """
+    tau = -0.5 * alpha * lam
+    disc = tau * tau - lam
+    decay = math.exp(tau * h)
+    if abs(disc) <= 1e-12 * lam:
+        # critical: q = e^{tau t} (q0 + (qdot0 - tau q0) t)
+        return decay * np.array([[1.0 - tau * h, h],
+                                 [-tau * tau * h, 1.0 + tau * h]])
+    if disc < 0.0:
+        # underdamped: q = e^{tau t} (q0 cos wt + (qdot0 - tau q0) sin(wt) / w)
+        w = math.sqrt(-disc)
+        c, s = math.cos(w * h), math.sin(w * h)
+        return decay * np.array([[c - tau * s / w, s / w],
+                                 [-lam * s / w, c + tau * s / w]])
+    # overdamped: q = c_f e^{mu_f t} + c_s e^{mu_s t}
+    mu_f = tau - math.sqrt(disc)
+    mu_s = lam / mu_f
+    e_f, e_s = math.exp(mu_f * h), math.exp(mu_s * h)
+    return np.array([[mu_f * e_s - mu_s * e_f, e_f - e_s],
+                     [mu_f * mu_s * (e_s - e_f), mu_f * e_f - mu_s * e_s]]) / (mu_f - mu_s)
+
+
+@pytest.mark.parametrize(
+    "n_modes, alpha, h",
+    [
+        (8, 0.01, 0.05),         # underdamped
+        (1, 2.0 / np.pi, 0.3),   # critical: alpha lam = 2 sqrt(lam) for lam = pi^2
+        (256, 1.0, 0.1),         # stiff overdamped: e^{tau h} cosh(s h) is 0 * inf
+    ],
+    ids=["underdamped", "critical", "stiff"],
+)
+def test_free_propagator_matches_closed_form(n_modes, alpha, h):
+    lam = (np.arange(1, n_modes + 1) * np.pi) ** 2
+    blocks = _free_propagator(lam, alpha * lam, h).T.reshape(n_modes, 2, 2)
+    assert np.all(np.isfinite(blocks))
+    for k in range(n_modes):
+        ref = _closed_form_flow(lam[k], alpha, h)
+        # energy scaling: sqrt(lam) q and qdot are of one size
+        scale = np.array([[1.0, 1.0 / np.sqrt(lam[k])], [np.sqrt(lam[k]), 1.0]])
+        assert np.max(np.abs(blocks[k] - ref) / scale) <= 1e-13
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.floats(-1e3, 1e3),
+    qdot=st.floats(-1e3, 1e3),
+    alpha=st.floats(0.0, 100.0),
+    mode=st.integers(1, 256),
+    h=st.floats(1e-6, 1.0),
+)
+def test_free_propagator_respects_amplitude_certificate(q, qdot, alpha, mode, h):
+    lam = np.array([(mode * np.pi) ** 2])
+    p11, p12, _, _ = _free_propagator(lam, alpha * lam, h)
+    bound = _free_amplitude_bound(np.array([q]), np.array([qdot]), lam)[0]
+    assert abs(p11[0] * q + p12[0] * qdot) <= bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "offset, v0, contact",
+    [(1.0, 0.2, False), (0.2, -2.0, True)],
+    ids=["free", "contact"],
+)
+def test_integrate_matches_rk4_trajectory(offset, v0, contact):
+    # free: v0 excites every odd mode, but the certificate holds from the
+    # start, so integrate steps exactly while the reference takes RK4
+    # substeps.  contact: the string falls onto the obstacle, the
+    # certificate fails and both take the same RK4 substeps.
+    n_modes, quad = 8, 32
+    init = InitialData("single_mode", amplitude=0.15, mode=2, offset=offset, v0=v0)
+    grid, tgrid = Grid1D(1.0, 40), TimeGrid(0.1, 20)
+    phys = Physics(alpha=0.01, epsilon=0.002)
+    series = integrate(init, grid, tgrid, phys, n_modes=n_modes)
+    assert np.any(series.fields["penalty_force"] > 0.0) == contact
+
+    xq = (np.arange(quad) + 0.5) / quad
+    shapes = np.sin(np.arange(1, n_modes + 1)[:, None] * np.pi * xq[None, :])
+    q0 = (2.0 / quad) * (shapes @ (0.15 * np.sin(2 * np.pi * xq)))
+    qdot0 = (2.0 / quad) * (shapes @ np.full(quad, v0))
+    state = ModalState(n_modes, q0, qdot0, offset, 1.0)
+    certified = np.sum(_free_amplitude_bound(q0, qdot0, state.frequencies())) <= offset
+    assert certified != contact
+    n_sub = math.ceil(tgrid.dt / (0.1 / (n_modes * np.pi) ** 2))
+    trajectory = list(_rk4_trajectory(state, phys, SmoothCutoff(0.002),
+                                      SmoothCutoff(1.0 / n_modes), quad,
+                                      h=tgrid.dt / n_sub, steps=20 * n_sub))
+    for i in range(1, 21):
+        eta, vel = reconstruct(trajectory[i * n_sub - 1], grid.nodes())
+        assert np.max(np.abs(series.fields["eta"][i] - eta)) <= 1e-11
+        assert np.max(np.abs(series.fields["velocity"][i] - vel)) <= 1e-11
