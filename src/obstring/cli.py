@@ -12,9 +12,10 @@ render <run-dir>        regenerate heatmaps from stored CSV fields
 
 Configs are INI-style text with sections [grid], [time], [physics], [init],
 [output], [probes]; unknown sections or keys are rejected with line numbers.
-Runs write CSV fields (17 significant digits, so re-reading is bitwise),
-an energy ledger, contact masks, optional snapshots and PPM/SVG heatmaps,
-and a manifest.json with sha256 checksums and per-phase wall-clock times.
+Runs write every table (fields, contact mask, energy ledger, snapshots,
+oracle field) through one np.savetxt CSV writer with 17 significant digits,
+so re-reading is bitwise; then PPM/SVG heatmaps, and a manifest.json with
+sha256 checksums and per-phase wall-clock times.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric blowup,
 4 probe-contract violation.  OBSTRING_THREADS caps the sweep worker pool.
@@ -60,6 +61,11 @@ EXAMPLE1_SNAPSHOTS = (0.0, 0.02, 0.04, 0.06, 0.2, 0.3)
 EXAMPLE2_SNAPSHOTS = (0.0, 0.04, 0.08, 0.16, 0.28, 0.32)
 
 KNOWN_FORMATS = ("csv", "heatmap", "snapshots")
+FIELD_FILES = (
+    ("eta", "eta.csv"),
+    ("velocity", "velocity.csv"),
+    ("penalty_force", "penalty.csv"),
+)
 DEFAULT_PROBES = (
     "penetration",
     "contact",
@@ -85,8 +91,6 @@ class OutputSettings:
 @dataclass(frozen=True)
 class ProbeSettings:
     enabled: tuple[str, ...] = DEFAULT_PROBES
-    tol_renorm: float = 1e-3
-    tol_energy: float = 1e-8
     link_cells: int = 12
     dissipation_omega_cells: float = 4.0
     stress_delta: float = 0.0
@@ -125,8 +129,6 @@ _SCHEMA: dict[str, dict[str, type]] = {
     },
     "probes": {
         "enabled": str,
-        "tol_renorm": float,
-        "tol_energy": float,
         "link_cells": int,
         "dissipation_omega_cells": float,
         "stress_delta": float,
@@ -251,8 +253,6 @@ def parse_config(text: str) -> ParsedConfig:
             raise ConfigurationError(f"unknown probe(s): {', '.join(bad)}")
     probes = ProbeSettings(
         enabled=enabled,
-        tol_renorm=float(probe_vals.get("tol_renorm", 1e-3)),
-        tol_energy=float(probe_vals.get("tol_energy", 1e-8)),
         link_cells=int(probe_vals.get("link_cells", 12)),
         dissipation_omega_cells=float(probe_vals.get("dissipation_omega_cells", 4.0)),
         stress_delta=float(probe_vals.get("stress_delta", 0.0)),
@@ -299,8 +299,6 @@ def emit_config(parsed: ParsedConfig) -> str:
     lines += [
         "[probes]",
         f"enabled = {','.join(pr.enabled) if pr.enabled else 'none'}",
-        f"tol_renorm = {pr.tol_renorm:.17g}",
-        f"tol_energy = {pr.tol_energy:.17g}",
         f"link_cells = {pr.link_cells}",
         f"dissipation_omega_cells = {pr.dissipation_omega_cells:.17g}",
         f"stress_delta = {pr.stress_delta:.17g}",
@@ -316,12 +314,16 @@ def emit_config(parsed: ParsedConfig) -> str:
 # CSV input/output
 
 
-def _write_field_csv(path: str, times: np.ndarray, xs: np.ndarray, matrix: np.ndarray,
-                     fmt: str = "%.17g") -> None:
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(fmt % x for x in xs) + "\n")
-        for t, row in zip(times, matrix):
-            fh.write(fmt % t + "," + ",".join(fmt % v for v in row) + "\n")
+def _write_csv(path: str, labels: list, columns: list, fmt: str = "%.17g") -> None:
+    """Write columns side by side under one header line of labels.
+
+    Numeric labels (a field's node positions after its "t") are printed
+    with fmt like the body, so "%.17g" re-reads bitwise and "%d" writes a
+    0/1 mask.
+    """
+    header = ",".join(lab if isinstance(lab, str) else fmt % lab for lab in labels)
+    np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",",
+               header=header, comments="")
 
 
 def _read_field_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -332,39 +334,11 @@ def _read_field_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return body[:, 0], xs, body[:, 1:]
 
 
-def _write_energy_csv(path: str, ledger: diagnostics.EnergyLedger) -> None:
-    cols = ledger.as_columns()
-    names = list(cols)
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*(cols[n] for n in names)):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
-
-
-def _write_snapshot_csv(path: str, series: FieldSeries, row: int) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,eta,velocity,penalty_force\n")
-        for j, x in enumerate(series.xs):
-            fh.write(
-                "%.17g,%.17g,%.17g,%.17g\n"
-                % (
-                    x,
-                    series.fields["eta"][row, j],
-                    series.fields["velocity"][row, j],
-                    series.fields["penalty_force"][row, j],
-                )
-            )
-
-
 def series_from_run_dir(run_dir: str) -> FieldSeries:
     """Rebuild a FieldSeries from the CSV fields of a stored run."""
     fields = {}
     times = xs = None
-    for name, fname in (
-        ("eta", "eta.csv"),
-        ("velocity", "velocity.csv"),
-        ("penalty_force", "penalty.csv"),
-    ):
+    for name, fname in FIELD_FILES:
         path = os.path.join(run_dir, fname)
         if not os.path.exists(path):
             raise ConfigurationError(f"run directory lacks {fname}; re-run with csv output")
@@ -501,6 +475,21 @@ def render_heatmap(
     return [ppm_path, svg_path]
 
 
+def _render_heatmaps(out_dir: str, series: FieldSeries,
+                     mask: np.ndarray | None) -> list[str]:
+    """Render eta, velocity and, when given, the contact mask into out_dir."""
+    paths = []
+    for name, matrix, palette in (
+        ("eta", series.fields["eta"], "sequential"),
+        ("velocity", series.fields["velocity"], "diverging"),
+        ("contact", mask, "binary"),
+    ):
+        if matrix is not None:
+            paths += render_heatmap(matrix, series.times, series.xs, palette,
+                                    os.path.join(out_dir, name), title=name)
+    return paths
+
+
 # ---------------------------------------------------------------------------
 # run orchestration
 
@@ -546,6 +535,13 @@ class RunManifest:
 
 def execute_run(parsed: ParsedConfig, out_dir: str) -> RunManifest:
     """Solve the configured problem and write all requested artifacts."""
+    return _solve_and_write(parsed, out_dir)[0]
+
+
+def _solve_and_write(
+    parsed: ParsedConfig, out_dir: str
+) -> tuple[RunManifest, FieldSeries, diagnostics.EnergyLedger]:
+    """execute_run, also handing back the solved series and energy ledger."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(solver="fd", out_dir=out_dir, config_text=emit_config(parsed))
 
@@ -553,55 +549,42 @@ def execute_run(parsed: ParsedConfig, out_dir: str) -> RunManifest:
     series, ledger = fd_solver.run(parsed.sim)
     manifest.phases["solve"] = _time.perf_counter() - t0
 
+    def store(fname: str, labels: list, columns: list, fmt: str = "%.17g") -> None:
+        path = os.path.join(out_dir, fname)
+        _write_csv(path, labels, columns, fmt)
+        manifest.add_file(path)
+
     t0 = _time.perf_counter()
     cfg_path = os.path.join(out_dir, "config.ini")
     with open(cfg_path, "w") as fh:
         fh.write(manifest.config_text)
     manifest.add_file(cfg_path)
 
-    energy_path = os.path.join(out_dir, "energy.csv")
-    _write_energy_csv(energy_path, ledger)
-    manifest.add_file(energy_path)
+    ledger_cols = ledger.as_columns()
+    store("energy.csv", list(ledger_cols), list(ledger_cols.values()))
 
     report = diagnostics.extract_contact(series, link_cells=parsed.probes.link_cells)
     if "csv" in parsed.output.formats:
-        for name, fname in (
-            ("eta", "eta.csv"),
-            ("velocity", "velocity.csv"),
-            ("penalty_force", "penalty.csv"),
-        ):
-            path = os.path.join(out_dir, fname)
-            _write_field_csv(path, series.times, series.xs, series.fields[name])
-            manifest.add_file(path)
-        contact_path = os.path.join(out_dir, "contact.csv")
-        _write_field_csv(
-            contact_path, series.times, series.xs,
-            report.mask.astype(int), fmt="%d",
-        )
-        manifest.add_file(contact_path)
+        frame_labels = ["t", *series.xs]
+        for name, fname in FIELD_FILES:
+            store(fname, frame_labels, [series.times, series.fields[name]])
+        store("contact.csv", frame_labels, [series.times, report.mask], fmt="%d")
 
-    if "snapshots" in parsed.output.formats and parsed.output.snapshots:
+    if "snapshots" in parsed.output.formats:
+        names = [name for name, _ in FIELD_FILES]
         for wanted in parsed.output.snapshots:
             row = series.index_at_time(wanted)
-            actual = float(series.times[row])
-            path = os.path.join(out_dir, f"snapshot_t{wanted:.6f}.csv")
-            _write_snapshot_csv(path, series, row)
-            manifest.add_file(path)
-            manifest.snapshots[f"{wanted:.6f}"] = actual
+            store(
+                f"snapshot_t{wanted:.6f}.csv", ["x", *names],
+                [series.xs, *(series.fields[name][row] for name in names)],
+            )
+            manifest.snapshots[f"{wanted:.6f}"] = float(series.times[row])
     manifest.phases["write"] = _time.perf_counter() - t0
 
     if "heatmap" in parsed.output.formats:
         t0 = _time.perf_counter()
-        for name, matrix, palette in (
-            ("eta", series.fields["eta"], "sequential"),
-            ("velocity", series.fields["velocity"], "diverging"),
-            ("contact", report.mask.astype(float), "binary"),
-        ):
-            for path in render_heatmap(
-                matrix, series.times, series.xs, palette,
-                os.path.join(out_dir, name), title=name,
-            ):
-                manifest.add_file(path)
+        for path in _render_heatmaps(out_dir, series, report.mask):
+            manifest.add_file(path)
         manifest.phases["render"] = _time.perf_counter() - t0
 
     if parsed.output.oracle_modes > 0:
@@ -613,13 +596,12 @@ def execute_run(parsed: ParsedConfig, out_dir: str) -> RunManifest:
             output_stride=sim.output_stride,
         )
         if "csv" in parsed.output.formats:
-            path = os.path.join(out_dir, "oracle_eta.csv")
-            _write_field_csv(path, oracle.times, oracle.xs, oracle.fields["eta"])
-            manifest.add_file(path)
+            store("oracle_eta.csv", ["t", *oracle.xs],
+                  [oracle.times, oracle.fields["eta"]])
         manifest.phases["oracle"] = _time.perf_counter() - t0
 
     manifest.add_file(manifest.write())
-    return manifest
+    return manifest, series, ledger
 
 
 # ---------------------------------------------------------------------------
@@ -758,12 +740,8 @@ def _sweep_one(payload: tuple[str, float, str, str]) -> dict:
                 sim=sim,
                 output=replace(parsed.output, formats=("csv",), snapshots=()),
             )
-            execute_run(trimmed, out_dir)
-            series = series_from_run_dir(out_dir)
-            ledger_cols = np.loadtxt(
-                os.path.join(out_dir, "energy.csv"), delimiter=",", skiprows=1
-            )
-            energy_final = float(ledger_cols[-1, 1] + ledger_cols[-1, 2])
+            _, series, ledger = _solve_and_write(trimmed, out_dir)
+            energy_final = ledger.kinetic[-1] + ledger.elastic[-1]
 
         pen = diagnostics.penetration_metrics(series)
         return {
@@ -922,20 +900,8 @@ def cmd_probe(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     series = series_from_run_dir(args.run_dir)
     mask_path = os.path.join(args.run_dir, "contact.csv")
-    for name, matrix, palette in (
-        ("eta", series.fields["eta"], "sequential"),
-        ("velocity", series.fields["velocity"], "diverging"),
-    ):
-        render_heatmap(
-            matrix, series.times, series.xs, palette,
-            os.path.join(args.run_dir, name), title=name,
-        )
-    if os.path.exists(mask_path):
-        _, _, mask = _read_field_csv(mask_path)
-        render_heatmap(
-            mask, series.times, series.xs, "binary",
-            os.path.join(args.run_dir, "contact"), title="contact",
-        )
+    mask = _read_field_csv(mask_path)[2] if os.path.exists(mask_path) else None
+    _render_heatmaps(args.run_dir, series, mask)
     print(f"heatmaps refreshed under {args.run_dir}")
     return 0
 

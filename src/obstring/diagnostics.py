@@ -145,17 +145,6 @@ class EnergyLedger:
         }
 
 
-def energy_step(
-    ledger: EnergyLedger,
-    eta_prev: np.ndarray,
-    eta_new: np.ndarray,
-    penalty: np.ndarray,
-) -> EnergyLedger:
-    """Append one accounting row for the step eta_prev -> eta_new."""
-    ledger.append_step(eta_prev, eta_new, penalty)
-    return ledger
-
-
 # ---------------------------------------------------------------------------
 # penetration and contact geometry
 

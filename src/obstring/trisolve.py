@@ -95,7 +95,7 @@ class ThomasFactorization:
     per-element numpy indexing for the narrow systems this package uses.
     """
 
-    def __init__(self, m: Tridiagonal, pivot_tol: float = 0.0):
+    def __init__(self, m: Tridiagonal):
         m.validate()
         n = m.n
         diag = m.diag.tolist()
@@ -104,26 +104,21 @@ class ThomasFactorization:
 
         beta = [0.0] * n
         mult = [0.0] * n
-        b = diag[0]
-        self._check_pivot(0, b, pivot_tol, m)
-        beta[0] = b
-        for k in range(1, n):
-            g = lower[k - 1] / b
-            mult[k] = g
-            b = diag[k] - g * upper[k - 1]
-            self._check_pivot(k, b, pivot_tol, m)
+        for k in range(n):
+            if k == 0:
+                b = diag[0]
+            else:
+                g = lower[k - 1] / b
+                mult[k] = g
+                b = diag[k] - g * upper[k - 1]
+            if b == 0.0:
+                raise ZeroPivotError(k, b)
             beta[k] = b
 
         self.n = n
         self._mult = mult
         self._upper = upper
         self._inv_beta = [1.0 / bk for bk in beta]
-
-    @staticmethod
-    def _check_pivot(k: int, value: float, tol: float, m: Tridiagonal) -> None:
-        scale = float(np.max(np.abs(m.diag))) or 1.0
-        if value == 0.0 or abs(value) <= tol * scale:
-            raise ZeroPivotError(k, value)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         n = self.n

@@ -74,6 +74,7 @@ def test_parse_round_trips_custom_text():
         ("[grid]\nn = not_a_number\n", "line 2: bad value"),
         ("n = 5\n", "line 1: key outside any section"),
         ("[grid]\njust some words\n", "line 2: expected key = value"),
+        ("[probes]\ntol_renorm = 1e-3\n", "line 2: unknown key"),
     ],
 )
 def test_parse_errors_carry_line_numbers(snippet, fragment):
@@ -145,6 +146,52 @@ def test_csv_round_trip_is_bitwise(run_dir):
     assert np.array_equal(stored.xs, series.xs)
     for name in ("eta", "velocity", "penalty_force"):
         assert np.array_equal(stored.fields[name], series.fields[name])
+
+
+_TIMES = np.array([0.0, 0.5])
+_XS = np.array([0.0, 0.5, 1.0])
+_FIELD = np.array([[-0.0, 1e-300, 3.0], [0.1, -2.5, 1.0 / 3.0]])
+
+
+@pytest.mark.parametrize(
+    "labels,columns,fmt,expected",
+    [
+        (  # a field: stored frames x nodes under "t" and the node positions
+            ["t", *_XS], [_TIMES, _FIELD], "%.17g",
+            "t,0,0.5,1\n"
+            "0,-0,1e-300,3\n"
+            "0.5,0.10000000000000001,-2.5,0.33333333333333331\n",
+        ),
+        (  # the contact mask
+            ["t", *_XS], [_TIMES, np.array([[False, True, True], [True, False, False]])],
+            "%d",
+            "t,0,0,1\n"
+            "0,0,1,1\n"
+            "0,1,0,0\n",
+        ),
+        (  # an energy ledger
+            ["time", "kinetic", "residual"],
+            [np.array([0.0, 0.1]), np.array([0.25, 0.25]), np.array([0.0, -1e-17])],
+            "%.17g",
+            "time,kinetic,residual\n"
+            "0,0.25,0\n"
+            "0.10000000000000001,0.25,-1.0000000000000001e-17\n",
+        ),
+        (  # a snapshot of frame 1
+            ["x", "eta", "velocity", "penalty_force"],
+            [_XS, _FIELD[1], -_FIELD[1], np.zeros(3)], "%.17g",
+            "x,eta,velocity,penalty_force\n"
+            "0,0.10000000000000001,-0.10000000000000001,0\n"
+            "0.5,-2.5,2.5,0\n"
+            "1,0.33333333333333331,-0.33333333333333331,0\n",
+        ),
+    ],
+    ids=["field", "mask", "energy", "snapshot"],
+)
+def test_csv_writer_bytes(tmp_path, labels, columns, fmt, expected):
+    path = tmp_path / "table.csv"
+    cli._write_csv(str(path), labels, columns, fmt)
+    assert path.read_bytes() == expected.encode("ascii")
 
 
 def test_snapshot_targets_nearest_stored_instant(run_dir):

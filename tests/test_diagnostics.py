@@ -20,7 +20,6 @@ from obstring.diagnostics import (
     MollifierKernel,
     builtin_test_functions,
     dissipation_estimate,
-    energy_step,
     extract_contact,
     local_energy_residual,
     mollify,
@@ -87,7 +86,7 @@ def test_ledger_hand_case():
     assert ledger.kinetic[0] == pytest.approx(0.25)  # 0.5 * 1 * dx
     assert ledger.elastic[0] == 0.0
 
-    energy_step(ledger, eta0, np.array([0.0, 0.1, 0.0]), np.zeros(3))
+    ledger.append_step(eta0, np.array([0.0, 0.1, 0.0]), np.zeros(3))
     # v_new = (0,1,0); slope of eta via central differences: (0.2, 0, -0.2)
     assert ledger.kinetic[1] == pytest.approx(0.25)
     assert ledger.elastic[1] == pytest.approx(0.5 * (0.04 + 0.04) * 0.5)
