@@ -8,14 +8,17 @@ example2 [--out DIR]    preset: piecewise profile with multiple contact regions
 sweep --axis A --values v1,v2,... <config>
                         rerun the base config along one parameter axis
 probe <run-dir>         evaluate diagnostics over a stored run
-render <run-dir>        regenerate heatmaps from stored CSV fields
+render <run-dir>        regenerate heatmaps from the stored fields
 
 Configs are INI-style text with sections [grid], [time], [physics], [init],
 [output], [probes]; unknown sections or keys are rejected with line numbers.
-Runs write every table (fields, contact mask, energy ledger, snapshots,
-oracle field) through one np.savetxt CSV writer with 17 significant digits,
-so re-reading is bitwise; then PPM/SVG heatmaps, and a manifest.json with
-sha256 checksums and per-phase wall-clock times.
+Runs, sweep points included, store their fields (times, node positions,
+eta, velocity, penalty force and the contact mask) once, in fields.npz,
+which probe and render read back bitwise.  The csv format adds text
+exports of the same fields; they, the energy ledger and the snapshots go
+through one np.savetxt writer with 17 significant digits.  Then come
+PPM/SVG heatmaps and a manifest.json with sha256 checksums and per-phase
+wall-clock times.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric blowup,
 4 probe-contract violation.  OBSTRING_THREADS caps the sweep worker pool.
@@ -60,7 +63,9 @@ log = logging.getLogger(__name__)
 EXAMPLE1_SNAPSHOTS = (0.0, 0.02, 0.04, 0.06, 0.2, 0.3)
 EXAMPLE2_SNAPSHOTS = (0.0, 0.04, 0.08, 0.16, 0.28, 0.32)
 
-KNOWN_FORMATS = ("csv", "heatmap", "snapshots")
+KNOWN_FORMATS = ("npz", "csv", "heatmap", "snapshots")
+DEFAULT_FORMATS = ("npz", "heatmap", "snapshots")
+FIELD_STORE = "fields.npz"
 FIELD_FILES = (
     ("eta", "eta.csv"),
     ("velocity", "velocity.csv"),
@@ -83,7 +88,7 @@ DEFAULT_PROBES = (
 @dataclass(frozen=True)
 class OutputSettings:
     dir: str | None = None
-    formats: tuple[str, ...] = KNOWN_FORMATS
+    formats: tuple[str, ...] = DEFAULT_FORMATS
     snapshots: tuple[float, ...] = ()
     oracle_modes: int = 0
 
@@ -225,7 +230,7 @@ def parse_config(text: str) -> ParsedConfig:
         output_stride=int(values["output"].get("stride", 0)),
     )
 
-    fmt_text = str(values["output"].get("formats", ",".join(KNOWN_FORMATS)))
+    fmt_text = str(values["output"].get("formats", ",".join(DEFAULT_FORMATS)))
     if fmt_text.strip() == "none":
         formats: tuple[str, ...] = ()
     else:
@@ -311,15 +316,17 @@ def emit_config(parsed: ParsedConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# CSV input/output
+# field store and CSV input/output
 
 
-def _write_csv(path: str, labels: list, columns: list, fmt: str = "%.17g") -> None:
+def _write_csv(path: str, labels: list, columns: list,
+               fmt: str | list[str] = "%.17g") -> None:
     """Write columns side by side under one header line of labels.
 
     Numeric labels (a field's node positions after its "t") are printed
     with fmt like the body, so "%.17g" re-reads bitwise and "%d" writes a
-    0/1 mask.
+    0/1 mask.  fmt may also be a list of one format per output column,
+    with every label given as text.
     """
     header = ",".join(lab if isinstance(lab, str) else fmt % lab for lab in labels)
     np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",",
@@ -335,15 +342,26 @@ def _read_field_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def series_from_run_dir(run_dir: str) -> FieldSeries:
-    """Rebuild a FieldSeries from the CSV fields of a stored run."""
-    fields = {}
-    times = xs = None
-    for name, fname in FIELD_FILES:
-        path = os.path.join(run_dir, fname)
-        if not os.path.exists(path):
-            raise ConfigurationError(f"run directory lacks {fname}; re-run with csv output")
-        times, xs, matrix = _read_field_csv(path)
-        fields[name] = matrix
+    """Rebuild a FieldSeries from a stored run.
+
+    Reads fields.npz when the run wrote it, else the CSV fields (csv-only
+    runs, and run directories written before the binary store existed).
+    """
+    store = os.path.join(run_dir, FIELD_STORE)
+    if os.path.exists(store):
+        with np.load(store) as data:
+            times, xs = data["times"], data["xs"]
+            fields = {name: data[name] for name, _ in FIELD_FILES}
+    else:
+        fields = {}
+        for name, fname in FIELD_FILES:
+            path = os.path.join(run_dir, fname)
+            if not os.path.exists(path):
+                raise ConfigurationError(
+                    f"run directory lacks {FIELD_STORE} and {fname}; "
+                    "re-run with npz or csv output"
+                )
+            times, xs, fields[name] = _read_field_csv(path)
     series = FieldSeries(times=times, xs=xs, fields=fields)
     series.validate()
     return series
@@ -549,9 +567,17 @@ def _solve_and_write(
     series, ledger = fd_solver.run(parsed.sim)
     manifest.phases["solve"] = _time.perf_counter() - t0
 
-    def store(fname: str, labels: list, columns: list, fmt: str = "%.17g") -> None:
+    formats = parsed.output.formats
+
+    def store(fname: str, labels: list, columns: list,
+              fmt: str | list[str] = "%.17g") -> None:
         path = os.path.join(out_dir, fname)
         _write_csv(path, labels, columns, fmt)
+        manifest.add_file(path)
+
+    def store_npz(fname: str, **arrays: np.ndarray) -> None:
+        path = os.path.join(out_dir, fname)
+        np.savez(path, **arrays)
         manifest.add_file(path)
 
     t0 = _time.perf_counter()
@@ -563,14 +589,22 @@ def _solve_and_write(
     ledger_cols = ledger.as_columns()
     store("energy.csv", list(ledger_cols), list(ledger_cols.values()))
 
-    report = diagnostics.extract_contact(series, link_cells=parsed.probes.link_cells)
-    if "csv" in parsed.output.formats:
-        frame_labels = ["t", *series.xs]
+    mask = None
+    if {"npz", "csv", "heatmap"} & set(formats):
+        mask = diagnostics.extract_contact(
+            series, link_cells=parsed.probes.link_cells
+        ).mask
+    if "npz" in formats:
+        store_npz(FIELD_STORE, times=series.times, xs=series.xs,
+                  **series.fields, contact=mask)
+    if "csv" in formats:
+        frame_labels = ["t", *("%.17g" % x for x in series.xs)]
         for name, fname in FIELD_FILES:
             store(fname, frame_labels, [series.times, series.fields[name]])
-        store("contact.csv", frame_labels, [series.times, report.mask], fmt="%d")
+        store("contact.csv", frame_labels, [series.times, mask],
+              fmt=["%.17g"] + ["%d"] * len(series.xs))
 
-    if "snapshots" in parsed.output.formats:
+    if "snapshots" in formats:
         names = [name for name, _ in FIELD_FILES]
         for wanted in parsed.output.snapshots:
             row = series.index_at_time(wanted)
@@ -581,9 +615,9 @@ def _solve_and_write(
             manifest.snapshots[f"{wanted:.6f}"] = float(series.times[row])
     manifest.phases["write"] = _time.perf_counter() - t0
 
-    if "heatmap" in parsed.output.formats:
+    if "heatmap" in formats:
         t0 = _time.perf_counter()
-        for path in _render_heatmaps(out_dir, series, report.mask):
+        for path in _render_heatmaps(out_dir, series, mask):
             manifest.add_file(path)
         manifest.phases["render"] = _time.perf_counter() - t0
 
@@ -595,7 +629,10 @@ def _solve_and_write(
             n_modes=parsed.output.oracle_modes,
             output_stride=sim.output_stride,
         )
-        if "csv" in parsed.output.formats:
+        if "npz" in formats:
+            store_npz("oracle_eta.npz", times=oracle.times, xs=oracle.xs,
+                      eta=oracle.fields["eta"])
+        if "csv" in formats:
             store("oracle_eta.csv", ["t", *oracle.xs],
                   [oracle.times, oracle.fields["eta"]])
         manifest.phases["oracle"] = _time.perf_counter() - t0
@@ -738,7 +775,7 @@ def _sweep_one(payload: tuple[str, float, str, str]) -> dict:
             trimmed = replace(
                 parsed,
                 sim=sim,
-                output=replace(parsed.output, formats=("csv",), snapshots=()),
+                output=replace(parsed.output, formats=("npz",), snapshots=()),
             )
             _, series, ledger = _solve_and_write(trimmed, out_dir)
             energy_final = ledger.kinetic[-1] + ledger.elastic[-1]
@@ -897,11 +934,19 @@ def cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stored_contact_mask(run_dir: str) -> np.ndarray | None:
+    """The contact mask from the same store series_from_run_dir reads."""
+    store = os.path.join(run_dir, FIELD_STORE)
+    if os.path.exists(store):
+        with np.load(store) as data:
+            return data["contact"]
+    mask_path = os.path.join(run_dir, "contact.csv")
+    return _read_field_csv(mask_path)[2] if os.path.exists(mask_path) else None
+
+
 def cmd_render(args: argparse.Namespace) -> int:
     series = series_from_run_dir(args.run_dir)
-    mask_path = os.path.join(args.run_dir, "contact.csv")
-    mask = _read_field_csv(mask_path)[2] if os.path.exists(mask_path) else None
-    _render_heatmaps(args.run_dir, series, mask)
+    _render_heatmaps(args.run_dir, series, _stored_contact_mask(args.run_dir))
     print(f"heatmaps refreshed under {args.run_dir}")
     return 0
 

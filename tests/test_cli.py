@@ -2,11 +2,13 @@
 
 import json
 import os
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from obstring import cli, fd_solver
+from obstring import cli, diagnostics, fd_solver
 from obstring.core import ConfigurationError, validate_config
 
 GOOD_CONFIG = """\
@@ -42,6 +44,18 @@ def run_dir(tmp_path_factory):
     """One executed run shared by the artifact tests."""
     out = tmp_path_factory.mktemp("cli") / "run"
     parsed = cli.parse_config(GOOD_CONFIG)
+    manifest = cli.execute_run(parsed, str(out))
+    return str(out), parsed, manifest
+
+
+NPZ_CONFIG = GOOD_CONFIG.replace("csv,heatmap,snapshots", "npz,heatmap,snapshots")
+
+
+@pytest.fixture(scope="module")
+def npz_run_dir(tmp_path_factory):
+    """The same run as run_dir, storing its fields in fields.npz only."""
+    out = tmp_path_factory.mktemp("cli") / "npz_run"
+    parsed = cli.parse_config(NPZ_CONFIG)
     manifest = cli.execute_run(parsed, str(out))
     return str(out), parsed, manifest
 
@@ -126,16 +140,17 @@ def test_run_writes_expected_files(run_dir):
     assert {"solve", "write", "render", "oracle"} <= set(manifest.phases)
 
 
-def test_manifest_checksums_match(run_dir):
-    out, _, _ = run_dir
-    with open(os.path.join(out, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    for name, meta in manifest["files"].items():
-        if name == "manifest.json":
-            continue  # hashed before the manifest itself was written
-        path = os.path.join(out, name)
-        assert os.path.getsize(path) == meta["bytes"]
-        assert cli._sha256(path) == meta["sha256"]
+def test_manifest_checksums_match(run_dir, npz_run_dir):
+    for out, parsed, _ in (run_dir, npz_run_dir):
+        with open(os.path.join(out, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert ("fields.npz" in manifest["files"]) == ("npz" in parsed.output.formats)
+        for name, meta in manifest["files"].items():
+            if name == "manifest.json":
+                continue  # hashed before the manifest itself was written
+            path = os.path.join(out, name)
+            assert os.path.getsize(path) == meta["bytes"]
+            assert cli._sha256(path) == meta["sha256"]
 
 
 def test_csv_round_trip_is_bitwise(run_dir):
@@ -146,6 +161,48 @@ def test_csv_round_trip_is_bitwise(run_dir):
     assert np.array_equal(stored.xs, series.xs)
     for name in ("eta", "velocity", "penalty_force"):
         assert np.array_equal(stored.fields[name], series.fields[name])
+
+
+def test_npz_round_trip_is_bitwise(npz_run_dir):
+    out, parsed, _ = npz_run_dir
+    assert not os.path.exists(os.path.join(out, "eta.csv"))
+    series, _ = fd_solver.run(parsed.sim)
+    stored = cli.series_from_run_dir(out)
+    assert np.array_equal(stored.times, series.times)
+    assert np.array_equal(stored.xs, series.xs)
+    for name in ("eta", "velocity", "penalty_force"):
+        assert np.array_equal(stored.fields[name], series.fields[name])
+    report = diagnostics.extract_contact(series, link_cells=parsed.probes.link_cells)
+    with np.load(os.path.join(out, "fields.npz")) as data:
+        assert set(data.files) == {"times", "xs", "eta", "velocity",
+                                   "penalty_force", "contact"}
+        assert np.array_equal(data["contact"], report.mask)
+
+
+def test_fields_npz_is_deterministic(npz_run_dir, tmp_path):
+    out, parsed, manifest = npz_run_dir
+    again = cli.execute_run(parsed, str(tmp_path / "again"))
+    for name in ("fields.npz", "oracle_eta.npz"):
+        assert again.files[name]["sha256"] == manifest.files[name]["sha256"]
+
+
+@pytest.mark.parametrize(
+    "formats,calls",
+    [((), 0), (("snapshots",), 0), (("npz",), 1), (("csv",), 1), (("heatmap",), 1)],
+)
+def test_contact_extracted_only_when_stored(tmp_path, monkeypatch, formats, calls):
+    seen = []
+    extract = diagnostics.extract_contact
+
+    def counting(*args, **kwargs):
+        seen.append(1)
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "extract_contact", counting)
+    parsed = cli.parse_config(GOOD_CONFIG.replace("oracle_modes = 4", "oracle_modes = 0"))
+    parsed = replace(parsed, output=replace(parsed.output, formats=formats))
+    cli.execute_run(parsed, str(tmp_path / "out"))
+    assert len(seen) == calls
 
 
 _TIMES = np.array([0.0, 0.5])
@@ -210,13 +267,26 @@ def test_contact_csv_is_binary(run_dir):
     assert set(np.unique(mask)) <= {0.0, 1.0}
 
 
-def test_oracle_field_tracks_solver(run_dir):
+def test_contact_csv_times_and_positions_are_exact(run_dir):
+    out, _, _ = run_dir
+    times, xs, _ = cli._read_field_csv(os.path.join(out, "contact.csv"))
+    eta_times, eta_xs, _ = cli._read_field_csv(os.path.join(out, "eta.csv"))
+    assert np.array_equal(times, eta_times)
+    assert np.array_equal(xs, eta_xs)
+
+
+def test_oracle_field_tracks_solver(run_dir, npz_run_dir):
     out, parsed, _ = run_dir
     times, xs, oracle_eta = cli._read_field_csv(os.path.join(out, "oracle_eta.csv"))
     stored = cli.series_from_run_dir(out)
     assert oracle_eta.shape == stored.fields["eta"].shape
     # same dynamics pre-contact: loose agreement is enough here
     assert np.max(np.abs(oracle_eta - stored.fields["eta"])) < 0.05
+    # under npz the same oracle field goes to oracle_eta.npz
+    with np.load(os.path.join(npz_run_dir[0], "oracle_eta.npz")) as data:
+        assert np.array_equal(data["times"], times)
+        assert np.array_equal(data["xs"], xs)
+        assert np.array_equal(data["eta"], oracle_eta)
 
 
 def test_probe_command_writes_report(run_dir, capsys):
@@ -237,15 +307,38 @@ def test_probe_command_writes_report(run_dir, capsys):
     capsys.readouterr()
 
 
-def test_render_command_refreshes_heatmaps(run_dir, capsys):
-    out, _, _ = run_dir
-    for name in ("eta.ppm", "eta.svg"):
-        os.remove(os.path.join(out, name))
-    assert cli.main(["render", out]) == 0
-    assert os.path.exists(os.path.join(out, "eta.ppm"))
-    assert os.path.exists(os.path.join(out, "eta.svg"))
-    with open(os.path.join(out, "eta.ppm"), "rb") as fh:
-        assert fh.read(2) == b"P6"
+def test_probe_reads_either_store(tmp_path, capsys):
+    reports = []
+    for formats in ("csv", "npz"):
+        cfg = tmp_path / f"{formats}.ini"
+        cfg.write_text(
+            GOOD_CONFIG.replace("csv,heatmap,snapshots", formats)
+            .replace("oracle_modes = 4", "oracle_modes = 0")
+            .replace("enabled = penetration,contact",
+                     "enabled = penetration,contact,momentum,energy_local,renorm")
+        )
+        out = tmp_path / formats
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        assert cli.main(["probe", str(out)]) == 0
+        reports.append((out / "probes.json").read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+
+
+def test_render_command_refreshes_heatmaps(run_dir, npz_run_dir, capsys):
+    for out, _, _ in (run_dir, npz_run_dir):
+        for name in ("eta.ppm", "eta.svg", "contact.ppm"):
+            os.remove(os.path.join(out, name))
+        assert cli.main(["render", out]) == 0
+        assert os.path.exists(os.path.join(out, "eta.ppm"))
+        assert os.path.exists(os.path.join(out, "eta.svg"))
+        with open(os.path.join(out, "eta.ppm"), "rb") as fh:
+            assert fh.read(2) == b"P6"
+    # both stores hold the same contact mask
+    csv_mask, npz_mask = (
+        Path(out, "contact.ppm").read_bytes() for out in (run_dir[0], npz_run_dir[0])
+    )
+    assert csv_mask == npz_mask
     capsys.readouterr()
 
 
@@ -344,7 +437,13 @@ def test_sweep_runs_each_value(tmp_path, monkeypatch, capsys):
     assert len(rows) == 2
     assert all(r[1] == "ok" for r in rows)
     assert float(rows[0][0]) == 0.02  # descending order
-    assert os.path.exists(out / "run_00" / "manifest.json")
+    point = out / "run_00"
+    assert os.path.exists(point / "manifest.json")
+    assert os.path.exists(point / "fields.npz")
+    assert not os.path.exists(point / "eta.csv")
+    assert cli.main(["probe", str(point)]) == 0
+    assert cli.main(["render", str(point)]) == 0
+    capsys.readouterr()
 
 
 def test_sweep_needs_two_values(tmp_path, capsys):
@@ -366,7 +465,8 @@ def test_example_subcommand_smoke(tmp_path, capsys):
     ])
     assert code == 0
     assert "example1 complete" in capsys.readouterr().out
-    assert os.path.exists(out / "eta.csv")
+    assert os.path.exists(out / "fields.npz")
+    assert not os.path.exists(out / "eta.csv")
     series = cli.series_from_run_dir(str(out))
     cfg = validate_config(cli._preset_parsed("example1", 60, 0.02, None, 2).sim)
     assert cfg.output_stride == 2
