@@ -16,7 +16,6 @@ from .core import (
     Physics,
     ProbeContractError,
     SimConfig,
-    StringState,
     TimeGrid,
     evaluate_initial,
     example1_config,
@@ -24,7 +23,7 @@ from .core import (
     single_mode_config,
     validate_config,
 )
-from .fd_solver import first_step, penalty_force, run, scheme_residual, step
+from .fd_solver import penalty_force, run, scheme_residual
 from .trisolve import (
     ThomasFactorization,
     Tridiagonal,
@@ -45,7 +44,6 @@ __all__ = [
     "Physics",
     "ProbeContractError",
     "SimConfig",
-    "StringState",
     "ThomasFactorization",
     "TimeGrid",
     "Tridiagonal",
@@ -55,12 +53,10 @@ __all__ = [
     "evaluate_initial",
     "example1_config",
     "example2_config",
-    "first_step",
     "penalty_force",
     "run",
     "scheme_residual",
     "single_mode_config",
-    "step",
     "thomas_solve",
     "validate_config",
 ]

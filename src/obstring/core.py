@@ -79,9 +79,6 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon_T / self.steps_m
 
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon_T, self.steps_m + 1)
-
     def validate(self) -> None:
         if not (isinstance(self.steps_m, int) and self.steps_m >= 1):
             raise ConfigurationError(
@@ -170,18 +167,6 @@ class SimConfig:
     boundary_left: Optional[float] = None
     boundary_right: Optional[float] = None
     output_stride: int = 0  # 0 = auto: max(1, steps_m // 300)
-
-
-@dataclass
-class StringState:
-    """Two consecutive displacement frames; the discrete dynamical state."""
-
-    step_index: int
-    eta_prev: np.ndarray
-    eta_curr: np.ndarray
-
-    def velocity(self, dt: float) -> np.ndarray:
-        return (self.eta_curr - self.eta_prev) / dt
 
 
 @dataclass

@@ -208,14 +208,16 @@ def _mask_runs(row: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), stops.tolist()))
 
 
-def extract_contact(
-    series: FieldSeries, link_cells: int = 12, min_duration: int = 2
-) -> ContactReport:
+# a boundary graph needs two instants to be a polyline
+MIN_CHAIN_FRAMES = 2
+
+
+def extract_contact(series: FieldSeries, link_cells: int = 12) -> ContactReport:
     """Locate the contact set and trace its component edges through time.
 
     Edges of contact components are linked frame-to-frame to the nearest
     edge of the same side within link_cells grid cells; chains shorter
-    than min_duration frames are dropped.
+    than MIN_CHAIN_FRAMES frames are dropped.
     """
     eta = series.fields["eta"]
     force = series.fields["penalty_force"]
@@ -254,7 +256,7 @@ def extract_contact(
                         {"side": side, "pts": [(float(t), x)], "active": True}
                     )
 
-    kept = [c for c in chains if len(c["pts"]) >= min_duration]
+    kept = [c for c in chains if len(c["pts"]) >= MIN_CHAIN_FRAMES]
     kept.sort(key=lambda c: len(c["pts"]), reverse=True)
 
     any_contact = np.nonzero(mask.any(axis=1))[0]
@@ -315,14 +317,28 @@ class MollifierKernel:
         )
 
 
+def _smooth_frames(field2d: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Centred convolution along axis 0 with zero extension, same shape.
+
+    out[i] = sum_k taps[k] * field[i + r - k] with r = (len(taps) - 1) // 2:
+    one shifted add per tap, each clipped to the field, so any field length
+    works, also one shorter than the kernel.
+    """
+    n, r = len(field2d), (len(taps) - 1) // 2
+    out = np.zeros_like(field2d)
+    for k, weight in enumerate(taps):
+        shift = r - k
+        if abs(shift) < n:
+            out[max(0, -shift):n - max(0, shift)] += (
+                weight * field2d[max(0, shift):n + min(0, shift)]
+            )
+    return out
+
+
 def mollify(field2d: np.ndarray, kernel: MollifierKernel) -> np.ndarray:
     """Smooth a (frames x nodes) field along both axes (zero extension)."""
-    out = np.apply_along_axis(
-        lambda col: np.convolve(col, kernel.taps_t, mode="same"), 0, field2d
-    )
-    return np.apply_along_axis(
-        lambda row: np.convolve(row, kernel.taps_x, mode="same"), 1, out
-    )
+    smooth_t = _smooth_frames(np.asarray(field2d, float), kernel.taps_t)
+    return _smooth_frames(smooth_t.T, kernel.taps_x).T
 
 
 def dissipation_estimate(series: FieldSeries, kernel: MollifierKernel) -> dict:
@@ -511,15 +527,11 @@ def local_energy_residual(
 
 
 def renormalized_residual(
-    series: FieldSeries,
-    cfg: SimConfig,
-    phi: BumpTestFunction,
-    b_kind: str = "square",
+    series: FieldSeries, cfg: SimConfig, phi: BumpTestFunction
 ) -> dict[str, float]:
     """Slack of the renormalization identity for w = max(v, 0).
 
-    With b(w) = w^2 (the only supported b_kind) the identity reads, for
-    nonnegative phi:
+    With b(w) = w^2 the identity reads, for nonnegative phi:
 
         II[w^2 p_t] - a II[(d_x v) 2w p_x] - a II[|d_x w|^2 2 p]
           - II[(d_x eta) 2w p_x] - II[(d_x eta) (d_x 2w) p] + I[w0^2 p(0,.)]
@@ -529,8 +541,6 @@ def renormalized_residual(
     velocity is negative, where b'(w) vanishes.  Returns the slack and a
     magnitude scale.
     """
-    if b_kind != "square":
-        raise ValueError(f"unsupported renormalization kind {b_kind!r}")
     p, p_t, p_x, w_t, dx = _grids(series, phi, require_nonneg=True)
     v = series.fields["velocity"]
     eta = series.fields["eta"]
@@ -629,19 +639,17 @@ def velocity_jump_probe(
     x0: float,
     x1: float,
     deltas,
-    phi: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Short-window velocity averages before/after an instant on [x0, x1].
 
     For each window length delta the probe returns
 
-        (1/delta) * int_{t1}^{t1+delta} int_{x0}^{x1} v(t,x) phi(x) dx dt
+        (1/delta) * int_{t1}^{t1+delta} int_{x0}^{x1} v(t,x) dx dt
 
-    and the matching backward window over [t1 - delta, t1], for phi == 1
-    and optionally for a supplied nodal weight phi.  Once the segment has
-    stuck to the obstacle the forward averages trend to zero as delta
-    shrinks, and after - before estimates the mass of the concentrated
-    contact force in the window.
+    and the matching backward window over [t1 - delta, t1].  Once the
+    segment has stuck to the obstacle the forward averages trend to zero as
+    delta shrinks, and after - before estimates the mass of the
+    concentrated contact force in the window.
     """
     xs = series.xs
     times = series.times
@@ -659,8 +667,6 @@ def velocity_jump_probe(
 
     cols = np.nonzero((xs >= x0 - 1e-12) & (xs <= x1 + 1e-12))[0]
     v = series.fields["velocity"][:, cols]
-    weights = np.ones(len(cols)) if phi is None else np.asarray(phi, float)[cols]
-    trace = v @ weights * series.dx  # int v phi dx at each stored time
     unit = v.sum(axis=1) * series.dx
 
     def window_mean(values: np.ndarray, lo: float, hi: float) -> float:
@@ -672,17 +678,13 @@ def velocity_jump_probe(
 
     before = np.array([window_mean(unit, t1 - d, t1) for d in deltas])
     after = np.array([window_mean(unit, t1, t1 + d) for d in deltas])
-    out = {
+    return {
         "deltas": deltas,
         "before": before,
         "after": after,
         "jump": after - before,
         "node_count": len(cols),
     }
-    if phi is not None:
-        out["before_phi"] = np.array([window_mean(trace, t1 - d, t1) for d in deltas])
-        out["after_phi"] = np.array([window_mean(trace, t1, t1 + d) for d in deltas])
-    return out
 
 
 def zero_trace_residual(

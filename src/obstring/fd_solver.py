@@ -14,11 +14,16 @@ The damped-wave left-hand side is implicit, so the linear part is
 unconditionally stable and the system matrix is constant in time; the
 penalty force is explicit from the previous level.  Each step is one
 tridiagonal solve with a factorization computed once per run.
+
+``run`` is the one time loop and there is no single-step API
+(``core.StringState``, ``first_step`` and ``step`` were removed); a run with
+``output_stride = 1`` stores every frame.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -26,7 +31,6 @@ from .core import (
     FieldSeries,
     NumericBlowupError,
     SimConfig,
-    StringState,
     evaluate_initial,
     validate_config,
 )
@@ -53,65 +57,6 @@ def penalty_force(
     force[0] = 0.0
     force[-1] = 0.0
     return force
-
-
-def first_step(eta0: np.ndarray, v0: np.ndarray, dt: float) -> StringState:
-    """Kinematic start-up: eta^1 = eta^0 + dt*v0 with endpoints re-pinned.
-
-    The two-level scheme needs a second frame; a first-order start matches
-    the scheme's overall first-order accuracy in time.
-    """
-    if len(eta0) != len(v0):
-        raise ValueError("eta0 and v0 have mismatched lengths")
-    eta1 = eta0 + dt * v0
-    eta1[0] = eta0[0]
-    eta1[-1] = eta0[-1]
-    return StringState(step_index=1, eta_prev=eta0.copy(), eta_curr=eta1)
-
-
-def _second_difference(eta: np.ndarray, dx: float) -> np.ndarray:
-    """(L eta)_j over the interior nodes."""
-    return (eta[2:] - 2.0 * eta[1:-1] + eta[:-2]) / dx**2
-
-
-def _advance(
-    state: StringState, factorization: ThomasFactorization, cfg: SimConfig
-) -> tuple[StringState, np.ndarray]:
-    """One implicit step; also returns the explicit force that drove it."""
-    dt = cfg.time.dt
-    dx = cfg.grid.dx
-    alpha = cfg.physics.alpha
-    eta_c = state.eta_curr
-    eta_p = state.eta_prev
-
-    force = penalty_force(eta_c, eta_p, dt, cfg.physics.epsilon)
-    lap_c = _second_difference(eta_c, dx)
-    rhs = (
-        force[1:-1]
-        + (2.0 * eta_c[1:-1] - eta_p[1:-1]) / dt**2
-        - (alpha / dt) * lap_c
-    )
-    coupling = (alpha / dt + 1.0) / dx**2
-    rhs[0] += coupling * cfg.boundary_left
-    rhs[-1] += coupling * cfg.boundary_right
-
-    eta_n = np.empty_like(eta_c)
-    eta_n[0] = cfg.boundary_left
-    eta_n[-1] = cfg.boundary_right
-    eta_n[1:-1] = factorization.solve(rhs)
-
-    new_state = StringState(
-        step_index=state.step_index + 1, eta_prev=eta_c, eta_curr=eta_n
-    )
-    return new_state, force
-
-
-def step(
-    state: StringState, factorization: ThomasFactorization, cfg: SimConfig
-) -> StringState:
-    """Advance the state by one dt; cfg must be validated (pinned boundaries)."""
-    new_state, _ = _advance(state, factorization, cfg)
-    return new_state
 
 
 def scheme_residual(series: FieldSeries, cfg: SimConfig) -> np.ndarray:
@@ -146,65 +91,76 @@ def scheme_residual(series: FieldSeries, cfg: SimConfig) -> np.ndarray:
 def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
     """Execute the configured experiment.
 
+    The loop walks the time levels i = 0..M holding two frames, prev and
+    curr.  At each level F^i = penalty_force(curr, prev) is evaluated once:
+    it is stored with the level and drives the step i -> i+1.  Level 0
+    pairs eta0 with the synthetic previous frame eta0 - dt*v0, so its
+    stored force carries (v0)^-.  Step 0 -> 1 is the kinematic start-up
+    eta^1 = eta^0 + dt*v0 with the endpoints pinned (first order, like the
+    scheme); every later step is one tridiagonal solve.
+
     Fields are stored every output_stride steps plus step 0 and the final
-    step; the energy ledger gets one row per time step regardless of the
-    stride.  A non-finite state aborts with the offending step index.
+    step, into arrays preallocated for 1 + ceil(M / stride) frames; the
+    energy ledger gets one row per time step regardless of the stride.  A
+    non-finite frame aborts with the offending step index.
     """
     cfg = validate_config(cfg)
-    grid, tgrid = cfg.grid, cfg.time
-    dt = tgrid.dt
+    grid, tgrid, physics = cfg.grid, cfg.time, cfg.physics
+    dt, dx, alpha = tgrid.dt, grid.dx, physics.alpha
+    steps_m, stride = tgrid.steps_m, cfg.output_stride
     eta0, v0 = evaluate_initial(cfg.init, grid)
 
-    factorization = ThomasFactorization(assemble_step_matrix(grid, tgrid, cfg.physics))
+    factorization = ThomasFactorization(assemble_step_matrix(grid, tgrid, physics))
     ledger = EnergyLedger.open(eta0, v0, cfg)
+    coupling = (alpha / dt + 1.0) / dx**2
 
-    steps_m = tgrid.steps_m
-    stride = cfg.output_stride
-    stored_times: list[float] = []
-    stored_eta: list[np.ndarray] = []
-    stored_vel: list[np.ndarray] = []
-    stored_force: list[np.ndarray] = []
-
-    def store(index: int, eta_curr, eta_prev, velocity=None):
-        stored_times.append(index * dt)
-        stored_eta.append(eta_curr.copy())
-        if velocity is None:
-            velocity = (eta_curr - eta_prev) / dt
-        stored_vel.append(np.asarray(velocity, float).copy())
-        stored_force.append(penalty_force(eta_curr, eta_prev, dt, cfg.physics.epsilon))
+    frames = 1 + math.ceil(steps_m / stride)
+    times = np.empty(frames)
+    eta = np.empty((frames, eta0.size))
+    velocity = np.empty_like(eta)
+    penalty = np.empty_like(eta)
 
     log.info(
         "run: N=%d M=%d dt=%g alpha=%g eps=%g stride=%d",
-        grid.cells_n, steps_m, dt, cfg.physics.alpha, cfg.physics.epsilon, stride,
+        grid.cells_n, steps_m, dt, alpha, physics.epsilon, stride,
     )
 
-    # step 0: velocity row is the initial datum; the synthetic previous frame
-    # eta0 - dt*v0 reproduces (v0)^- in the stored force field.
-    store(0, eta0, eta0 - dt * v0, velocity=v0)
+    prev, curr = eta0 - dt * v0, eta0
+    row = 0
+    for i in range(steps_m + 1):
+        force = penalty_force(curr, prev, dt, physics.epsilon)
+        if i % stride == 0 or i == steps_m:
+            times[row] = i * dt
+            eta[row] = curr
+            velocity[row] = v0 if i == 0 else (curr - prev) / dt
+            penalty[row] = force
+            row += 1
+        if i == steps_m:
+            break
 
-    state = first_step(eta0, v0, dt)
-    force_prev = stored_force[0]
-    ledger.append_step(state.eta_prev, state.eta_curr, force_prev)
-    if steps_m >= 1 and (1 % stride == 0 or steps_m == 1):
-        store(1, state.eta_curr, state.eta_prev)
-
-    for i in range(1, steps_m):
-        state, force_used = _advance(state, factorization, cfg)
-        new_index = i + 1
-        if not np.all(np.isfinite(state.eta_curr)):
-            raise NumericBlowupError(new_index)
-        ledger.append_step(state.eta_prev, state.eta_curr, force_used)
-        if new_index % stride == 0 or new_index == steps_m:
-            store(new_index, state.eta_curr, state.eta_prev)
+        nxt = np.empty_like(curr)
+        nxt[0] = cfg.boundary_left
+        nxt[-1] = cfg.boundary_right
+        if i == 0:
+            nxt[1:-1] = eta0[1:-1] + dt * v0[1:-1]
+        else:
+            rhs = (
+                force[1:-1]
+                + (2.0 * curr[1:-1] - prev[1:-1]) / dt**2
+                - (alpha / dt) * ((curr[2:] - 2.0 * curr[1:-1] + curr[:-2]) / dx**2)
+            )
+            rhs[0] += coupling * cfg.boundary_left
+            rhs[-1] += coupling * cfg.boundary_right
+            nxt[1:-1] = factorization.solve(rhs)
+        if not np.all(np.isfinite(nxt)):
+            raise NumericBlowupError(i + 1)
+        ledger.append_step(curr, nxt, force)
+        prev, curr = curr, nxt
 
     series = FieldSeries(
-        times=np.array(stored_times),
+        times=times,
         xs=grid.nodes(),
-        fields={
-            "eta": np.vstack(stored_eta),
-            "velocity": np.vstack(stored_vel),
-            "penalty_force": np.vstack(stored_force),
-        },
+        fields={"eta": eta, "velocity": velocity, "penalty_force": penalty},
     )
     series.validate()
     return series, ledger

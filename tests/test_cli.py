@@ -70,6 +70,14 @@ def test_parse_round_trips_presets():
         assert cli.parse_config(cli.emit_config(parsed)) == parsed
 
 
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    parsed = cli.parse_config(block)
+    assert parsed.sim.grid.cells_n == 1000
+    assert parsed.output.formats == ("npz", "heatmap", "snapshots")
+
+
 def test_parse_round_trips_custom_text():
     parsed = cli.parse_config(GOOD_CONFIG)
     again = cli.parse_config(cli.emit_config(parsed))
@@ -383,6 +391,19 @@ def test_exit_three_on_blowup(tmp_path, capsys):
         code = cli.main(["run", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 3
     assert "numeric blowup" in capsys.readouterr().err
+
+
+def test_probe_all_on_a_run_shorter_than_the_mollifier(tmp_path, capsys):
+    # 11 stored frames against a 17-tap time kernel
+    cfg = tmp_path / "all.ini"
+    cfg.write_text(GOOD_CONFIG.replace("penetration,contact", "all"))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["probe", str(out)]) == 0
+    with open(out / "probes.json") as fh:
+        report = json.load(fh)
+    assert np.isfinite(report["dissipation"]["total"])
+    capsys.readouterr()
 
 
 def test_exit_four_on_probe_contract(tmp_path, capsys):

@@ -1,8 +1,10 @@
-"""Configuration types, initial-data evaluation, and validation rules."""
+"""Configuration types, initial-data evaluation, validation rules, exports."""
 
 import numpy as np
 import pytest
 
+import obstring
+from obstring import diagnostics, galerkin
 from obstring.core import (
     ConfigurationError,
     FieldSeries,
@@ -10,7 +12,6 @@ from obstring.core import (
     InitialData,
     Physics,
     SimConfig,
-    StringState,
     TimeGrid,
     evaluate_initial,
     example1_config,
@@ -185,15 +186,6 @@ def test_validate_config_rejects_bad_stride():
         validate_config(bad)
 
 
-def test_string_state_velocity():
-    state = StringState(
-        step_index=4,
-        eta_prev=np.array([0.0, 1.0, 0.0]),
-        eta_curr=np.array([0.0, 1.5, 0.0]),
-    )
-    assert np.allclose(state.velocity(0.5), [0.0, 1.0, 0.0])
-
-
 def test_field_series_validation_and_lookup():
     times = np.array([0.0, 0.1, 0.2])
     xs = np.linspace(0.0, 1.0, 5)
@@ -212,3 +204,10 @@ def test_field_series_validation_and_lookup():
     )
     with pytest.raises(ValueError):
         bad_times.validate()
+
+
+@pytest.mark.parametrize("module", [obstring, diagnostics, galerkin],
+                         ids=lambda m: m.__name__)
+def test_public_names_resolve(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

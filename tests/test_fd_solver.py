@@ -1,5 +1,7 @@
 """Finite-difference stepping: penalty force, start-up, stepping, and runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,19 +12,11 @@ from obstring.core import (
     Physics,
     SimConfig,
     TimeGrid,
-    evaluate_initial,
     example1_config,
     single_mode_config,
     validate_config,
 )
-from obstring.fd_solver import (
-    first_step,
-    penalty_force,
-    run,
-    scheme_residual,
-    step,
-)
-from obstring.trisolve import ThomasFactorization, assemble_step_matrix
+from obstring.fd_solver import penalty_force, run, scheme_residual
 
 
 # ---------------------------------------------------------------------------
@@ -63,66 +57,92 @@ def test_penalty_rejects_mismatched_frames():
 
 
 # ---------------------------------------------------------------------------
-# start-up step
+# start-up step and stepping, seen through stride-1 runs
+
+
+def _tabulated(eta0, v0, horizon_T, steps_m, alpha=0.5, epsilon=0.01):
+    """A stride-1 config on the unit rod starting from node tables."""
+    return SimConfig(
+        grid=Grid1D(1.0, len(eta0) - 1),
+        time=TimeGrid(horizon_T, steps_m),
+        physics=Physics(alpha=alpha, epsilon=epsilon),
+        init=InitialData(
+            "tabulated", eta0_table=tuple(eta0), v0_table=tuple(v0)
+        ),
+        output_stride=1,
+    )
 
 
 def test_first_step_zero_velocity_keeps_datum():
     eta0 = np.linspace(1.0, 2.0, 11)
-    state = first_step(eta0, np.zeros(11), dt=0.01)
-    assert state.step_index == 1
-    assert np.array_equal(state.eta_curr, eta0)
-    assert np.array_equal(state.eta_prev, eta0)
+    series, _ = run(_tabulated(eta0, np.zeros(11), horizon_T=0.02, steps_m=2))
+    assert np.array_equal(series.fields["eta"][1], eta0)
+    assert np.array_equal(series.fields["velocity"][1], np.zeros(11))
 
 
 def test_first_step_reference_drop_value():
-    # oscillatory preset at the reference step: peak node 1.5 drops by 50*dt
-    cfg = example1_config(resolution=5000)
-    eta0, v0 = evaluate_initial(cfg.init, cfg.grid)
-    state = first_step(eta0, v0, cfg.time.dt)
+    # oscillatory preset at the reference step: peak node 1.5 drops by 50*dt;
+    # one step of the reference dt keeps the 1/5000 grid cheap
+    cfg = example1_config(resolution=5000, output_stride=1)
+    dt = cfg.time.dt
+    cfg = replace(cfg, time=TimeGrid(dt, 1))
+    series, ledger = run(cfg)
+    eta = series.fields["eta"]
+    assert eta.shape == (2, 5001) and len(ledger) == 2
     j = 250  # x = 0.05, a crest of sin^2(10 pi x)
-    assert abs(eta0[j] - 1.5) < 1e-12
-    assert abs(state.eta_curr[j] - 1.49) < 1e-12
+    assert abs(eta[0, j] - 1.5) < 1e-12
+    assert abs(eta[1, j] - 1.49) < 1e-12
+    assert np.array_equal(series.fields["velocity"][1], (eta[1] - eta[0]) / dt)
 
 
 def test_first_step_pins_boundaries():
     eta0 = np.linspace(1.0, 2.0, 11)
-    v0 = np.full(11, -50.0)
-    state = first_step(eta0, v0, dt=0.01)
-    assert state.eta_curr[0] == eta0[0]
-    assert state.eta_curr[-1] == eta0[-1]
-    assert np.all(state.eta_curr[1:-1] < eta0[1:-1])
-
-
-# ---------------------------------------------------------------------------
-# stepping
-
-
-def _factorized(cfg):
-    cfg = validate_config(cfg)
-    return cfg, ThomasFactorization(
-        assemble_step_matrix(cfg.grid, cfg.time, cfg.physics)
-    )
+    series, _ = run(_tabulated(eta0, np.full(11, -50.0), horizon_T=0.01, steps_m=1))
+    eta1 = series.fields["eta"][1]
+    assert eta1[0] == eta0[0]
+    assert eta1[-1] == eta0[-1]
+    assert np.all(eta1[1:-1] < eta0[1:-1])
 
 
 def test_steady_state_is_a_fixed_point():
-    cfg, fact = _factorized(
-        single_mode_config(resolution=50, amplitude=0.0, offset=1.0, horizon_T=0.2)
+    cfg = single_mode_config(
+        resolution=50, amplitude=0.0, offset=1.0, horizon_T=0.2, output_stride=1
     )
-    eta0, v0 = evaluate_initial(cfg.init, cfg.grid)
-    state = first_step(eta0, v0, cfg.time.dt)
-    for _ in range(5):
-        state = step(state, fact, cfg)
-    assert np.allclose(state.eta_curr, 1.0, rtol=0.0, atol=1e-12)
+    series, _ = run(cfg)
+    assert len(series.times) == 11
+    assert np.allclose(series.fields["eta"], 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_symmetric_data_stays_symmetric():
-    cfg, fact = _factorized(example1_config(resolution=200, epsilon=0.002))
-    eta0, v0 = evaluate_initial(cfg.init, cfg.grid)
-    state = first_step(eta0, v0, cfg.time.dt)
-    for _ in range(40):
-        state = step(state, fact, cfg)
-    sym_err = np.max(np.abs(state.eta_curr - state.eta_curr[::-1]))
-    assert sym_err <= 1e-12 * np.max(np.abs(state.eta_curr))
+    cfg = example1_config(resolution=200, epsilon=0.002, output_stride=1)
+    series, _ = run(cfg)
+    eta = series.fields["eta"][:42]  # the start-up step and 40 implicit steps
+    sym_err = np.max(np.abs(eta - eta[:, ::-1]), axis=1)
+    assert np.all(sym_err <= 1e-12 * np.max(np.abs(eta), axis=1))
+
+
+@pytest.mark.parametrize(
+    "steps_m, v0",
+    [(1, 0.0), (1, -50.0), (20, 0.0), (20, -50.0)],
+    ids=["one-step-free", "one-step-contact", "free", "contact"],
+)
+def test_one_interior_node(steps_m, v0):
+    # cells_n = 2: a single interior node, so every solve is 1 x 1
+    eta0 = np.array([0.0, 0.3, 0.0])
+    cfg = _tabulated(eta0, np.array([0.0, v0, 0.0]), horizon_T=0.2, steps_m=steps_m)
+    series, ledger = run(cfg)
+    eta, force = series.fields["eta"], series.fields["penalty_force"]
+    assert eta.shape == (steps_m + 1, 3) and len(ledger) == steps_m + 1
+    assert all(series.fields[k].shape == eta.shape for k in series.fields)
+    assert np.all(eta[:, 0] == 0.0) and np.all(eta[:, -1] == 0.0)
+    assert eta[1, 1] == 0.3 + cfg.time.dt * v0
+    # v0 = -50 takes the node below the obstacle in the first step
+    assert (force.max() > 0.0) == (v0 < 0.0)
+    dt, dx = cfg.time.dt, cfg.grid.dx
+    res = scheme_residual(series, validate_config(cfg))
+    assert res.shape == (steps_m - 1, 1)
+    scale = (1.0 / dt**2 + 4.0 * (0.5 / dt + 1.0) / dx**2) * np.abs(eta).max()
+    assert np.abs(res).max(initial=0.0) <= 64 * np.finfo(float).eps * (scale + force.max())
 
 
 def test_run_constant_datum_gives_constant_series():
@@ -148,15 +168,7 @@ def test_scheme_residual_vanishes_without_contact():
     # single interior perturbation, no damping, string far above the obstacle
     table = np.full(33, 5.0)
     table[16] = 5.5
-    cfg = SimConfig(
-        grid=Grid1D(1.0, 32),
-        time=TimeGrid(0.1, 32),
-        physics=Physics(alpha=0.0, epsilon=0.01),
-        init=InitialData(
-            "tabulated", eta0_table=tuple(table), v0_table=(0.0,) * 33
-        ),
-        output_stride=1,
-    )
+    cfg = _tabulated(table, np.zeros(33), horizon_T=0.1, steps_m=32, alpha=0.0)
     series, _ = run(cfg)
     res = scheme_residual(series, validate_config(cfg))
     scale = (1.0 / cfg.time.dt**2) * np.abs(series.fields["eta"]).max()
