@@ -17,8 +17,8 @@ eta, velocity, penalty force and the contact mask) once, in fields.npz,
 which probe and render read back bitwise.  The csv format adds text
 exports of the same fields; they, the energy ledger and the snapshots go
 through one np.savetxt writer with 17 significant digits.  Then come
-PPM/SVG heatmaps and a manifest.json with sha256 checksums and per-phase
-wall-clock times.
+PPM/SVG heatmaps and a manifest.json with sha256 checksums, per-phase
+wall-clock times and the energy ledger's closure (energy_residual_max).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric blowup,
 4 probe-contract violation.  OBSTRING_THREADS caps the sweep worker pool.
@@ -71,6 +71,7 @@ FIELD_FILES = (
     ("velocity", "velocity.csv"),
     ("penalty_force", "penalty.csv"),
 )
+TABLE_KEYS = ("eta0_file", "v0_file")
 DEFAULT_PROBES = (
     "penetration",
     "contact",
@@ -110,6 +111,8 @@ class ParsedConfig:
     sim: SimConfig
     output: OutputSettings = OutputSettings()
     probes: ProbeSettings = ProbeSettings()
+    # absolute (eta0_file, v0_file) of kind = tabulated, re-emitted verbatim
+    table_files: tuple[str, str] | None = None
 
 
 _SCHEMA: dict[str, dict[str, type]] = {
@@ -205,13 +208,10 @@ def parse_config(text: str) -> ParsedConfig:
 
     init_vals = values["init"]
     kind = str(require("init", "kind"))
-    eta0_table = v0_table = None
+    eta0_table = v0_table = table_files = None
     if kind == "tabulated":
-        if "eta0_file" not in init_vals:
-            raise ConfigurationError("missing required key [init].eta0_file")
-        eta0_table = _read_column_file(str(init_vals["eta0_file"]))
-        if "v0_file" in init_vals:
-            v0_table = _read_column_file(str(init_vals["v0_file"]))
+        table_files = tuple(os.path.abspath(str(require("init", k))) for k in TABLE_KEYS)
+        eta0_table, v0_table = (_read_column_file(path) for path in table_files)
     init = InitialData(
         kind=kind,
         amplitude=float(init_vals.get("amplitude", 0.0)),
@@ -267,14 +267,14 @@ def parse_config(text: str) -> ParsedConfig:
         velocity_deltas=_parse_float_list(str(probe_vals.get("velocity_deltas", ""))),
     )
 
-    return ParsedConfig(sim=sim, output=output, probes=probes)
+    return ParsedConfig(sim=sim, output=output, probes=probes, table_files=table_files)
 
 
 def emit_config(parsed: ParsedConfig) -> str:
     """Serialize settings back to config text; parse(emit(p)) == p."""
     sim, out, pr = parsed.sim, parsed.output, parsed.probes
-    if sim.init.eta0_table is not None:
-        raise ConfigurationError("tabulated initial data cannot be re-emitted")
+    if sim.init.kind == "tabulated" and parsed.table_files is None:
+        raise ConfigurationError("tabulated initial data needs its table files")
     lines = [
         "[grid]",
         f"l = {sim.grid.length_l:.17g}",
@@ -291,9 +291,10 @@ def emit_config(parsed: ParsedConfig) -> str:
         f"mode = {sim.init.mode}",
         f"offset = {sim.init.offset:.17g}",
         f"v0 = {sim.init.v0:.17g}",
-        "[output]",
-        f"stride = {sim.output_stride}",
     ]
+    if parsed.table_files is not None:
+        lines += [f"{key} = {path}" for key, path in zip(TABLE_KEYS, parsed.table_files)]
+    lines += ["[output]", f"stride = {sim.output_stride}"]
     if out.dir is not None:
         lines.append(f"dir = {out.dir}")
     lines.append(f"formats = {','.join(out.formats) if out.formats else 'none'}")
@@ -528,6 +529,7 @@ class RunManifest:
     files: dict = field(default_factory=dict)
     phases: dict = field(default_factory=dict)
     snapshots: dict = field(default_factory=dict)
+    energy_residual_max: float = 0.0
 
     def add_file(self, path: str) -> None:
         self.files[os.path.basename(path)] = {
@@ -544,6 +546,7 @@ class RunManifest:
             "files": self.files,
             "phases": self.phases,
             "snapshots": self.snapshots,
+            "energy_residual_max": self.energy_residual_max,
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -566,6 +569,7 @@ def _solve_and_write(
     t0 = _time.perf_counter()
     series, ledger = fd_solver.run(parsed.sim)
     manifest.phases["solve"] = _time.perf_counter() - t0
+    manifest.energy_residual_max = float(np.abs(ledger.residual()).max(initial=0.0))
 
     formats = parsed.output.formats
 

@@ -101,8 +101,9 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
 
     Fields are stored every output_stride steps plus step 0 and the final
     step, into arrays preallocated for 1 + ceil(M / stride) frames; the
-    energy ledger gets one row per time step regardless of the stride.  A
-    non-finite frame aborts with the offending step index.
+    energy ledger gets one append_step per time step regardless of the
+    stride, and its residual() closes to rounding.  A non-finite frame
+    aborts with the offending step index.
     """
     cfg = validate_config(cfg)
     grid, tgrid, physics = cfg.grid, cfg.time, cfg.physics

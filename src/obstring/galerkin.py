@@ -235,19 +235,17 @@ def integrate(
     time: TimeGrid,
     physics: Physics,
     n_modes: int,
-    quad_nodes: int = 0,
-    delta_vel: float = 0.0,
-    dt_ode: float = 0.0,
     output_stride: int = 1,
 ) -> FieldSeries:
     """Integrate the modal system and sample fields on the reference grid.
 
     Initial data must take the same value at both ends (the expansion
-    cannot represent unequal pinned boundaries).  delta_vel defaults to
-    1/n_modes.  A reporting step dt whose start certifies
+    cannot represent unequal pinned boundaries).  The penalty integral
+    uses 4*n_modes midpoints and a velocity cutoff of width 1/n_modes.  A
+    reporting step dt whose start certifies
     sum_k sqrt(q_k^2 + qdot_k^2 / lam_k) <= h cannot reach the penalty
     and is taken exactly by the closed-form free propagator; any other
-    step takes fixed RK4 substeps of min(dt, eps/10, 0.1/lam_max, dt_ode),
+    step takes fixed RK4 substeps of min(dt, eps/10, 0.1/lam_max),
     shortened so that they divide dt evenly.
     """
     if n_modes < 1:
@@ -268,13 +266,7 @@ def integrate(
         )
     offset_h = float(ends[0])
 
-    if quad_nodes <= 0:
-        quad_nodes = 4 * n_modes
-    if quad_nodes < 4 * n_modes:
-        raise ConfigurationError("quad_nodes must be at least 4 * n_modes")
-    if delta_vel <= 0.0:
-        delta_vel = 1.0 / n_modes
-
+    quad_nodes = 4 * n_modes
     xq = _midpoints(quad_nodes, l)
     shapes_q = _mode_matrix(n_modes, l, xq)
     q = _project(np.asarray(eta_fn(xq), float) - offset_h, shapes_q, quad_nodes)
@@ -284,7 +276,7 @@ def integrate(
     alam = physics.alpha * lam
     force_scale = 2.0 / (quad_nodes * physics.epsilon)
     cut_eta = SmoothCutoff(physics.epsilon)
-    cut_vel = SmoothCutoff(delta_vel)
+    cut_vel = SmoothCutoff(1.0 / n_modes)
 
     def rhs(q: np.ndarray, qdot: np.ndarray):
         return qdot, _modal_accel(q, qdot, lam, alam, offset_h, shapes_q,
@@ -292,8 +284,6 @@ def integrate(
 
     dt = time.dt
     cap = min(dt, physics.epsilon / 10.0, 0.1 / lam[-1])
-    if dt_ode > 0.0:
-        cap = min(cap, dt_ode)
     n_sub = max(1, int(math.ceil(dt / cap - 1e-12)))
     h_sub = dt / n_sub
     p11, p12, p21, p22 = _free_propagator(lam, alam, dt)

@@ -214,6 +214,12 @@ def test_energy_decays_and_contact_work_is_nonpositive(paper_ex1, paper_ex2):
     assert passed
 
 
+def test_ledger_closes_at_reference_resolution(paper_ex1, paper_ex2):
+    for _, _, ledger, _ in (paper_ex1, paper_ex2):
+        e0 = ledger.total_energy()[0]
+        assert np.abs(ledger.residual()).max() <= 1e-9 * e0
+
+
 def test_drop_first_contact_time_is_physical(paper_ex1):
     _, series, _, _ = paper_ex1
     report = diagnostics.extract_contact(series)

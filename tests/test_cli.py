@@ -117,17 +117,56 @@ def test_parse_rejects_unknown_format_and_probe():
         cli.parse_config(base + "[probes]\nenabled = wavelets\n")
 
 
-def test_emit_rejects_tabulated_tables(tmp_path):
-    table = tmp_path / "eta0.csv"
-    table.write_text("\n".join(["1.0"] * 11))
-    text = (
-        "[grid]\nl=1\nn=10\n[time]\nT=0.1\nm=5\n[physics]\nepsilon=0.01\n"
-        f"[init]\nkind = tabulated\neta0_file = {table}\n"
-    )
-    parsed = cli.parse_config(text)
-    assert parsed.sim.init.eta0_table == (1.0,) * 11
-    with pytest.raises(ConfigurationError, match="tabulated"):
-        cli.emit_config(parsed)
+TABULATED_CONFIG = """\
+[grid]
+l = 1.0
+n = 20
+[time]
+T = 0.05
+m = 20
+[physics]
+epsilon = 0.01
+[init]
+kind = tabulated
+eta0_file = eta0.csv
+v0_file = v0.csv
+[output]
+stride = 1
+"""
+
+
+@pytest.fixture
+def tabulated_dir(tmp_path, monkeypatch):
+    """A 20-cell tabulated config whose tables are named relative to the cwd."""
+    xs = np.linspace(0.0, 1.0, 21)
+    np.savetxt(tmp_path / "eta0.csv", 0.5 + 0.3 * np.sin(np.pi * xs))
+    np.savetxt(tmp_path / "v0.csv", np.where((xs > 0.0) & (xs < 1.0), -20.0, 0.0))
+    (tmp_path / "tab.ini").write_text(TABULATED_CONFIG)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def test_tabulated_config_round_trips(tabulated_dir, monkeypatch):
+    parsed = cli.parse_config(TABULATED_CONFIG)
+    assert parsed.sim.init.eta0_table[10] == pytest.approx(0.8)
+    assert parsed.table_files == (str(tabulated_dir / "eta0.csv"),
+                                  str(tabulated_dir / "v0.csv"))
+    text = cli.emit_config(parsed)
+    monkeypatch.chdir(tabulated_dir.parent)  # absolute paths resolve anywhere
+    assert cli.parse_config(text) == parsed
+
+    with pytest.raises(ConfigurationError, match=r"missing required key \[init\].v0_file"):
+        cli.parse_config(TABULATED_CONFIG.replace("v0_file = v0.csv\n", ""))
+
+
+def test_tabulated_run_probe_render(tabulated_dir, capsys):
+    out = str(tabulated_dir / "out")
+    assert cli.main(["run", "tab.ini", "--out", out]) == 0
+    assert cli.main(["probe", out]) == 0
+    assert cli.main(["render", out]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "probes.json")) as fh:
+        assert np.isfinite(json.load(fh)["penetration"]["l1_max"])
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +185,22 @@ def test_run_writes_expected_files(run_dir):
     assert expected <= set(os.listdir(out))
     assert expected <= set(manifest.files)
     assert {"solve", "write", "render", "oracle"} <= set(manifest.phases)
+
+
+def test_energy_csv_holds_the_ledger(run_dir):
+    out, parsed, _ = run_dir
+    path = os.path.join(out, "energy.csv")
+    with open(path) as fh:
+        assert fh.readline() == "time,kinetic,elastic,visc_cum,num_cum,work_cum\n"
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    _, ledger = fd_solver.run(parsed.sim)
+    # readers take kinetic and elastic by position
+    assert np.array_equal(table[:, 1], ledger.kinetic)
+    assert np.array_equal(table[:, 2], ledger.elastic)
+    with open(os.path.join(out, "manifest.json")) as fh:
+        closure = json.load(fh)["energy_residual_max"]
+    assert closure == np.abs(ledger.residual()).max()
+    assert closure <= 1e-11 * ledger.total_energy()[0]
 
 
 def test_manifest_checksums_match(run_dir, npz_run_dir):
