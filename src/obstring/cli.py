@@ -33,6 +33,7 @@ import json
 import logging
 import math
 import os
+import platform
 import struct
 import sys
 import time as _time
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import diagnostics, fd_solver, galerkin
+from . import __version__, diagnostics, fd_solver, galerkin
 from .core import (
     ConfigurationError,
     FieldSeries,
@@ -547,6 +548,8 @@ class RunManifest:
             "phases": self.phases,
             "snapshots": self.snapshots,
             "energy_residual_max": self.energy_residual_max,
+            "versions": {"obstring": __version__, "numpy": np.__version__,
+                         "python": platform.python_version()},
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

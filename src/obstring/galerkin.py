@@ -18,9 +18,14 @@ with a certificate: with alpha >= 0 the free modal energy
 qdot_k^2 + lam_k q_k^2 never grows, so if sum_k sqrt(q_k^2 + qdot_k^2/lam_k)
 <= h the displacement stays nonnegative for the whole step, the penalty is
 identically zero and the flow map takes the step exactly.  Every other step
-is taken by classical RK4 on a fixed substep.  The modal force integral
-uses composite midpoint quadrature, under which the sine modes are exactly
-orthogonal, so projection and reconstruction round-trip exactly.
+is taken by an error-controlled Dormand-Prince 5(4) pair (rtol = atol =
+1e-8 on the largest scaled component of (q, qdot)), which puts its substeps
+where the penalty switches on; its last substep lands exactly on the end of
+the reporting step, and its last stage is reused as the first stage of the
+next step (FSAL) while consecutive steps stay uncertified.  The modal
+force integral uses composite midpoint quadrature, under which the sine
+modes are exactly orthogonal, so projection and reconstruction round-trip
+exactly.
 
 This solver shares no code with the finite-difference path on purpose:
 agreement between the two is used as evidence that both discretize the
@@ -29,6 +34,7 @@ same dynamics.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -44,6 +50,8 @@ from .core import (
     TimeGrid,
     initial_callables,
 )
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "ModalState",
@@ -229,6 +237,82 @@ def _free_amplitude_bound(q: np.ndarray, qdot: np.ndarray, lam: np.ndarray) -> n
     return np.hypot(q, qdot / np.sqrt(lam))
 
 
+# Dormand & Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# Table II.5.2).  Row j gives the weights of stages 1..j+1 for stage j+2;
+# the last row is the fifth-order solution, whose right-hand side is the
+# seventh stage and the first stage of the next step (FSAL).
+_DP_A = np.array([
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+# fifth- minus fourth-order weights over all seven stages
+_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
+# relative and absolute tolerance of the mixed error norm, the largest
+# scaled component over (q, qdot)
+_TOL = 1e-8
+# step-size controller: safety factor and the clamps on one change of h
+_SAFETY, _GROW, _SHRINK = 0.9, 5.0, 0.2
+# a trial step below this fraction of the span means the solution blew up
+_MIN_STEP = 1e-12
+
+
+class _DormandPrince:
+    """Error-controlled Dormand-Prince 5(4) integrator of y' = f(y).
+
+    The trial step size h and the right-hand side k1 at the last accepted
+    state carry over from one advance() to the next; whoever moves the
+    state by other means sets k1 to None.
+    """
+
+    def __init__(self, f, h: float):
+        self.f = f
+        self.h = h
+        self.k1: np.ndarray | None = None
+        self.accepted = 0
+        self.rejected = 0
+
+    def advance(self, y: np.ndarray, span: float, index: int) -> np.ndarray:
+        """The state a time span after y; the last step lands on span exactly.
+
+        A non-finite error estimate or a step below _MIN_STEP * span raises
+        NumericBlowupError(index).
+        """
+        k = np.empty((7, y.size))
+        k[0] = self.f(y) if self.k1 is None else self.k1
+        done = 0.0
+        while done < span:
+            # stretch by up to 1 % rather than leave a sliver of a step
+            landing = 1.01 * self.h >= span - done
+            step = span - done if landing else self.h
+            if step < _MIN_STEP * span:
+                raise NumericBlowupError(index)
+            for j in range(6):
+                y_new = y + step * (_DP_A[j, : j + 1] @ k[: j + 1])
+                k[j + 1] = self.f(y_new)
+            scale = _TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
+            err = float(np.max(np.abs(step * (_DP_E @ k)) / scale))
+            if not math.isfinite(err):
+                raise NumericBlowupError(index)
+            if err <= 1.0:
+                self.accepted += 1
+                done = span if landing else done + step
+                y = y_new
+                k[0] = k[6]
+            else:
+                self.rejected += 1
+            if err <= (_SAFETY / _GROW) ** 5:
+                self.h = _GROW * step
+            else:
+                self.h = max(_SHRINK, _SAFETY * err ** -0.2) * step
+        self.k1 = k[0]
+        return y
+
+
 def integrate(
     init: InitialData,
     grid: Grid1D,
@@ -245,8 +329,12 @@ def integrate(
     reporting step dt whose start certifies
     sum_k sqrt(q_k^2 + qdot_k^2 / lam_k) <= h cannot reach the penalty
     and is taken exactly by the closed-form free propagator; any other
-    step takes fixed RK4 substeps of min(dt, eps/10, 0.1/lam_max),
-    shortened so that they divide dt evenly.
+    step is taken by error-controlled Dormand-Prince 5(4) substeps at the
+    module tolerance _TOL, the last one clipped to land on (i + 1) dt.  The
+    trial substep and the last stage carry over between consecutive such
+    steps.  A non-finite state or error estimate, or a substep that
+    underflows, raises NumericBlowupError with the reporting step.  The
+    counts of exact and adaptive steps are logged at INFO.
     """
     if n_modes < 1:
         raise ConfigurationError("need at least one mode")
@@ -278,15 +366,15 @@ def integrate(
     cut_eta = SmoothCutoff(physics.epsilon)
     cut_vel = SmoothCutoff(1.0 / n_modes)
 
-    def rhs(q: np.ndarray, qdot: np.ndarray):
-        return qdot, _modal_accel(q, qdot, lam, alam, offset_h, shapes_q,
-                                  force_scale, cut_eta, cut_vel)
+    def rhs(y: np.ndarray) -> np.ndarray:
+        q, qdot = y[:n_modes], y[n_modes:]
+        return np.concatenate((qdot, _modal_accel(q, qdot, lam, alam, offset_h,
+                                                  shapes_q, force_scale, cut_eta,
+                                                  cut_vel)))
 
     dt = time.dt
-    cap = min(dt, physics.epsilon / 10.0, 0.1 / lam[-1])
-    n_sub = max(1, int(math.ceil(dt / cap - 1e-12)))
-    h_sub = dt / n_sub
     p11, p12, p21, p22 = _free_propagator(lam, alam, dt)
+    stepper = _DormandPrince(rhs, dt)
 
     xs = grid.nodes()
     shapes_x = _mode_matrix(n_modes, l, xs)
@@ -307,22 +395,22 @@ def integrate(
 
     sample(0, 0)
     row = 1
+    free_steps = 0
     for i in range(time.steps_m):
         if float(np.sum(_free_amplitude_bound(q, qdot, lam))) <= offset_h:
             q, qdot = p11 * q + p12 * qdot, p21 * q + p22 * qdot
+            stepper.k1 = None
+            free_steps += 1
         else:
-            for _ in range(n_sub):
-                k1q, k1v = rhs(q, qdot)
-                k2q, k2v = rhs(q + 0.5 * h_sub * k1q, qdot + 0.5 * h_sub * k1v)
-                k3q, k3v = rhs(q + 0.5 * h_sub * k2q, qdot + 0.5 * h_sub * k2v)
-                k4q, k4v = rhs(q + h_sub * k3q, qdot + h_sub * k3v)
-                q = q + (h_sub / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-                qdot = qdot + (h_sub / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            y = stepper.advance(np.concatenate((q, qdot)), dt, i + 1)
+            q, qdot = y[:n_modes], y[n_modes:]
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
             raise NumericBlowupError(i + 1)
         if (i + 1) % stride == 0 or (i + 1) == time.steps_m:
             sample(row, i + 1)
             row += 1
+    log.info("integrate: %d exact free steps, %d accepted and %d rejected "
+             "adaptive steps", free_steps, stepper.accepted, stepper.rejected)
 
     series = FieldSeries(
         times=stored_times,

@@ -2,12 +2,14 @@
 
 import json
 import os
+import platform
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import obstring
 from obstring import cli, diagnostics, fd_solver
 from obstring.core import ConfigurationError, validate_config
 
@@ -207,6 +209,9 @@ def test_manifest_checksums_match(run_dir, npz_run_dir):
     for out, parsed, _ in (run_dir, npz_run_dir):
         with open(os.path.join(out, "manifest.json")) as fh:
             manifest = json.load(fh)
+        assert manifest["versions"] == {"obstring": obstring.__version__,
+                                        "numpy": np.__version__,
+                                        "python": platform.python_version()}
         assert ("fields.npz" in manifest["files"]) == ("npz" in parsed.output.formats)
         for name, meta in manifest["files"].items():
             if name == "manifest.json":

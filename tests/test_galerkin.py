@@ -1,24 +1,31 @@
 """Spectral sine-mode solver: cutoffs, modal dynamics, and integration."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obstring import galerkin
 from obstring.core import (
     ConfigurationError,
     Grid1D,
     InitialData,
+    NumericBlowupError,
     Physics,
     TimeGrid,
 )
 from obstring.galerkin import (
     ModalState,
     SmoothCutoff,
+    _DormandPrince,
     _free_amplitude_bound,
     _free_propagator,
+    _midpoints,
+    _modal_accel,
+    _mode_matrix,
     integrate,
     modal_energy,
     modal_rhs,
@@ -116,13 +123,21 @@ def test_projection_round_trip_on_midpoints():
 
 
 def _rk4_trajectory(state, phys, cut_eta, cut_vel, quad, h, steps):
-    """Drive modal_rhs with classical RK4; yields the state each step."""
+    """Classical RK4 on the modal system of modal_rhs; yields the state each step.
+
+    The invariants modal_rhs rebuilds on every call are hoisted, which
+    leaves its arithmetic unchanged and makes fine reference steps cheap.
+    """
+    lam = state.frequencies()
+    shapes = _mode_matrix(state.n_modes, state.length_l,
+                          _midpoints(quad, state.length_l))
+
+    def f(qq, vv):
+        return vv, _modal_accel(qq, vv, lam, phys.alpha * lam, state.offset_h, shapes,
+                                2.0 / (quad * phys.epsilon), cut_eta, cut_vel)
+
     q, qdot = state.q.copy(), state.qdot.copy()
     for _ in range(steps):
-        def f(qq, vv):
-            s = ModalState(state.n_modes, qq, vv, state.offset_h, state.length_l)
-            return modal_rhs(s, phys, cut_eta, cut_vel, quad)
-
         k1q, k1v = f(q, qdot)
         k2q, k2v = f(q + 0.5 * h * k1q, qdot + 0.5 * h * k1v)
         k3q, k3v = f(q + 0.5 * h * k2q, qdot + 0.5 * h * k2v)
@@ -269,21 +284,29 @@ def test_free_propagator_respects_amplitude_certificate(q, qdot, alpha, mode, h)
 
 
 @pytest.mark.parametrize(
-    "offset, v0, contact",
-    [(1.0, 0.2, False), (0.2, -2.0, True)],
+    "offset, v0, contact, steps, refine, stride, tol_eta, tol_vel",
+    [(1.0, 0.2, False, 20, 1, 1, 1e-11, 1e-11),
+     (0.2, -2.0, True, 8, 10, 3, 3e-9, 1e-6)],
     ids=["free", "contact"],
 )
-def test_integrate_matches_rk4_trajectory(offset, v0, contact):
+def test_integrate_matches_rk4_trajectory(offset, v0, contact, steps, refine, stride,
+                                          tol_eta, tol_vel):
     # free: v0 excites every odd mode, but the certificate holds from the
     # start, so integrate steps exactly while the reference takes RK4
-    # substeps.  contact: the string falls onto the obstacle, the
-    # certificate fails and both take the same RK4 substeps.
+    # substeps of 0.1/lam_max.  contact: the certificate fails from the
+    # start, integrate takes error-controlled steps and the string reaches
+    # the obstacle at step 6.  The reference takes RK4 substeps ten times
+    # finer, within 1.5e-10 of one twice as fine.  integrate misses it by
+    # 7.3e-10 in eta and 2.6e-7 in velocity, bounded with a 4x margin;
+    # RK4 substeps of 0.1/lam_max miss it by 6.3e-9 and 2.5e-6.
     n_modes, quad = 8, 32
     init = InitialData("single_mode", amplitude=0.15, mode=2, offset=offset, v0=v0)
-    grid, tgrid = Grid1D(1.0, 40), TimeGrid(0.1, 20)
+    grid, tgrid = Grid1D(1.0, 40), TimeGrid(0.005 * steps, steps)
     phys = Physics(alpha=0.01, epsilon=0.002)
-    series = integrate(init, grid, tgrid, phys, n_modes=n_modes)
+    series = integrate(init, grid, tgrid, phys, n_modes=n_modes, output_stride=stride)
     assert np.any(series.fields["penalty_force"] > 0.0) == contact
+    rows = [*range(0, steps, stride), steps]
+    assert np.array_equal(series.times, np.array(rows) * tgrid.dt)
 
     xq = (np.arange(quad) + 0.5) / quad
     shapes = np.sin(np.arange(1, n_modes + 1)[:, None] * np.pi * xq[None, :])
@@ -292,11 +315,58 @@ def test_integrate_matches_rk4_trajectory(offset, v0, contact):
     state = ModalState(n_modes, q0, qdot0, offset, 1.0)
     certified = np.sum(_free_amplitude_bound(q0, qdot0, state.frequencies())) <= offset
     assert certified != contact
-    n_sub = math.ceil(tgrid.dt / (0.1 / (n_modes * np.pi) ** 2))
+    n_sub = refine * math.ceil(tgrid.dt / (0.1 / (n_modes * np.pi) ** 2))
     trajectory = list(_rk4_trajectory(state, phys, SmoothCutoff(0.002),
                                       SmoothCutoff(1.0 / n_modes), quad,
-                                      h=tgrid.dt / n_sub, steps=20 * n_sub))
-    for i in range(1, 21):
+                                      h=tgrid.dt / n_sub, steps=steps * n_sub))
+    for frame, i in enumerate(rows[1:], start=1):
         eta, vel = reconstruct(trajectory[i * n_sub - 1], grid.nodes())
-        assert np.max(np.abs(series.fields["eta"][i] - eta)) <= 1e-11
-        assert np.max(np.abs(series.fields["velocity"][i] - vel)) <= 1e-11
+        assert np.max(np.abs(series.fields["eta"][frame] - eta)) <= tol_eta
+        assert np.max(np.abs(series.fields["velocity"][frame] - vel)) <= tol_vel
+
+
+def test_integrate_stiff_contact_is_fast_and_matches_rk4():
+    # alpha lam_max = 4.0e4, so explicit steps are stability-bound before
+    # contact, and the string reaches the obstacle at t = 0.0205.  On a
+    # 2 vCPU host integrate takes 0.34 s here (RK4 substeps of 0.1/lam_max
+    # took 1.8 s) and misses RK4 at h = dt/100 by 2.2e-8, which is that
+    # reference's own distance from RK4 at h = dt/400; bounded with a 4x
+    # margin.
+    n_modes, quad, per = 64, 256, 100
+    grid, tgrid = Grid1D(1.0, 100), TimeGrid(0.025, 25)
+    phys = Physics(alpha=1.0, epsilon=0.002)
+    t0 = time.perf_counter()
+    series = integrate(InitialData("example1"), grid, tgrid, phys, n_modes=n_modes)
+    assert time.perf_counter() - t0 < 1.2
+    eta = series.fields["eta"]
+    assert np.all(np.isfinite(eta)) and eta.min() < 0.0
+
+    xq = (np.arange(quad) + 0.5) / quad
+    shapes = np.sin(np.arange(1, n_modes + 1)[:, None] * np.pi * xq[None, :])
+    q0 = (2.0 / quad) * (shapes @ (0.5 * np.sin(10 * np.pi * xq) ** 2))
+    qdot0 = (2.0 / quad) * (shapes @ np.full(quad, -50.0))
+    trajectory = list(_rk4_trajectory(ModalState(n_modes, q0, qdot0, 1.0, 1.0), phys,
+                                      SmoothCutoff(0.002), SmoothCutoff(1.0 / n_modes),
+                                      quad, h=tgrid.dt / per, steps=25 * per))
+    ref = [reconstruct(trajectory[i * per - 1], grid.nodes())[0] for i in range(1, 26)]
+    assert np.max(np.abs(eta[1:] - np.array(ref))) <= 1e-7
+
+
+def test_integrate_raises_on_nan_state_in_contact(monkeypatch):
+    # NaN error estimates compare False against the tolerance, so an
+    # integrator that only tests for acceptance would retry forever
+    monkeypatch.setattr(galerkin, "_modal_accel",
+                        lambda q, *args: np.full_like(q, np.nan))
+    init = InitialData("single_mode", amplitude=0.15, mode=2, offset=0.2, v0=-2.0)
+    with pytest.raises(NumericBlowupError) as info:
+        integrate(init, Grid1D(1.0, 40), TimeGrid(0.04, 8), Physics(0.01, 0.002),
+                  n_modes=8)
+    assert info.value.step_index == 1
+
+
+def test_adaptive_steps_raise_at_finite_time_blowup():
+    # y' = y^2 from y = 1 blows up at t = 1: the steps shrink until they underflow
+    stepper = _DormandPrince(lambda y: y * y, 0.1)
+    with pytest.raises(NumericBlowupError) as info:
+        stepper.advance(np.ones(2), 2.0, 7)
+    assert info.value.step_index == 7
