@@ -10,8 +10,13 @@ sweep --axis A --values v1,v2,... <config>
 probe <run-dir>         evaluate diagnostics over a stored run
 render <run-dir>        regenerate heatmaps from the stored fields
 
+-v/--verbose (info logging) goes before or after the subcommand.
+
 Configs are INI-style text with sections [grid], [time], [physics], [init],
-[output], [probes]; unknown sections or keys are rejected with line numbers.
+[output], [probes]; unknown sections or keys, and bad values (an unknown
+format or probe name included), are rejected with line numbers.  One table,
+_SCHEMA, gives each key's type and the dataclass field it fills; parse_config
+and emit_config both walk it, and a key left out takes that field's default.
 Runs, sweep points included, store their fields (times, node positions,
 eta, velocity, penalty force and the contact mask) once, in fields.npz,
 which probe and render read back bitwise.  The csv format adds text
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import functools
 import hashlib
 import json
 import logging
@@ -38,8 +44,9 @@ import struct
 import sys
 import time as _time
 import zlib
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -72,7 +79,6 @@ FIELD_FILES = (
     ("velocity", "velocity.csv"),
     ("penalty_force", "penalty.csv"),
 )
-TABLE_KEYS = ("eta0_file", "v0_file")
 DEFAULT_PROBES = (
     "penetration",
     "contact",
@@ -116,41 +122,78 @@ class ParsedConfig:
     table_files: tuple[str, str] | None = None
 
 
-_SCHEMA: dict[str, dict[str, type]] = {
-    "grid": {"l": float, "n": int},
-    "time": {"T": float, "m": int},
-    "physics": {"alpha": float, "epsilon": float},
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _names(known: tuple[str, ...], what: str, everything: bool = False):
+    """Caster for a comma-separated subset of known; "none" is the empty set
+    and, when everything is set, "all" is every known name."""
+
+    def cast(text: str) -> tuple[str, ...]:
+        if text.strip() == "none":
+            return ()
+        if everything and text.strip() == "all":
+            return known
+        names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
+        bad = [name for name in names if name not in known]
+        if bad:
+            raise ConfigurationError(f"unknown {what}(s): {', '.join(bad)}")
+        return names
+
+    return cast
+
+
+_FORMAT_NAMES = _names(KNOWN_FORMATS, "output format")
+_PROBE_NAMES = _names(DEFAULT_PROBES, "probe", everything=True)
+
+# section -> key -> (caster, target, field): the key's value fills that field
+# of that dataclass.  Target None marks the node-table files of
+# kind = tabulated; they are read into InitialData's table of that name and
+# kept, absolute, in ParsedConfig.table_files.
+_SCHEMA: dict[str, dict[str, tuple]] = {
+    "grid": {"l": (float, Grid1D, "length_l"), "n": (int, Grid1D, "cells_n")},
+    "time": {"T": (float, TimeGrid, "horizon_T"), "m": (int, TimeGrid, "steps_m")},
+    "physics": {
+        "alpha": (float, Physics, "alpha"),
+        "epsilon": (float, Physics, "epsilon"),
+    },
     "init": {
-        "kind": str,
-        "amplitude": float,
-        "mode": int,
-        "offset": float,
-        "v0": float,
-        "eta0_file": str,
-        "v0_file": str,
+        "kind": (str, InitialData, "kind"),
+        "amplitude": (float, InitialData, "amplitude"),
+        "mode": (int, InitialData, "mode"),
+        "offset": (float, InitialData, "offset"),
+        "v0": (float, InitialData, "v0"),
+        "eta0_file": (os.path.abspath, None, "eta0_table"),
+        "v0_file": (os.path.abspath, None, "v0_table"),
     },
     "output": {
-        "stride": int,
-        "dir": str,
-        "formats": str,
-        "snapshots": str,
-        "oracle_modes": int,
+        "stride": (int, SimConfig, "output_stride"),
+        "dir": (str, OutputSettings, "dir"),
+        "formats": (_FORMAT_NAMES, OutputSettings, "formats"),
+        "snapshots": (_floats, OutputSettings, "snapshots"),
+        "oracle_modes": (int, OutputSettings, "oracle_modes"),
     },
     "probes": {
-        "enabled": str,
-        "link_cells": int,
-        "dissipation_omega_cells": float,
-        "stress_delta": float,
-        "velocity_t1": float,
-        "velocity_x0": float,
-        "velocity_x1": float,
-        "velocity_deltas": str,
+        "enabled": (_PROBE_NAMES, ProbeSettings, "enabled"),
+        "link_cells": (int, ProbeSettings, "link_cells"),
+        "dissipation_omega_cells": (float, ProbeSettings, "dissipation_omega_cells"),
+        "stress_delta": (float, ProbeSettings, "stress_delta"),
+        "velocity_t1": (float, ProbeSettings, "velocity_t1"),
+        "velocity_x0": (float, ProbeSettings, "velocity_x0"),
+        "velocity_x1": (float, ProbeSettings, "velocity_x1"),
+        "velocity_deltas": (_floats, ProbeSettings, "velocity_deltas"),
     },
 }
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+# caster -> value-to-text; the rest print with str
+_TEXT = {
+    float: "{:.17g}".format,
+    _floats: lambda values: ",".join(map("{:.17g}".format, values)),
+    _FORMAT_NAMES: lambda names: ",".join(names) or "none",
+    _PROBE_NAMES: lambda names: ",".join(names) or "none",
+}
 
 
 def _read_column_file(path: str) -> tuple[float, ...]:
@@ -161,11 +204,16 @@ def _read_column_file(path: str) -> tuple[float, ...]:
     return tuple(np.atleast_1d(values).astype(float).tolist())
 
 
+def _has_default(target: type, name: str) -> bool:
+    return next(f for f in fields(target) if f.name == name).default is not MISSING
+
+
 def parse_config(text: str) -> ParsedConfig:
     """Parse INI-style configuration text into run settings.
 
     Unknown sections or keys, repeated keys, and type errors are rejected
-    with the offending line number.
+    with the offending line number.  A key left out takes its dataclass
+    field's default; [physics].alpha, whose field has none, defaults to 1.
     """
     values: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
     section = None
@@ -187,7 +235,7 @@ def parse_config(text: str) -> ParsedConfig:
             raise ConfigurationError(f"line {lineno}: unknown key [{section}].{key}")
         if key in values[section]:
             raise ConfigurationError(f"line {lineno}: duplicate key [{section}].{key}")
-        caster = _SCHEMA[section][key]
+        caster = _SCHEMA[section][key][0]
         try:
             values[section][key] = caster(val)
         except ValueError as exc:
@@ -195,125 +243,69 @@ def parse_config(text: str) -> ParsedConfig:
                 f"line {lineno}: bad value for [{section}].{key}: {exc}"
             ) from exc
 
-    def require(sec: str, key: str):
-        if key not in values[sec]:
-            raise ConfigurationError(f"missing required key [{sec}].{key}")
-        return values[sec][key]
+    def given(section: str, key: str):
+        if key not in values[section]:
+            raise ConfigurationError(f"missing required key [{section}].{key}")
+        return values[section][key]
 
-    grid = Grid1D(length_l=float(require("grid", "l")), cells_n=int(require("grid", "n")))
-    tgrid = TimeGrid(horizon_T=float(require("time", "T")), steps_m=int(require("time", "m")))
-    physics = Physics(
-        alpha=float(values["physics"].get("alpha", 1.0)),
-        epsilon=float(require("physics", "epsilon")),
-    )
+    kwargs: dict[type, dict[str, object]] = defaultdict(dict)
+    kwargs[Physics]["alpha"] = 1.0  # Physics.alpha has no default of its own
+    tables = []
+    for section, keys in _SCHEMA.items():
+        for key, (_, target, name) in keys.items():
+            if target is None:
+                tables.append((section, key, name))
+            elif key in values[section] or not (
+                name in kwargs[target] or _has_default(target, name)
+            ):
+                kwargs[target][name] = given(section, key)
 
-    init_vals = values["init"]
-    kind = str(require("init", "kind"))
-    eta0_table = v0_table = table_files = None
-    if kind == "tabulated":
-        table_files = tuple(os.path.abspath(str(require("init", k))) for k in TABLE_KEYS)
-        eta0_table, v0_table = (_read_column_file(path) for path in table_files)
-    init = InitialData(
-        kind=kind,
-        amplitude=float(init_vals.get("amplitude", 0.0)),
-        mode=int(init_vals.get("mode", 1)),
-        offset=float(init_vals.get("offset", 0.0)),
-        v0=float(init_vals.get("v0", 0.0)),
-        eta0_table=eta0_table,
-        v0_table=v0_table,
-    )
+    table_files = None
+    if kwargs[InitialData]["kind"] == "tabulated":
+        table_files = tuple(given(section, key) for section, key, _ in tables)
+        for (_, _, name), path in zip(tables, table_files):
+            kwargs[InitialData][name] = _read_column_file(path)
 
     sim = SimConfig(
-        grid=grid,
-        time=tgrid,
-        physics=physics,
-        init=init,
-        output_stride=int(values["output"].get("stride", 0)),
+        grid=Grid1D(**kwargs[Grid1D]),
+        time=TimeGrid(**kwargs[TimeGrid]),
+        physics=Physics(**kwargs[Physics]),
+        init=InitialData(**kwargs[InitialData]),
+        **kwargs[SimConfig],
     )
-
-    fmt_text = str(values["output"].get("formats", ",".join(DEFAULT_FORMATS)))
-    if fmt_text.strip() == "none":
-        formats: tuple[str, ...] = ()
-    else:
-        formats = tuple(tok.strip() for tok in fmt_text.split(",") if tok.strip())
-        bad = [f for f in formats if f not in KNOWN_FORMATS]
-        if bad:
-            raise ConfigurationError(f"unknown output format(s): {', '.join(bad)}")
-    output = OutputSettings(
-        dir=str(values["output"]["dir"]) if "dir" in values["output"] else None,
-        formats=formats,
-        snapshots=_parse_float_list(str(values["output"].get("snapshots", ""))),
-        oracle_modes=int(values["output"].get("oracle_modes", 0)),
+    return ParsedConfig(
+        sim=sim,
+        output=OutputSettings(**kwargs[OutputSettings]),
+        probes=ProbeSettings(**kwargs[ProbeSettings]),
+        table_files=table_files,
     )
-
-    probe_vals = values["probes"]
-    enabled_text = str(probe_vals.get("enabled", ",".join(DEFAULT_PROBES)))
-    if enabled_text.strip() == "none":
-        enabled: tuple[str, ...] = ()
-    elif enabled_text.strip() == "all":
-        enabled = DEFAULT_PROBES
-    else:
-        enabled = tuple(tok.strip() for tok in enabled_text.split(",") if tok.strip())
-        bad = [p for p in enabled if p not in DEFAULT_PROBES]
-        if bad:
-            raise ConfigurationError(f"unknown probe(s): {', '.join(bad)}")
-    probes = ProbeSettings(
-        enabled=enabled,
-        link_cells=int(probe_vals.get("link_cells", 12)),
-        dissipation_omega_cells=float(probe_vals.get("dissipation_omega_cells", 4.0)),
-        stress_delta=float(probe_vals.get("stress_delta", 0.0)),
-        velocity_t1=float(probe_vals.get("velocity_t1", -1.0)),
-        velocity_x0=float(probe_vals.get("velocity_x0", 0.0)),
-        velocity_x1=float(probe_vals.get("velocity_x1", 0.0)),
-        velocity_deltas=_parse_float_list(str(probe_vals.get("velocity_deltas", ""))),
-    )
-
-    return ParsedConfig(sim=sim, output=output, probes=probes, table_files=table_files)
 
 
 def emit_config(parsed: ParsedConfig) -> str:
-    """Serialize settings back to config text; parse(emit(p)) == p."""
-    sim, out, pr = parsed.sim, parsed.output, parsed.probes
+    """Serialize settings back to config text; parse(emit(p)) == p.
+
+    Every key is written in _SCHEMA order except those whose value is None
+    (no [output].dir, and the table files of a kind other than tabulated).
+    """
+    sim = parsed.sim
     if sim.init.kind == "tabulated" and parsed.table_files is None:
         raise ConfigurationError("tabulated initial data needs its table files")
-    lines = [
-        "[grid]",
-        f"l = {sim.grid.length_l:.17g}",
-        f"n = {sim.grid.cells_n}",
-        "[time]",
-        f"T = {sim.time.horizon_T:.17g}",
-        f"m = {sim.time.steps_m}",
-        "[physics]",
-        f"alpha = {sim.physics.alpha:.17g}",
-        f"epsilon = {sim.physics.epsilon:.17g}",
-        "[init]",
-        f"kind = {sim.init.kind}",
-        f"amplitude = {sim.init.amplitude:.17g}",
-        f"mode = {sim.init.mode}",
-        f"offset = {sim.init.offset:.17g}",
-        f"v0 = {sim.init.v0:.17g}",
-    ]
-    if parsed.table_files is not None:
-        lines += [f"{key} = {path}" for key, path in zip(TABLE_KEYS, parsed.table_files)]
-    lines += ["[output]", f"stride = {sim.output_stride}"]
-    if out.dir is not None:
-        lines.append(f"dir = {out.dir}")
-    lines.append(f"formats = {','.join(out.formats) if out.formats else 'none'}")
-    lines.append(
-        "snapshots = " + ",".join(f"{t:.17g}" for t in out.snapshots)
-    )
-    lines.append(f"oracle_modes = {out.oracle_modes}")
-    lines += [
-        "[probes]",
-        f"enabled = {','.join(pr.enabled) if pr.enabled else 'none'}",
-        f"link_cells = {pr.link_cells}",
-        f"dissipation_omega_cells = {pr.dissipation_omega_cells:.17g}",
-        f"stress_delta = {pr.stress_delta:.17g}",
-        f"velocity_t1 = {pr.velocity_t1:.17g}",
-        f"velocity_x0 = {pr.velocity_x0:.17g}",
-        f"velocity_x1 = {pr.velocity_x1:.17g}",
-        "velocity_deltas = " + ",".join(f"{d:.17g}" for d in pr.velocity_deltas),
-    ]
+    objects = {
+        Grid1D: sim.grid, TimeGrid: sim.time, Physics: sim.physics,
+        InitialData: sim.init, SimConfig: sim,
+        OutputSettings: parsed.output, ProbeSettings: parsed.probes,
+    }
+    table_files = iter(parsed.table_files or ())
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        for key, (caster, target, name) in keys.items():
+            if target is None:
+                value = next(table_files, None)
+            else:
+                value = getattr(objects[target], name)
+            if value is not None:
+                lines.append(f"{key} = {_TEXT.get(caster, str)(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -663,11 +655,7 @@ def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
     sim = validate_config(parsed.sim)
     settings = parsed.probes
     series = series_from_run_dir(run_dir)
-    enabled = tuple(names) if names else settings.enabled
-
-    unknown = [n for n in enabled if n not in DEFAULT_PROBES]
-    if unknown:
-        raise ConfigurationError(f"unknown probe(s): {', '.join(unknown)}")
+    enabled = _PROBE_NAMES(",".join(names)) if names else settings.enabled
 
     results: dict[str, object] = {}
     bumps = diagnostics.builtin_test_functions(
@@ -683,21 +671,16 @@ def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
             "total_penalty_impulse": report.total_penalty_impulse,
             "graph_count": len(report.boundary_graphs),
         }
-    if "momentum" in enabled:
-        results["momentum"] = {
-            name: diagnostics.weak_momentum_residual(series, sim, bump)
-            for name, bump in bumps.items()
-        }
-    if "energy_local" in enabled:
-        results["energy_local"] = {
-            name: diagnostics.local_energy_residual(series, sim, bump)
-            for name, bump in bumps.items()
-        }
-    if "renorm" in enabled:
-        results["renorm"] = {
-            name: diagnostics.renormalized_residual(series, sim, bump)
-            for name, bump in bumps.items()
-        }
+    weak_forms = {
+        "momentum": diagnostics.weak_momentum_residual,
+        "energy_local": diagnostics.local_energy_residual,
+        "renorm": diagnostics.renormalized_residual,
+    }
+    for probe, residual in weak_forms.items():
+        if probe in enabled:
+            results[probe] = {
+                name: residual(series, sim, bump) for name, bump in bumps.items()
+            }
     if "dissipation" in enabled:
         omega = settings.dissipation_omega_cells * series.dx
         dt_stored = float(np.min(np.diff(series.times)))
@@ -768,8 +751,6 @@ def _sweep_one(payload: tuple[str, float, str, str]) -> dict:
                 grid=Grid1D(sim.grid.length_l, n),
                 time=TimeGrid(sim.time.horizon_T, m),
             )
-        elif axis != "modes":
-            raise ConfigurationError(f"unknown sweep axis {axis!r}")
 
         if axis == "modes":
             checked = validate_config(sim)
@@ -854,14 +835,10 @@ def run_sweep(parsed: ParsedConfig, axis: str, sweep_values: list[float],
         "diff_linf_next", "diff_l2_next", "slope_l1_next", "wall_seconds",
     ]
     sweep_path = os.path.join(out_dir, "sweep.csv")
-    with open(sweep_path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = []
-            for col in columns:
-                val = row.get(col, math.nan)
-                cells.append(val if isinstance(val, str) else "%.17g" % val)
-            fh.write(",".join(cells) + "\n")
+    table = np.array([[row.get(col, math.nan) for col in columns] for row in rows],
+                     dtype=object)
+    _write_csv(sweep_path, columns, [table],
+               fmt=["%s" if col == "status" else "%.17g" for col in columns])
     log.info("sweep report written to %s", sweep_path)
     return rows
 
@@ -903,7 +880,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_example(which: str, args: argparse.Namespace) -> int:
+def cmd_example(args: argparse.Namespace) -> int:
+    which = args.command
     parsed = _preset_parsed(
         which, args.resolution, args.epsilon, args.out, args.stride
     )
@@ -959,62 +937,61 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # -v goes before or after the subcommand; SUPPRESS keeps a subcommand's
+    # unset flag from overwriting one given before it
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("-v", "--verbose", action="store_true",
+                        default=argparse.SUPPRESS, help="info logging")
     parser = argparse.ArgumentParser(
         prog="obstring",
         description="Penalized viscoelastic string-on-obstacle simulator",
+        parents=[common],
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="info logging")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, parents=[common])
 
-    p_run = sub.add_parser("run", help="execute a config file")
+    p_run = add("run", help="execute a config file")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory")
+    p_run.set_defaults(func=cmd_run)
 
     for which in ("example1", "example2"):
-        p_ex = sub.add_parser(which, help=f"run the {which} preset")
+        p_ex = add(which, help=f"run the {which} preset")
         p_ex.add_argument("--out", default=None)
         p_ex.add_argument("--resolution", type=int, default=5000,
                           help="cells per unit length (and steps per unit time)")
         p_ex.add_argument("--epsilon", type=float, default=0.0005)
         p_ex.add_argument("--stride", type=int, default=0,
                           help="store every k-th step (0 = auto)")
+        p_ex.set_defaults(func=cmd_example)
 
-    p_sweep = sub.add_parser("sweep", help="parameter sweep over one axis")
+    p_sweep = add("sweep", help="parameter sweep over one axis")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--axis", required=True, choices=("epsilon", "dt_dx", "modes"))
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--out", default=None)
+    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_probe = sub.add_parser("probe", help="evaluate diagnostics on a stored run")
+    p_probe = add("probe", help="evaluate diagnostics on a stored run")
     p_probe.add_argument("run_dir")
     p_probe.add_argument("--probe", action="append",
                          help="probe name (repeatable; default: config selection)")
+    p_probe.set_defaults(func=cmd_probe)
 
-    p_render = sub.add_parser("render", help="regenerate heatmaps for a stored run")
+    p_render = add("render", help="regenerate heatmaps for a stored run")
     p_render.add_argument("run_dir")
+    p_render.set_defaults(func=cmd_render)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
+        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "example1":
-            return cmd_example("example1", args)
-        if args.command == "example2":
-            return cmd_example("example2", args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "probe":
-            return cmd_probe(args)
-        if args.command == "render":
-            return cmd_render(args)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        return args.func(args)
     except ProbeContractError as exc:
         print(f"probe contract violation: {exc}", file=sys.stderr)
         return 4
@@ -1024,7 +1001,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericBlowupError as exc:
         print(f"numeric blowup: {exc}", file=sys.stderr)
         return 3
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -164,8 +164,6 @@ class SimConfig:
     time: TimeGrid
     physics: Physics
     init: InitialData
-    boundary_left: Optional[float] = None
-    boundary_right: Optional[float] = None
     output_stride: int = 0  # 0 = auto: max(1, steps_m // 300)
 
 
@@ -309,18 +307,15 @@ def evaluate_initial(
 
 
 def validate_config(cfg: SimConfig) -> SimConfig:
-    """Check every invariant and materialize derived fields.
+    """Check every invariant, the initial data's included.
 
-    Returns a new SimConfig with boundary values snapped to the evaluated
-    initial displacement's endpoints and output_stride resolved.
+    Returns a new SimConfig with output_stride resolved.
     """
     cfg.grid.validate()
     cfg.time.validate()
     cfg.physics.validate()
     cfg.init.validate(cfg.grid)
-
-    eta0, _ = evaluate_initial(cfg.init, cfg.grid)
-    left, right = float(eta0[0]), float(eta0[-1])
+    evaluate_initial(cfg.init, cfg.grid)
 
     stride = cfg.output_stride
     if stride in (0, None):
@@ -330,9 +325,7 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             f"output_stride must be a positive integer, got {cfg.output_stride!r}"
         )
 
-    return replace(
-        cfg, boundary_left=left, boundary_right=right, output_stride=stride
-    )
+    return replace(cfg, output_stride=stride)
 
 
 def example1_config(

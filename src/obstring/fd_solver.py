@@ -140,8 +140,7 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
             break
 
         nxt = np.empty_like(curr)
-        nxt[0] = cfg.boundary_left
-        nxt[-1] = cfg.boundary_right
+        nxt[0], nxt[-1] = eta0[0], eta0[-1]
         if i == 0:
             nxt[1:-1] = eta0[1:-1] + dt * v0[1:-1]
         else:
@@ -150,8 +149,8 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
                 + (2.0 * curr[1:-1] - prev[1:-1]) / dt**2
                 - (alpha / dt) * ((curr[2:] - 2.0 * curr[1:-1] + curr[:-2]) / dx**2)
             )
-            rhs[0] += coupling * cfg.boundary_left
-            rhs[-1] += coupling * cfg.boundary_right
+            rhs[0] += coupling * eta0[0]
+            rhs[-1] += coupling * eta0[-1]
             nxt[1:-1] = factorization.solve(rhs)
         if not np.all(np.isfinite(nxt)):
             raise NumericBlowupError(i + 1)

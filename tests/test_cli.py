@@ -1,8 +1,11 @@
 """Config text, run artifacts, probes, sweeps, rendering, and exit codes."""
 
+import dataclasses
 import json
 import os
 import platform
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +14,15 @@ import pytest
 
 import obstring
 from obstring import cli, diagnostics, fd_solver
-from obstring.core import ConfigurationError, validate_config
+from obstring.core import (
+    ConfigurationError,
+    Grid1D,
+    InitialData,
+    Physics,
+    SimConfig,
+    TimeGrid,
+    validate_config,
+)
 
 GOOD_CONFIG = """\
 # comment lines and blanks are ignored
@@ -70,6 +81,94 @@ def test_parse_round_trips_presets():
     for which in ("example1", "example2"):
         parsed = cli._preset_parsed(which, 200, 0.002, None, 0)
         assert cli.parse_config(cli.emit_config(parsed)) == parsed
+
+
+EXAMPLE1_200_TEXT = """\
+[grid]
+l = 1
+n = 200
+[time]
+T = 0.29999999999999999
+m = 60
+[physics]
+alpha = 0.01
+epsilon = 0.002
+[init]
+kind = example1
+amplitude = 0
+mode = 1
+offset = 0
+v0 = 0
+[output]
+stride = 0
+formats = npz,heatmap,snapshots
+snapshots = 0,0.02,0.040000000000000001,0.059999999999999998,0.20000000000000001,0.29999999999999999
+oracle_modes = 0
+[probes]
+enabled = penetration,contact,momentum,energy_local,renorm,dissipation
+link_cells = 12
+dissipation_omega_cells = 4
+stress_delta = 0
+velocity_t1 = -1
+velocity_x0 = 0
+velocity_x1 = 0
+velocity_deltas = \n"""
+
+
+def test_emit_config_bytes_are_pinned():
+    # these bytes are every preset run's config.ini and manifest config_text
+    parsed = cli._preset_parsed("example1", 200, 0.002, None, 0)
+    assert cli.emit_config(parsed) == EXAMPLE1_200_TEXT
+
+
+def test_every_schema_key_round_trips(tmp_path):
+    xs = np.linspace(0.0, 1.0, 5)
+    table_files = (str(tmp_path / "eta0.csv"), str(tmp_path / "v0.csv"))
+    np.savetxt(table_files[0], 0.5 + 0.25 * np.sin(np.pi * xs))
+    np.savetxt(table_files[1], -3.0 * xs * (1.0 - xs))
+    sim = SimConfig(
+        grid=Grid1D(2.0, 4),
+        time=TimeGrid(0.25, 7),
+        physics=Physics(alpha=0.5, epsilon=0.03),
+        init=InitialData(
+            "tabulated", amplitude=0.125, mode=3, offset=1.5, v0=-2.0,
+            eta0_table=tuple(np.loadtxt(table_files[0])),
+            v0_table=tuple(np.loadtxt(table_files[1])),
+        ),
+        output_stride=2,
+    )
+    parsed = cli.ParsedConfig(
+        sim=sim,
+        output=cli.OutputSettings(dir=str(tmp_path / "out"), formats=(),
+                                  snapshots=(0.0, 0.1), oracle_modes=5),
+        probes=cli.ProbeSettings(
+            enabled=("renorm", "penetration"), link_cells=3,
+            dissipation_omega_cells=2.5, stress_delta=0.01, velocity_t1=0.1,
+            velocity_x0=0.2, velocity_x1=0.8, velocity_deltas=(0.05, 0.025),
+        ),
+        table_files=table_files,
+    )
+    objects = {Grid1D: sim.grid, TimeGrid: sim.time, Physics: sim.physics,
+               InitialData: sim.init, SimConfig: sim,
+               cli.OutputSettings: parsed.output, cli.ProbeSettings: parsed.probes}
+    table_keys = []
+    for section, keys in cli._SCHEMA.items():
+        for key, (_, target, name) in keys.items():
+            table_keys.append((section, key))
+            if target is not None:  # every key holds a value other than its default
+                default = next(f.default for f in dataclasses.fields(target)
+                               if f.name == name)
+                assert getattr(objects[target], name) != default, key
+
+    text = cli.emit_config(parsed)
+    assert cli.parse_config(text) == parsed
+    emitted, section = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        else:
+            emitted.append((section, line.split(" = ", 1)[0]))
+    assert emitted == table_keys
 
 
 def test_readme_config_example_parses():
@@ -302,6 +401,15 @@ _FIELD = np.array([[-0.0, 1e-300, 3.0], [0.1, -2.5, 1.0 / 3.0]])
             "0,0.25,0\n"
             "0.10000000000000001,0.25,-1.0000000000000001e-17\n",
         ),
+        (  # a sweep report: text and float columns
+            ["value", "status", "wall_seconds"],
+            [np.array([[0.02, "ok", 1.5], [0.01, "error:OverflowError", np.nan]],
+                      dtype=object)],
+            ["%.17g", "%s", "%.17g"],
+            "value,status,wall_seconds\n"
+            "0.02,ok,1.5\n"
+            "0.01,error:OverflowError,nan\n",
+        ),
         (  # a snapshot of frame 1
             ["x", "eta", "velocity", "penalty_force"],
             [_XS, _FIELD[1], -_FIELD[1], np.zeros(3)], "%.17g",
@@ -311,7 +419,7 @@ _FIELD = np.array([[-0.0, 1e-300, 3.0], [0.1, -2.5, 1.0 / 3.0]])
             "1,0.33333333333333331,-0.33333333333333331,0\n",
         ),
     ],
-    ids=["field", "mask", "energy", "snapshot"],
+    ids=["field", "mask", "energy", "sweep", "snapshot"],
 )
 def test_csv_writer_bytes(tmp_path, labels, columns, fmt, expected):
     path = tmp_path / "table.csv"
@@ -373,6 +481,9 @@ def test_probe_command_writes_report(run_dir, capsys):
     assert set(report["momentum"]) == {"early", "mid_left", "late_right",
                                        "wide", "narrow"}
     capsys.readouterr()
+
+    assert cli.main(["probe", out, "--probe", "wavelets"]) == 2
+    assert "unknown probe(s): wavelets" in capsys.readouterr().err
 
 
 def test_probe_reads_either_store(tmp_path, capsys):
@@ -437,6 +548,34 @@ def test_exit_two_on_config_error(tmp_path, capsys):
     bad.write_text("[grid]\nl = 1.0\nn = -4\n")
     assert cli.main(["run", str(bad)]) == 2
     capsys.readouterr()
+
+
+def _fresh_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports obstring from this source tree."""
+    src = os.path.dirname(os.path.dirname(obstring.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_verbose_flag_before_or_after_the_subcommand(tmp_path, before):
+    cfg = tmp_path / "ok.ini"
+    cfg.write_text(GOOD_CONFIG.replace("csv,heatmap,snapshots", "none")
+                   .replace("oracle_modes = 4", "oracle_modes = 0"))
+    command = ["run", str(cfg), "--out", str(tmp_path / "out")]
+    argv = ["-v", *command] if before else [*command, "--verbose"]
+    done = _fresh_python("-m", "obstring.cli", *argv)
+    assert done.returncode == 0, done.stderr
+    assert "INFO obstring.fd_solver: run: N=50 M=10" in done.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    # the declared dependencies are numpy only
+    done = _fresh_python("-c", "import sys, obstring.cli; "
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_exit_three_on_blowup(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import obstring
-from obstring import diagnostics, galerkin
+from obstring import diagnostics, fd_solver, galerkin
 from obstring.core import (
     ConfigurationError,
     FieldSeries,
@@ -59,10 +59,10 @@ def test_epsilon_must_be_positive():
 def test_preset_configs_validate():
     for builder in (example1_config, example2_config):
         cfg = validate_config(builder(resolution=200))
-        eta0, _ = evaluate_initial(cfg.init, cfg.grid)
-        assert cfg.boundary_left == eta0[0]
-        assert cfg.boundary_right == eta0[-1]
         assert cfg.output_stride >= 1
+        eta0, _ = evaluate_initial(cfg.init, cfg.grid)
+        eta = fd_solver.run(cfg)[0].fields["eta"]
+        assert np.all(eta[:, 0] == eta0[0]) and np.all(eta[:, -1] == eta0[-1])
 
 
 def test_auto_stride_targets_about_300_frames():
@@ -171,9 +171,9 @@ def test_tabulated_interior_zero_rejected_endpoint_zero_allowed():
 
 
 def test_validate_config_snaps_boundaries():
-    cfg = validate_config(single_mode_config(resolution=100, offset=2.0))
-    assert cfg.boundary_left == 2.0
-    assert cfg.boundary_right == 2.0
+    # every stored frame keeps the initial displacement's end values
+    series, _ = fd_solver.run(single_mode_config(resolution=100, offset=2.0))
+    assert np.all(series.fields["eta"][:, [0, -1]] == 2.0)
 
 
 def test_validate_config_rejects_bad_stride():
