@@ -265,6 +265,12 @@ def parse_config(text: str) -> ParsedConfig:
         table_files = tuple(given(section, key) for section, key, _ in tables)
         for (_, _, name), path in zip(tables, table_files):
             kwargs[InitialData][name] = _read_column_file(path)
+    else:
+        for section, key, _ in tables:
+            if key in values[section]:
+                raise ConfigurationError(
+                    f"[{section}].{key} is read only when kind = tabulated"
+                )
 
     sim = SimConfig(
         grid=Grid1D(**kwargs[Grid1D]),
@@ -356,9 +362,7 @@ def series_from_run_dir(run_dir: str) -> FieldSeries:
                     "re-run with npz or csv output"
                 )
             times, xs, fields[name] = _read_field_csv(path)
-    series = FieldSeries(times=times, xs=xs, fields=fields)
-    series.validate()
-    return series
+    return FieldSeries(times=times, xs=xs, fields=fields)
 
 
 # ---------------------------------------------------------------------------
@@ -622,12 +626,7 @@ def _solve_and_write(
 
     if parsed.output.oracle_modes > 0:
         t0 = _time.perf_counter()
-        sim = validate_config(parsed.sim)
-        oracle = galerkin.integrate(
-            sim.init, sim.grid, sim.time, sim.physics,
-            n_modes=parsed.output.oracle_modes,
-            output_stride=sim.output_stride,
-        )
+        oracle = galerkin.integrate(parsed.sim, parsed.output.oracle_modes)
         if "npz" in formats:
             store_npz("oracle_eta.npz", times=oracle.times, xs=oracle.xs,
                       eta=oracle.fields["eta"])
@@ -645,7 +644,11 @@ def _solve_and_write(
 
 
 def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
-    """Evaluate the enabled diagnostics over a stored run directory."""
+    """Evaluate the enabled diagnostics over a stored run directory.
+
+    Probe names given by the caller are checked before anything is read.
+    """
+    chosen = _PROBE_NAMES(",".join(names)) if names else None
     manifest_path = os.path.join(run_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise ConfigurationError(f"no manifest.json under {run_dir}")
@@ -655,7 +658,7 @@ def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
     sim = validate_config(parsed.sim)
     settings = parsed.probes
     series = series_from_run_dir(run_dir)
-    enabled = _PROBE_NAMES(",".join(names)) if names else settings.enabled
+    enabled = settings.enabled if chosen is None else chosen
 
     results: dict[str, object] = {}
     bumps = diagnostics.builtin_test_functions(
@@ -753,11 +756,7 @@ def _sweep_one(payload: tuple[str, float, str, str]) -> dict:
             )
 
         if axis == "modes":
-            checked = validate_config(sim)
-            series = galerkin.integrate(
-                checked.init, checked.grid, checked.time, checked.physics,
-                n_modes=int(value), output_stride=checked.output_stride,
-            )
+            series = galerkin.integrate(sim, int(value))
             energy_final = math.nan
         else:
             trimmed = replace(
@@ -894,7 +893,10 @@ def cmd_example(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     parsed = _load_config_file(args.config)
-    values = [float(tok) for tok in args.values.split(",") if tok.strip()]
+    try:
+        values = list(_floats(args.values))
+    except ValueError as exc:
+        raise ConfigurationError(f"bad --values {args.values!r}: {exc}") from exc
     out_dir = args.out or parsed.output.dir or "sweep_out"
     rows = run_sweep(parsed, args.axis, values, out_dir)
     failures = [r for r in rows if r["status"] != "ok"]

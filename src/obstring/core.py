@@ -9,8 +9,13 @@ wave equation
 where ``F`` is a contact force that is approximated by a velocity penalty:
 ``F = (1/epsilon) * [eta < 0] * (d_t eta)^-`` (see :mod:`obstring.fd_solver`).
 Everything downstream — the finite-difference solver, the spectral oracle and
-the diagnostics — shares the types defined here.  All types are immutable
-after validation and safe to share across threads.
+the diagnostics — shares the types defined here.  Each config type checks its
+own invariants once, when it is constructed (``dataclasses.replace`` checks
+again), so a Grid1D, TimeGrid, Physics or InitialData that exists is valid;
+``validate_config`` adds only the checks that span parts: the node tables
+against the grid, and one nonnegativity screen of the initial displacement
+for every kind other than the two presets.  All config types are immutable
+and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ class Grid1D:
         # linspace pins the last node to length_l exactly
         return np.linspace(0.0, self.length_l, self.cells_n + 1)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (isinstance(self.cells_n, int) and self.cells_n >= 2):
             raise ConfigurationError(
                 f"grid.cells_n must be an integer >= 2, got {self.cells_n!r}"
@@ -79,7 +84,7 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon_T / self.steps_m
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (isinstance(self.steps_m, int) and self.steps_m >= 1):
             raise ConfigurationError(
                 f"time.steps_m must be an integer >= 1, got {self.steps_m!r}"
@@ -97,7 +102,7 @@ class Physics:
     alpha: float
     epsilon: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigurationError(
                 f"physics.alpha must be >= 0, got {self.alpha!r}"
@@ -118,9 +123,11 @@ class InitialData:
     kind = "single_mode" eta0 = offset + amplitude*sin(mode*pi*x/l), v0 const
     kind = "tabulated"   explicit node tables (length cells_n + 1)
 
-    The two named presets are evaluated verbatim, including Example 2's
-    sign-changing sine plateau; only user-supplied kinds are subject to the
-    nonnegativity screen in validate_config.
+    The kind, the single_mode parameters and the presence of both tables
+    are checked at construction.  The table lengths, which need the grid,
+    are checked by evaluate_initial, and so is the one nonnegativity screen
+    that every kind except the two presets must pass.  The presets are
+    evaluated verbatim, including Example 2's sign-changing sine plateau.
     """
 
     kind: str
@@ -131,7 +138,7 @@ class InitialData:
     eta0_table: Optional[tuple[float, ...]] = None
     v0_table: Optional[tuple[float, ...]] = None
 
-    def validate(self, grid: Grid1D) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in INIT_KINDS:
             raise ConfigurationError(
                 f"init.kind must be one of {INIT_KINDS}, got {self.kind!r}"
@@ -145,20 +152,14 @@ class InitialData:
                 if not np.isfinite(getattr(self, name)):
                     raise ConfigurationError(f"init.{name} must be finite")
         if self.kind == "tabulated":
-            want = grid.cells_n + 1
             for name, table in (("eta0", self.eta0_table), ("v0", self.v0_table)):
                 if table is None:
                     raise ConfigurationError(f"init.{name} table is required")
-                if len(table) != want:
-                    raise ConfigurationError(
-                        f"init.{name} table has length {len(table)}, "
-                        f"expected cells_n + 1 = {want}"
-                    )
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full experiment description; immutable once validated."""
+    """Full experiment description; validate_config resolves its stride."""
 
     grid: Grid1D
     time: TimeGrid
@@ -183,7 +184,7 @@ class FieldSeries:
     def dx(self) -> float:
         return float(self.xs[1] - self.xs[0])
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         shape = (len(self.times), len(self.xs))
         for name, mat in self.fields.items():
             if mat.shape != shape:
@@ -250,7 +251,7 @@ def initial_callables(
         def v_fn(x):
             return np.interp(np.asarray(x, float), nodes, v_tab)
 
-    else:  # pragma: no cover - guarded by InitialData.validate
+    else:  # pragma: no cover - InitialData refuses other kinds
         raise ConfigurationError(f"unknown init kind {init.kind!r}")
 
     return eta_fn, v_fn
@@ -261,14 +262,22 @@ def evaluate_initial(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the initial displacement and velocity on the grid nodes.
 
-    Deterministic and pure.  For the symmetric preset (example1) the upper
-    half of the vector is mirrored from the lower half so that
-    eta0[j] == eta0[N-j] holds bitwise, which the solver's symmetry
+    Deterministic and pure.  Node tables must have cells_n + 1 entries;
+    np.interp at the nodes returns them bitwise.  For the symmetric preset
+    (example1) the upper half of the vector is mirrored from the lower half
+    so that eta0[j] == eta0[N-j] holds bitwise, which the solver's symmetry
     preservation checks rely on; mirrored values agree with direct
-    evaluation to ~1 ulp.
+    evaluation to ~1 ulp.  Every kind except the two presets must start on
+    or above the obstacle: no value below 0, and no interior value <= 0.
     """
-    grid.validate()
-    init.validate(grid)
+    if init.kind == "tabulated":
+        want = grid.cells_n + 1
+        for name, table in (("eta0", init.eta0_table), ("v0", init.v0_table)):
+            if len(table) != want:
+                raise ConfigurationError(
+                    f"init.{name} table has length {len(table)}, "
+                    f"expected cells_n + 1 = {want}"
+                )
     x = grid.nodes()
     eta_fn, v_fn = initial_callables(init, grid)
     eta0 = np.asarray(eta_fn(x), float).copy()
@@ -278,43 +287,31 @@ def evaluate_initial(
         n = grid.cells_n
         half = np.arange(0, n // 2 + 1)
         eta0[n - half] = eta0[half]
-
-    if init.kind == "tabulated":
-        eta_tab = np.asarray(init.eta0_table, float)
-        if np.any(eta_tab < 0):
-            j = int(np.argmin(eta_tab))
+    elif init.kind not in PRESET_KINDS:
+        if np.any(eta0 < 0):
+            j = int(np.argmin(eta0))
             raise ConfigurationError(
-                f"init.eta0 is negative at node {j} ({eta_tab[j]}); the string "
+                f"init.eta0 is negative at node {j} ({eta0[j]}); the string "
                 "must start on or above the obstacle"
             )
-        if np.any(eta_tab[1:-1] <= 0):
-            j = 1 + int(np.argmin(eta_tab[1:-1]))
+        if np.any(eta0[1:-1] <= 0):
+            j = 1 + int(np.argmin(eta0[1:-1]))
             raise ConfigurationError(
                 f"init.eta0 touches the obstacle at interior node {j}; zeros "
                 "are permitted at the endpoints only"
-            )
-        eta0 = eta_tab.copy()
-        v0 = np.asarray(init.v0_table, float).copy()
-    elif init.kind == "single_mode":
-        interior = eta0[1:-1]
-        if np.any(interior <= 0):
-            raise ConfigurationError(
-                "init single_mode produces a nonpositive interior displacement "
-                f"(min {interior.min()}); require offset > |amplitude|"
             )
 
     return eta0, v0
 
 
 def validate_config(cfg: SimConfig) -> SimConfig:
-    """Check every invariant, the initial data's included.
+    """Check the invariants that span parts of the config.
 
-    Returns a new SimConfig with output_stride resolved.
+    The parts checked themselves when they were built; this evaluates the
+    initial data on the grid (evaluate_initial's table lengths and
+    nonnegativity screen) and returns a new SimConfig with output_stride
+    resolved.
     """
-    cfg.grid.validate()
-    cfg.time.validate()
-    cfg.physics.validate()
-    cfg.init.validate(cfg.grid)
     evaluate_initial(cfg.init, cfg.grid)
 
     stride = cfg.output_stride

@@ -157,10 +157,5 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
         ledger.append_step(curr, nxt, force)
         prev, curr = curr, nxt
 
-    series = FieldSeries(
-        times=times,
-        xs=grid.nodes(),
-        fields={"eta": eta, "velocity": velocity, "penalty_force": penalty},
-    )
-    series.validate()
-    return series, ledger
+    fields = {"eta": eta, "velocity": velocity, "penalty_force": penalty}
+    return FieldSeries(times=times, xs=grid.nodes(), fields=fields), ledger

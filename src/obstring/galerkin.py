@@ -43,12 +43,11 @@ import numpy as np
 from .core import (
     ConfigurationError,
     FieldSeries,
-    Grid1D,
-    InitialData,
     NumericBlowupError,
     Physics,
-    TimeGrid,
+    SimConfig,
     initial_callables,
+    validate_config,
 )
 
 log = logging.getLogger(__name__)
@@ -313,20 +312,15 @@ class _DormandPrince:
         return y
 
 
-def integrate(
-    init: InitialData,
-    grid: Grid1D,
-    time: TimeGrid,
-    physics: Physics,
-    n_modes: int,
-    output_stride: int = 1,
-) -> FieldSeries:
+def integrate(cfg: SimConfig, n_modes: int) -> FieldSeries:
     """Integrate the modal system and sample fields on the reference grid.
 
-    Initial data must take the same value at both ends (the expansion
-    cannot represent unequal pinned boundaries).  The penalty integral
-    uses 4*n_modes midpoints and a velocity cutoff of width 1/n_modes.  A
-    reporting step dt whose start certifies
+    The config is validated as fd_solver.run validates it, and frames are
+    stored at its output_stride (plus the final step), so the two solvers
+    report the same instants.  Initial data must take the same value at
+    both ends (the expansion cannot represent unequal pinned boundaries).
+    The penalty integral uses 4*n_modes midpoints and a velocity cutoff of
+    width 1/n_modes.  A reporting step dt whose start certifies
     sum_k sqrt(q_k^2 + qdot_k^2 / lam_k) <= h cannot reach the penalty
     and is taken exactly by the closed-form free propagator; any other
     step is taken by error-controlled Dormand-Prince 5(4) substeps at the
@@ -338,13 +332,11 @@ def integrate(
     """
     if n_modes < 1:
         raise ConfigurationError("need at least one mode")
-    grid.validate()
-    time.validate()
-    physics.validate()
-    init.validate(grid)
+    cfg = validate_config(cfg)
+    grid, time, physics = cfg.grid, cfg.time, cfg.physics
 
     l = grid.length_l
-    eta_fn, v_fn = initial_callables(init, grid)
+    eta_fn, v_fn = initial_callables(cfg.init, grid)
     ends = np.asarray(eta_fn(np.array([0.0, l])), dtype=float)
     scale = max(1.0, abs(ends[0]))
     if abs(ends[1] - ends[0]) > 1e-12 * scale:
@@ -378,7 +370,7 @@ def integrate(
 
     xs = grid.nodes()
     shapes_x = _mode_matrix(n_modes, l, xs)
-    stride = max(1, output_stride)
+    stride = cfg.output_stride
     frames = 1 + math.ceil(time.steps_m / stride)
     stored_times = np.empty(frames)
     stored_eta = np.empty((frames, xs.size))
@@ -412,10 +404,8 @@ def integrate(
     log.info("integrate: %d exact free steps, %d accepted and %d rejected "
              "adaptive steps", free_steps, stepper.accepted, stepper.rejected)
 
-    series = FieldSeries(
+    return FieldSeries(
         times=stored_times,
         xs=xs,
         fields={"eta": stored_eta, "velocity": stored_vel, "penalty_force": stored_force},
     )
-    series.validate()
-    return series

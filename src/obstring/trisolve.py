@@ -36,7 +36,8 @@ class ZeroPivotError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Tridiagonal:
-    """Bands of an n x n tridiagonal matrix (lower/upper have length n-1)."""
+    """Bands of an n x n tridiagonal matrix (lower/upper have length n-1);
+    the band lengths are checked at construction."""
 
     lower: np.ndarray
     diag: np.ndarray
@@ -46,7 +47,7 @@ class Tridiagonal:
     def n(self) -> int:
         return len(self.diag)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         n = self.n
         if n < 1:
             raise ValueError("empty matrix")
@@ -96,7 +97,6 @@ class ThomasFactorization:
     """
 
     def __init__(self, m: Tridiagonal):
-        m.validate()
         n = m.n
         diag = m.diag.tolist()
         lower = m.lower.tolist()
@@ -152,5 +152,4 @@ def thomas_solve(m: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
 
 def dense_solve(m: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     """Dense Gaussian-elimination reference solution (LAPACK, pivoted)."""
-    m.validate()
     return np.linalg.solve(m.dense(), np.asarray(rhs, float))

@@ -145,10 +145,7 @@ def test_single_mode_matches_closed_form_and_refines(mode_runs):
 def test_finite_difference_agrees_with_spectral_oracle(mode_runs):
     cfg, series = mode_runs[1000]
     t0 = time.perf_counter()
-    oracle = galerkin.integrate(
-        cfg.init, cfg.grid, cfg.time, cfg.physics,
-        n_modes=64, output_stride=cfg.output_stride,
-    )
+    oracle = galerkin.integrate(cfg, n_modes=64)
     wall = time.perf_counter() - t0
     assert np.allclose(oracle.times, series.times, rtol=0.0, atol=1e-12)
     gap = float(np.max(np.abs(oracle.fields["eta"] - series.fields["eta"])))

@@ -260,6 +260,14 @@ def test_tabulated_config_round_trips(tabulated_dir, monkeypatch):
         cli.parse_config(TABULATED_CONFIG.replace("v0_file = v0.csv\n", ""))
 
 
+@pytest.mark.parametrize("key", ["eta0_file", "v0_file"])
+def test_table_files_refused_unless_tabulated(key):
+    text = GOOD_CONFIG.replace("v0 = 0.0\n", f"v0 = 0.0\n{key} = nowhere.csv\n")
+    with pytest.raises(ConfigurationError,
+                       match=rf"\[init\].{key} is read only when kind = tabulated"):
+        cli.parse_config(text)
+
+
 def test_tabulated_run_probe_render(tabulated_dir, capsys):
     out = str(tabulated_dir / "out")
     assert cli.main(["run", "tab.ini", "--out", out]) == 0
@@ -486,6 +494,20 @@ def test_probe_command_writes_report(run_dir, capsys):
     assert "unknown probe(s): wavelets" in capsys.readouterr().err
 
 
+def test_probe_names_checked_before_the_run_is_read(tmp_path, capsys):
+    # a formats = none run has no field store; the bad name is reported first
+    cfg = tmp_path / "none.ini"
+    cfg.write_text(GOOD_CONFIG.replace("csv,heatmap,snapshots", "none")
+                   .replace("oracle_modes = 4", "oracle_modes = 0"))
+    out = str(tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--out", out]) == 0
+    capsys.readouterr()
+    assert cli.main(["probe", out, "--probe", "bogus"]) == 2
+    assert "unknown probe(s): bogus" in capsys.readouterr().err
+    assert cli.main(["probe", str(tmp_path / "nowhere"), "--probe", "bogus"]) == 2
+    assert "unknown probe(s): bogus" in capsys.readouterr().err
+
+
 def test_probe_reads_either_store(tmp_path, capsys):
     reports = []
     for formats in ("csv", "npz"):
@@ -675,6 +697,19 @@ def test_sweep_needs_two_values(tmp_path, capsys):
     ])
     assert code == 2
     capsys.readouterr()
+
+
+def test_sweep_rejects_malformed_values(tmp_path, capsys):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(GOOD_CONFIG)
+    code = cli.main([
+        "sweep", str(cfg), "--axis", "epsilon", "--values", "0.1,abc",
+        "--out", str(tmp_path / "s"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error: bad --values" in err and "abc" in err
+    assert not os.path.exists(tmp_path / "s")
 
 
 def test_example_subcommand_smoke(tmp_path, capsys):

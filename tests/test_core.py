@@ -1,5 +1,7 @@
 """Configuration types, initial-data evaluation, validation rules, exports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,30 +32,34 @@ def test_grid_spacing_and_nodes():
     assert xs[0] == 0.0 and xs[-1] == 2.0
 
 
+# (length_l, cells_n) pairs
 @pytest.mark.parametrize(
-    "grid",
-    [Grid1D(1.0, 1), Grid1D(1.0, 0), Grid1D(0.0, 10), Grid1D(-1.0, 10),
-     Grid1D(float("inf"), 10)],
+    "grid", [(1.0, 1), (1.0, 0), (0.0, 10), (-1.0, 10), (float("inf"), 10)]
 )
 def test_bad_grids_rejected(grid):
     with pytest.raises(ConfigurationError):
-        grid.validate()
+        Grid1D(*grid)
+    with pytest.raises(ConfigurationError):
+        replace(Grid1D(1.0, 10), length_l=grid[0], cells_n=grid[1])
 
 
-@pytest.mark.parametrize(
-    "tgrid", [TimeGrid(1.0, 0), TimeGrid(0.0, 10), TimeGrid(float("nan"), 10)]
-)
+# (horizon_T, steps_m) pairs
+@pytest.mark.parametrize("tgrid", [(1.0, 0), (0.0, 10), (float("nan"), 10)])
 def test_bad_time_grids_rejected(tgrid):
     with pytest.raises(ConfigurationError):
-        tgrid.validate()
+        TimeGrid(*tgrid)
+    with pytest.raises(ConfigurationError):
+        replace(TimeGrid(1.0, 10), horizon_T=tgrid[0], steps_m=tgrid[1])
 
 
 def test_epsilon_must_be_positive():
     with pytest.raises(ConfigurationError):
-        Physics(alpha=1.0, epsilon=0.0).validate()
+        Physics(alpha=1.0, epsilon=0.0)
     with pytest.raises(ConfigurationError):
-        Physics(alpha=-0.5, epsilon=0.1).validate()
-    Physics(alpha=0.0, epsilon=1e-6).validate()
+        Physics(alpha=-0.5, epsilon=0.1)
+    ok = Physics(alpha=0.0, epsilon=1e-6)
+    with pytest.raises(ConfigurationError):
+        replace(ok, epsilon=-1.0)
 
 
 def test_preset_configs_validate():
@@ -131,9 +137,38 @@ def test_single_mode_touching_obstacle_rejected():
     evaluate_initial(ok, grid)
 
 
+def test_single_mode_below_obstacle_at_the_ends_rejected():
+    # positive inside, but pinned at -0.01: refused like the same table
+    grid = Grid1D(1.0, 10)
+    init = InitialData("single_mode", amplitude=1.0, mode=1, offset=-0.01)
+    eta0 = initial_callables(init, grid)[0](grid.nodes())
+    assert eta0[0] < 0.0 and np.all(eta0[1:-1] > 0.0)
+    with pytest.raises(ConfigurationError, match="negative at node 0"):
+        evaluate_initial(init, grid)
+    table = InitialData("tabulated", eta0_table=tuple(eta0), v0_table=(0.0,) * 11)
+    with pytest.raises(ConfigurationError, match="negative at node 0"):
+        evaluate_initial(table, grid)
+
+
 def test_unknown_init_kind_rejected():
     with pytest.raises(ConfigurationError):
-        InitialData("weird").validate(Grid1D(1.0, 10))
+        InitialData("weird")
+    with pytest.raises(ConfigurationError):
+        replace(InitialData("example1"), kind="weird")
+
+
+@pytest.mark.parametrize(
+    "params", [{"mode": 0}, {"mode": 1.5}, {"amplitude": float("nan")},
+               {"offset": float("inf")}, {"v0": float("-inf")}],
+)
+def test_bad_single_mode_parameters_rejected(params):
+    with pytest.raises(ConfigurationError):
+        InitialData("single_mode", **{"offset": 1.0, **params})
+
+
+def test_tabulated_requires_both_tables():
+    with pytest.raises(ConfigurationError, match="v0 table is required"):
+        InitialData("tabulated", eta0_table=(1.0,) * 11)
 
 
 def test_tabulated_requires_matching_length():
@@ -141,8 +176,11 @@ def test_tabulated_requires_matching_length():
     short = InitialData(
         "tabulated", eta0_table=tuple([1.0] * 5), v0_table=tuple([0.0] * 5)
     )
-    with pytest.raises(ConfigurationError):
-        short.validate(grid)
+    with pytest.raises(ConfigurationError, match="expected cells_n"):
+        evaluate_initial(short, grid)
+    cfg = replace(single_mode_config(resolution=10), init=short)
+    with pytest.raises(ConfigurationError, match="expected cells_n"):
+        validate_config(cfg)
 
 
 def test_tabulated_negative_datum_rejected():
@@ -191,19 +229,18 @@ def test_field_series_validation_and_lookup():
     xs = np.linspace(0.0, 1.0, 5)
     fields = {"eta": np.zeros((3, 5))}
     series = FieldSeries(times=times, xs=xs, fields=fields)
-    series.validate()
     assert series.dx == 0.25
     assert series.index_at_time(0.11) == 1
     assert series.index_at_time(1e9) == 2
 
-    bad_shape = FieldSeries(times=times, xs=xs, fields={"eta": np.zeros((2, 5))})
-    with pytest.raises(ValueError):
-        bad_shape.validate()
-    bad_times = FieldSeries(
-        times=np.array([0.0, 0.2, 0.1]), xs=xs, fields={"eta": np.zeros((3, 5))}
-    )
-    with pytest.raises(ValueError):
-        bad_times.validate()
+    with pytest.raises(ValueError, match="shape"):
+        FieldSeries(times=times, xs=xs, fields={"eta": np.zeros((2, 5))})
+    with pytest.raises(ValueError, match="strictly increasing"):
+        FieldSeries(
+            times=np.array([0.0, 0.2, 0.1]), xs=xs, fields={"eta": np.zeros((3, 5))}
+        )
+    with pytest.raises(ValueError, match="strictly increasing"):
+        replace(series, times=np.zeros(3))
 
 
 @pytest.mark.parametrize("module", [obstring, diagnostics, galerkin],

@@ -41,10 +41,8 @@ def _series(times, xs, eta=None, velocity=None, force=None):
         "velocity": np.zeros(shape) if velocity is None else np.asarray(velocity, float),
         "penalty_force": np.zeros(shape) if force is None else np.asarray(force, float),
     }
-    s = FieldSeries(times=np.asarray(times, float), xs=np.asarray(xs, float),
-                    fields=fields)
-    s.validate()
-    return s
+    return FieldSeries(times=np.asarray(times, float), xs=np.asarray(xs, float),
+                       fields=fields)
 
 
 @pytest.fixture(scope="module")

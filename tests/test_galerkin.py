@@ -15,6 +15,7 @@ from obstring.core import (
     InitialData,
     NumericBlowupError,
     Physics,
+    SimConfig,
     TimeGrid,
 )
 from obstring.galerkin import (
@@ -180,14 +181,26 @@ def test_integrate_requires_equal_endpoints():
     grid = Grid1D(1.0, 16)
     ramp = tuple(np.linspace(0.0, 1.0, 17).tolist())
     init = InitialData("tabulated", eta0_table=ramp, v0_table=(0.0,) * 17)
+    cfg = SimConfig(grid, TimeGrid(0.1, 10), Physics(1.0, 0.01), init)
     with pytest.raises(ConfigurationError, match="equal"):
-        integrate(init, grid, TimeGrid(0.1, 10), Physics(1.0, 0.01), n_modes=4)
+        integrate(cfg, 4)
+
+
+def test_integrate_validates_its_config():
+    short = InitialData("tabulated", eta0_table=(1.0,) * 10, v0_table=(0.0,) * 10)
+    cfg = SimConfig(Grid1D(1.0, 16), TimeGrid(0.1, 10), Physics(1.0, 0.01), short)
+    with pytest.raises(ConfigurationError, match="expected cells_n"):
+        integrate(cfg, 4)
+    with pytest.raises(ConfigurationError, match="at least one mode"):
+        integrate(cfg, 0)
 
 
 def test_integrate_constant_datum_stays_constant():
     init = InitialData("single_mode", amplitude=0.0, offset=1.0)
     series = integrate(
-        init, Grid1D(1.0, 20), TimeGrid(0.2, 20), Physics(1.0, 0.01), n_modes=4
+        SimConfig(Grid1D(1.0, 20), TimeGrid(0.2, 20), Physics(1.0, 0.01), init,
+                  output_stride=1),
+        4,
     )
     assert np.allclose(series.fields["eta"], 1.0, atol=1e-12)
     assert np.allclose(series.fields["velocity"], 0.0, atol=1e-12)
@@ -198,8 +211,8 @@ def test_integrate_matches_damped_mode_closed_form():
     init = InitialData("single_mode", amplitude=0.5, mode=1, offset=1.0)
     grid = Grid1D(1.0, 100)
     tgrid = TimeGrid(0.3, 300)
-    series = integrate(init, grid, tgrid, Physics(1.0, 0.002), n_modes=4,
-                       output_stride=30)
+    series = integrate(SimConfig(grid, tgrid, Physics(1.0, 0.002), init,
+                                 output_stride=30), 4)
 
     disc = np.pi * np.sqrt(np.pi**2 - 4.0)
     mu1 = (-np.pi**2 + disc) / 2.0
@@ -216,8 +229,9 @@ def test_integrate_matches_damped_mode_closed_form():
 def test_integrate_respects_output_stride():
     init = InitialData("single_mode", amplitude=0.2, offset=1.0)
     series = integrate(
-        init, Grid1D(1.0, 10), TimeGrid(0.1, 10), Physics(1.0, 0.01),
-        n_modes=2, output_stride=4,
+        SimConfig(Grid1D(1.0, 10), TimeGrid(0.1, 10), Physics(1.0, 0.01), init,
+                  output_stride=4),
+        2,
     )
     assert np.allclose(series.times, [0.0, 0.04, 0.08, 0.1], atol=1e-15)
 
@@ -303,7 +317,7 @@ def test_integrate_matches_rk4_trajectory(offset, v0, contact, steps, refine, st
     init = InitialData("single_mode", amplitude=0.15, mode=2, offset=offset, v0=v0)
     grid, tgrid = Grid1D(1.0, 40), TimeGrid(0.005 * steps, steps)
     phys = Physics(alpha=0.01, epsilon=0.002)
-    series = integrate(init, grid, tgrid, phys, n_modes=n_modes, output_stride=stride)
+    series = integrate(SimConfig(grid, tgrid, phys, init, output_stride=stride), n_modes)
     assert np.any(series.fields["penalty_force"] > 0.0) == contact
     rows = [*range(0, steps, stride), steps]
     assert np.array_equal(series.times, np.array(rows) * tgrid.dt)
@@ -336,7 +350,9 @@ def test_integrate_stiff_contact_is_fast_and_matches_rk4():
     grid, tgrid = Grid1D(1.0, 100), TimeGrid(0.025, 25)
     phys = Physics(alpha=1.0, epsilon=0.002)
     t0 = time.perf_counter()
-    series = integrate(InitialData("example1"), grid, tgrid, phys, n_modes=n_modes)
+    series = integrate(
+        SimConfig(grid, tgrid, phys, InitialData("example1"), output_stride=1), n_modes
+    )
     assert time.perf_counter() - t0 < 1.2
     eta = series.fields["eta"]
     assert np.all(np.isfinite(eta)) and eta.min() < 0.0
@@ -359,8 +375,8 @@ def test_integrate_raises_on_nan_state_in_contact(monkeypatch):
                         lambda q, *args: np.full_like(q, np.nan))
     init = InitialData("single_mode", amplitude=0.15, mode=2, offset=0.2, v0=-2.0)
     with pytest.raises(NumericBlowupError) as info:
-        integrate(init, Grid1D(1.0, 40), TimeGrid(0.04, 8), Physics(0.01, 0.002),
-                  n_modes=8)
+        integrate(SimConfig(Grid1D(1.0, 40), TimeGrid(0.04, 8), Physics(0.01, 0.002),
+                            init), 8)
     assert info.value.step_index == 1
 
 

@@ -4,6 +4,8 @@ The dense LAPACK route (``dense_solve``) is the independent oracle for the
 hand-written forward/backward sweeps throughout.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,9 +84,13 @@ def test_zero_pivot_reported_with_index():
 
 
 def test_band_length_mismatch_rejected():
-    m = Tridiagonal(lower=np.zeros(3), diag=np.ones(3), upper=np.zeros(2))
-    with pytest.raises(ValueError):
-        m.validate()
+    with pytest.raises(ValueError, match="band lengths"):
+        Tridiagonal(lower=np.zeros(3), diag=np.ones(3), upper=np.zeros(2))
+    with pytest.raises(ValueError, match="empty"):
+        Tridiagonal(lower=np.zeros(0), diag=np.zeros(0), upper=np.zeros(0))
+    m = Tridiagonal(lower=np.zeros(2), diag=np.ones(3), upper=np.zeros(2))
+    with pytest.raises(ValueError, match="band lengths"):
+        replace(m, upper=np.zeros(3))
 
 
 def test_solve_rejects_wrong_rhs_length():
