@@ -430,11 +430,11 @@ def render_heatmap(
     path_base: str,
     title: str = "",
 ) -> list[str]:
-    """Write a (time x node) field as heatmap.ppm and heatmap.svg.
+    """Write a (time x node) field as heatmap.png and heatmap.svg.
 
     Time runs horizontally, x vertically with x = 0 at the bottom.  The
-    PPM is the raw raster; the SVG embeds the same raster as PNG and adds
-    axis labels and tick marks.  Non-finite values are a hard error.
+    PNG is the raster; the SVG embeds the same PNG bytes and adds axis
+    labels and tick marks.  Non-finite values are a hard error.
     """
     if not np.all(np.isfinite(matrix)):
         raise ValueError("cannot render non-finite field values")
@@ -443,12 +443,12 @@ def render_heatmap(
     image = _palette_rgb(small.T[::-1, :], palette)
     height, width, _ = image.shape
 
-    ppm_path = path_base + ".ppm"
-    with open(ppm_path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (width, height))
-        fh.write(image.tobytes())
+    png = _png_bytes(image)
+    png_path = path_base + ".png"
+    with open(png_path, "wb") as fh:
+        fh.write(png)
 
-    png64 = base64.b64encode(_png_bytes(image)).decode("ascii")
+    png64 = base64.b64encode(png).decode("ascii")
     margin_l, margin_b, margin_t = 64, 46, 28
     w_px, h_px = width + margin_l + 20, height + margin_b + margin_t
     tick_fmt = "%.3g"
@@ -488,7 +488,7 @@ def render_heatmap(
     svg_path = path_base + ".svg"
     with open(svg_path, "w") as fh:
         fh.write("\n".join(parts))
-    return [ppm_path, svg_path]
+    return [png_path, svg_path]
 
 
 def _render_heatmaps(out_dir: str, series: FieldSeries,
@@ -747,6 +747,8 @@ def _sweep_one(payload: tuple[str, float, str, str]) -> dict:
             sim = replace(sim, physics=Physics(sim.physics.alpha, float(value)))
         elif axis == "dt_dx":
             delta = float(value)
+            if not delta > 0.0:
+                raise ConfigurationError(f"dt_dx value {value:g} must be positive")
             n = int(round(sim.grid.length_l / delta))
             m = int(round(sim.time.horizon_T / delta))
             sim = replace(
@@ -756,6 +758,9 @@ def _sweep_one(payload: tuple[str, float, str, str]) -> dict:
             )
 
         if axis == "modes":
+            if not (float(value).is_integer() and value >= 1):
+                raise ConfigurationError(
+                    f"mode count {value:g} must be a whole number >= 1")
             series = galerkin.integrate(sim, int(value))
             energy_final = math.nan
         else:

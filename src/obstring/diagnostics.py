@@ -9,10 +9,11 @@ solution is expected to satisfy (momentum balance, localized energy decay,
 a renormalization identity for the positive velocity part, and jump/trace
 identities across the contact boundary).
 
-Space integrals use plain cell sums (sum * dx); time integrals use
-trapezoidal weights over the stored instants, so probes remain meaningful
-on strided output.  Test functions are compactly supported polynomial
-bumps with analytic first derivatives.
+Every space-time integral goes through one quadrature, _form: cell sums
+in x and trapezoidal weights over the stored instants in t, so probes stay
+meaningful on strided output.  Test functions are separable polynomial
+bumps phi = a(t) b(x) and enter only through their 1-D profiles, so
+II[f phi] is the bilinear form (w_t dx a) . f . b.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ def time_weights(times: np.ndarray) -> np.ndarray:
     w[-1] = (times[-1] - times[-2]) / 2.0
     w[1:-1] = (times[2:] - times[:-2]) / 2.0
     return w
+
+
+def _form(field2d: np.ndarray, wa: np.ndarray, b: np.ndarray) -> float:
+    """II[field * a(t) b(x)], with wa = trapezoid weight * dx * a(t)."""
+    return float(wa @ (field2d @ b))
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +270,7 @@ def extract_contact(series: FieldSeries, link_cells: int = 12) -> ContactReport:
 
     any_contact = np.nonzero(mask.any(axis=1))[0]
     first_time = float(times[any_contact[0]]) if len(any_contact) else None
-    impulse = float(
-        np.sum(force * time_weights(times)[:, None]) * series.dx
-    )
+    impulse = _form(force, time_weights(times) * series.dx, np.ones_like(xs))
 
     return ContactReport(
         mask=mask,
@@ -398,22 +402,16 @@ class BumpTestFunction:
         inside = np.abs(s) < 1.0
         return np.where(inside, -6.0 * s * (1.0 - s * s) ** 2, 0.0)
 
-    def _profiles(self, times, xs):
+    def profiles(self, times: np.ndarray, xs: np.ndarray):
+        """The 1-D factors (a, a', b, b') of phi(t, x) = a(t) * b(x); a carries amp."""
         tau = (np.asarray(times, float) - self.t_center) / self.t_width
         xi = (np.asarray(xs, float) - self.x_center) / self.x_width
-        return tau, xi
-
-    def value_grid(self, times: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        tau, xi = self._profiles(times, xs)
-        return self.amplitude * np.outer(self._g(tau), self._g(xi))
-
-    def dt_grid(self, times: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        tau, xi = self._profiles(times, xs)
-        return (self.amplitude / self.t_width) * np.outer(self._dg(tau), self._g(xi))
-
-    def dx_grid(self, times: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        tau, xi = self._profiles(times, xs)
-        return (self.amplitude / self.x_width) * np.outer(self._g(tau), self._dg(xi))
+        return (
+            self.amplitude * self._g(tau),
+            (self.amplitude / self.t_width) * self._dg(tau),
+            self._g(xi),
+            self._dg(xi) / self.x_width,
+        )
 
 
 def builtin_test_functions(horizon_T: float, length_l: float) -> dict[str, BumpTestFunction]:
@@ -433,26 +431,21 @@ def builtin_test_functions(horizon_T: float, length_l: float) -> dict[str, BumpT
 # weak-form residuals
 
 
-def _grids(series: FieldSeries, phi: BumpTestFunction, require_nonneg: bool = False):
-    times, xs = series.times, series.xs
-    p = phi.value_grid(times, xs)
-    if abs(p[-1]).max() > 0.0 or abs(p[:, 0]).max() > 0.0 or abs(p[:, -1]).max() > 0.0:
+def _weights(series: FieldSeries, phi: BumpTestFunction, require_nonneg: bool = False):
+    """_form weights (wa, wa_t, b, b_x) of phi after its contract checks.
+
+    a0 = a(t_0) * dx weighs the initial terms: I[f p(0, .)] = a0 * (f[0] @ b).
+    """
+    a, a_t, b, b_x = phi.profiles(series.times, series.xs)
+    if abs(a[-1] * b).max() > 0.0 or abs(a[:, None] * b[[0, -1]]).max() > 0.0:
         raise ProbeContractError(
             "test function must vanish at the final time and at both rod ends"
         )
-    if require_nonneg and p.min() < 0.0:
+    # the extremes of a(t) b(x) are products of the extremes of a and of b
+    if require_nonneg and np.outer([a.min(), a.max()], [b.min(), b.max()]).min() < 0.0:
         raise ProbeContractError("test function must be nonnegative")
-    return (
-        p,
-        phi.dt_grid(times, xs),
-        phi.dx_grid(times, xs),
-        time_weights(times),
-        series.dx,
-    )
-
-
-def _integrate(rows: np.ndarray, w_t: np.ndarray, dx: float) -> float:
-    return float(np.sum(rows * w_t[:, None]) * dx)
+    w = time_weights(series.times) * series.dx
+    return w * a, w * a_t, b, b_x, a[0] * series.dx
 
 
 def weak_momentum_residual(
@@ -468,20 +461,20 @@ def weak_momentum_residual(
     Returns the residual, the individual terms, and scale = sum of their
     magnitudes for relative comparison.
     """
-    p, p_t, p_x, w_t, dx = _grids(series, phi)
+    wa, wa_t, b, b_x, a0 = _weights(series, phi)
     v = series.fields["velocity"]
     eta = series.fields["eta"]
     force = series.fields["penalty_force"]
     alpha = cfg.physics.alpha
 
-    dxv = np.gradient(v, dx, axis=1)
-    dxeta = np.gradient(eta, dx, axis=1)
+    dxv = np.gradient(v, series.dx, axis=1)
+    dxeta = np.gradient(eta, series.dx, axis=1)
 
-    transport = _integrate(v * p_t, w_t, dx)
-    viscous = -alpha * _integrate(dxv * p_x, w_t, dx)
-    elastic = -_integrate(dxeta * p_x, w_t, dx)
-    initial = float(np.sum(v[0] * p[0]) * dx)
-    forcing = _integrate(force * p, w_t, dx)
+    transport = _form(v, wa_t, b)
+    viscous = -alpha * _form(dxv, wa, b_x)
+    elastic = -_form(dxeta, wa, b_x)
+    initial = a0 * float(v[0] @ b)
+    forcing = _form(force, wa, b)
 
     terms = {
         "transport": transport,
@@ -505,25 +498,25 @@ def local_energy_residual(
     the initial energy weighted by phi(0, .).  For a dissipative solution
     lhs <= rhs, so slack = rhs - lhs should not be significantly negative.
     """
-    p, p_t, p_x, w_t, dx = _grids(series, phi, require_nonneg=True)
+    wa, wa_t, b, b_x, a0 = _weights(series, phi, require_nonneg=True)
     v = series.fields["velocity"]
     eta = series.fields["eta"]
     force = series.fields["penalty_force"]
     alpha = cfg.physics.alpha
 
-    dxv = np.gradient(v, dx, axis=1)
-    dxeta = np.gradient(eta, dx, axis=1)
+    dxv = np.gradient(v, series.dx, axis=1)
+    dxeta = np.gradient(eta, series.dx, axis=1)
     contact_density = force * np.maximum(-v, 0.0)
 
     lhs_terms = {
-        "kinetic_transport": -0.5 * _integrate(v * v * p_t, w_t, dx),
-        "elastic_transport": -0.5 * _integrate(dxeta * dxeta * p_t, w_t, dx),
-        "viscous": alpha * _integrate(dxv * dxv * p, w_t, dx),
-        "contact": _integrate(contact_density * p, w_t, dx),
-        "viscous_flux": alpha * _integrate(dxv * v * p_x, w_t, dx),
-        "elastic_flux": _integrate(dxeta * v * p_x, w_t, dx),
+        "kinetic_transport": -0.5 * _form(v * v, wa_t, b),
+        "elastic_transport": -0.5 * _form(dxeta * dxeta, wa_t, b),
+        "viscous": alpha * _form(dxv * dxv, wa, b),
+        "contact": _form(contact_density, wa, b),
+        "viscous_flux": alpha * _form(dxv * v, wa, b_x),
+        "elastic_flux": _form(dxeta * v, wa, b_x),
     }
-    rhs = float(np.sum((0.5 * v[0] ** 2 + 0.5 * dxeta[0] ** 2) * p[0]) * dx)
+    rhs = a0 * float((0.5 * v[0] ** 2 + 0.5 * dxeta[0] ** 2) @ b)
     lhs = sum(lhs_terms.values())
     scale = abs(rhs) + sum(abs(t) for t in lhs_terms.values())
     return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs, "scale": scale, **lhs_terms}
@@ -544,23 +537,23 @@ def renormalized_residual(
     velocity is negative, where b'(w) vanishes.  Returns the slack and a
     magnitude scale.
     """
-    p, p_t, p_x, w_t, dx = _grids(series, phi, require_nonneg=True)
+    wa, wa_t, b, b_x, a0 = _weights(series, phi, require_nonneg=True)
     v = series.fields["velocity"]
     eta = series.fields["eta"]
     alpha = cfg.physics.alpha
 
     w = np.maximum(v, 0.0)
-    dxv = np.gradient(v, dx, axis=1)
-    dxw = np.gradient(w, dx, axis=1)
-    dxeta = np.gradient(eta, dx, axis=1)
+    dxv = np.gradient(v, series.dx, axis=1)
+    dxw = np.gradient(w, series.dx, axis=1)
+    dxeta = np.gradient(eta, series.dx, axis=1)
 
     terms = {
-        "transport": _integrate(w * w * p_t, w_t, dx),
-        "viscous_flux": -alpha * _integrate(dxv * 2.0 * w * p_x, w_t, dx),
-        "viscous_bulk": -alpha * _integrate(dxw * dxw * 2.0 * p, w_t, dx),
-        "elastic_flux": -_integrate(dxeta * 2.0 * w * p_x, w_t, dx),
-        "elastic_bulk": -_integrate(dxeta * 2.0 * dxw * p, w_t, dx),
-        "initial": float(np.sum(w[0] ** 2 * p[0]) * dx),
+        "transport": _form(w * w, wa_t, b),
+        "viscous_flux": -alpha * _form(dxv * 2.0 * w, wa, b_x),
+        "viscous_bulk": -alpha * _form(dxw * dxw * 2.0, wa, b),
+        "elastic_flux": -_form(dxeta * 2.0 * w, wa, b_x),
+        "elastic_bulk": -_form(dxeta * 2.0 * dxw, wa, b),
+        "initial": a0 * float(w[0] ** 2 @ b),
     }
     slack = sum(terms.values())
     scale = sum(abs(t) for t in terms.values())
@@ -617,16 +610,17 @@ def stress_jump_probe(
     sigma = np.gradient(eta, dx, axis=1) + alpha * np.gradient(v, dx, axis=1)
     force = series.fields["penalty_force"][rows]
 
-    w_t = time_weights(series.times[rows])
+    w = time_weights(series.times[rows]) * dx
+    ones = np.ones_like(xs)
     pos = xs[None, :] - f[:, None]
     right = (pos > 0.0) & (pos <= delta)
     left = (pos >= -delta) & (pos <= 0.0)
     near = np.abs(pos) <= delta
 
-    flux_right = float(np.sum(np.where(right, sigma, 0.0) * w_t[:, None]) * dx)
-    flux_left = float(np.sum(np.where(left, sigma, 0.0) * w_t[:, None]) * dx)
+    flux_right = _form(np.where(right, sigma, 0.0), w, ones)
+    flux_left = _form(np.where(left, sigma, 0.0), w, ones)
     jump_total = -(flux_right - flux_left) / delta
-    penalty_mass = float(np.sum(np.where(near, force, 0.0) * w_t[:, None]) * dx)
+    penalty_mass = _form(np.where(near, force, 0.0), w, ones)
 
     return {
         "jump_total": jump_total,
@@ -713,14 +707,13 @@ def zero_trace_residual(
     v = series.fields["velocity"][rows]
     dx = series.dx
 
-    p = phi.value_grid(times, xs)
-    p_x = phi.dx_grid(times, xs)
+    a, _, b, b_x = phi.profiles(times, xs)
+    wa = time_weights(times) * dx * a
     dxv = np.gradient(v, dx, axis=1)
     region = xs[None, :] >= f[:, None]
 
-    w_t = time_weights(times)
-    bulk = float(np.sum(np.where(region, dxv * p, 0.0) * w_t[:, None]) * dx)
-    flux = float(np.sum(np.where(region, v * p_x, 0.0) * w_t[:, None]) * dx)
+    bulk = _form(np.where(region, dxv, 0.0), wa, b)
+    flux = _form(np.where(region, v, 0.0), wa, b_x)
     return {
         "residual": bulk + flux,
         "scale": abs(bulk) + abs(flux),

@@ -1,5 +1,6 @@
 """Config text, run artifacts, probes, sweeps, rendering, and exit codes."""
 
+import base64
 import dataclasses
 import json
 import os
@@ -282,18 +283,29 @@ def test_tabulated_run_probe_render(tabulated_dir, capsys):
 # run artifacts
 
 
+def _svg_raster(svg: Path) -> bytes:
+    """The PNG bytes a heatmap SVG embeds as base64."""
+    return base64.b64decode(svg.read_text().split("base64,")[1].split('"')[0])
+
+
 def test_run_writes_expected_files(run_dir):
     out, _, manifest = run_dir
     expected = {
         "config.ini", "energy.csv", "eta.csv", "velocity.csv", "penalty.csv",
         "contact.csv", "oracle_eta.csv", "manifest.json",
-        "eta.ppm", "eta.svg", "velocity.ppm", "velocity.svg",
-        "contact.ppm", "contact.svg",
+        "eta.png", "eta.svg", "velocity.png", "velocity.svg",
+        "contact.png", "contact.svg",
         "snapshot_t0.000000.csv", "snapshot_t0.033000.csv",
     }
     assert expected <= set(os.listdir(out))
     assert expected <= set(manifest.files)
     assert {"solve", "write", "render", "oracle"} <= set(manifest.phases)
+    assert not any(name.endswith(".ppm") for name in os.listdir(out))
+    for name in ("eta", "velocity", "contact"):
+        png = Path(out, f"{name}.png").read_bytes()
+        assert png.startswith(b"\x89PNG\r\n\x1a\n")
+        # the SVG embeds exactly the bytes of the .png beside it
+        assert _svg_raster(Path(out, f"{name}.svg")) == png
 
 
 def test_energy_csv_holds_the_ledger(run_dir):
@@ -528,16 +540,15 @@ def test_probe_reads_either_store(tmp_path, capsys):
 
 def test_render_command_refreshes_heatmaps(run_dir, npz_run_dir, capsys):
     for out, _, _ in (run_dir, npz_run_dir):
-        for name in ("eta.ppm", "eta.svg", "contact.ppm"):
+        for name in ("eta.png", "eta.svg", "contact.png"):
             os.remove(os.path.join(out, name))
         assert cli.main(["render", out]) == 0
-        assert os.path.exists(os.path.join(out, "eta.ppm"))
-        assert os.path.exists(os.path.join(out, "eta.svg"))
-        with open(os.path.join(out, "eta.ppm"), "rb") as fh:
-            assert fh.read(2) == b"P6"
+        png = Path(out, "eta.png").read_bytes()
+        assert png.startswith(b"\x89PNG\r\n\x1a\n")
+        assert _svg_raster(Path(out, "eta.svg")) == png
     # both stores hold the same contact mask
     csv_mask, npz_mask = (
-        Path(out, "contact.ppm").read_bytes() for out in (run_dir[0], npz_run_dir[0])
+        Path(out, "contact.png").read_bytes() for out in (run_dir[0], npz_run_dir[0])
     )
     assert csv_mask == npz_mask
     capsys.readouterr()
@@ -686,6 +697,24 @@ def test_sweep_runs_each_value(tmp_path, monkeypatch, capsys):
     assert cli.main(["probe", str(point)]) == 0
     assert cli.main(["render", str(point)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("axis, good, bad", [
+    ("modes", 2.0, 2.9),   # would run 2 modes twice
+    ("modes", 2.0, 0.0),
+    ("dt_dx", 0.02, 0.0),  # would divide by zero
+])
+def test_sweep_refuses_bad_axis_value(tmp_path, monkeypatch, axis, good, bad):
+    monkeypatch.setenv("OBSTRING_THREADS", "1")  # keep the test in-process
+    parsed = cli.parse_config(
+        GOOD_CONFIG.replace("csv,heatmap,snapshots", "csv")
+        .replace("oracle_modes = 4", "oracle_modes = 0")
+    )
+    rows = {row["value"]: row
+            for row in cli.run_sweep(parsed, axis, [good, bad], str(tmp_path / "s"))}
+    assert rows[good]["status"] == "ok"
+    assert rows[bad]["status"] == "error:ConfigurationError"
+    assert f" {bad:g} " in rows[bad]["error"]
 
 
 def test_sweep_needs_two_values(tmp_path, capsys):

@@ -274,7 +274,8 @@ def test_builtin_test_functions_cover_the_box():
     times = np.linspace(0.0, 0.3, 61)
     xs = np.linspace(0.0, 1.0, 101)
     for bump in bumps.values():
-        p = bump.value_grid(times, xs)
+        a, _, b, _ = bump.profiles(times, xs)
+        p = np.outer(a, b)
         assert p.min() >= 0.0 and p.max() > 0.0
         assert np.all(p[-1] == 0.0)            # off at the final time
         assert np.all(p[:, 0] == 0.0) and np.all(p[:, -1] == 0.0)
@@ -284,11 +285,74 @@ def test_bump_derivative_grids_match_finite_differences():
     bump = BumpTestFunction(0.5, 0.3, 0.4, 0.25, amplitude=2.0)
     times = np.linspace(0.1, 0.9, 2001)
     xs = np.linspace(0.1, 0.7, 1501)
-    p = bump.value_grid(times, xs)
-    assert np.allclose(bump.dt_grid(times, xs)[1:-1],
-                       np.gradient(p, times, axis=0)[1:-1], atol=1e-3)
-    assert np.allclose(bump.dx_grid(times, xs)[:, 1:-1],
-                       np.gradient(p, xs, axis=1)[:, 1:-1], atol=1e-3)
+    a, a_t, b, b_x = bump.profiles(times, xs)
+    assert np.allclose(a_t[1:-1], np.gradient(a, times)[1:-1], atol=1e-3)
+    assert np.allclose(b_x[1:-1], np.gradient(b, xs)[1:-1], atol=1e-3)
+
+
+def _grid_rule_terms(series, cfg, phi):
+    """Every weak-form term by the 2-D rule: dense test-function grids
+    summed cell by cell against trapezoid weights (the reference rule)."""
+    tau = (series.times - phi.t_center) / phi.t_width
+    xi = (series.xs - phi.x_center) / phi.x_width
+
+    def g(s):
+        return np.where(np.abs(s) < 1.0, (1.0 - s * s) ** 3, 0.0)
+
+    def dg(s):
+        return np.where(np.abs(s) < 1.0, -6.0 * s * (1.0 - s * s) ** 2, 0.0)
+
+    p = phi.amplitude * np.outer(g(tau), g(xi))
+    p_t = (phi.amplitude / phi.t_width) * np.outer(dg(tau), g(xi))
+    p_x = (phi.amplitude / phi.x_width) * np.outer(g(tau), dg(xi))
+    w_t, dx = time_weights(series.times), series.dx
+
+    def ii(G, q):
+        return float(np.sum(G * q * w_t[:, None]) * dx)
+
+    def i0(row):
+        return float(np.sum(row * p[0]) * dx)
+
+    v, eta = series.fields["velocity"], series.fields["eta"]
+    force, alpha = series.fields["penalty_force"], cfg.physics.alpha
+    w = np.maximum(v, 0.0)
+    dxv, dxw, dxeta = (np.gradient(f, dx, axis=1) for f in (v, w, eta))
+    return {
+        weak_momentum_residual: {
+            "transport": ii(v, p_t), "viscous": -alpha * ii(dxv, p_x),
+            "elastic": -ii(dxeta, p_x), "initial": i0(v[0]), "forcing": ii(force, p),
+        },
+        local_energy_residual: {
+            "kinetic_transport": -0.5 * ii(v * v, p_t),
+            "elastic_transport": -0.5 * ii(dxeta * dxeta, p_t),
+            "viscous": alpha * ii(dxv * dxv, p),
+            "contact": ii(force * np.maximum(-v, 0.0), p),
+            "viscous_flux": alpha * ii(dxv * v, p_x),
+            "elastic_flux": ii(dxeta * v, p_x),
+            "rhs": i0(0.5 * v[0] ** 2 + 0.5 * dxeta[0] ** 2),
+        },
+        renormalized_residual: {
+            "transport": ii(w * w, p_t),
+            "viscous_flux": -alpha * ii(dxv * 2.0 * w, p_x),
+            "viscous_bulk": -alpha * ii(dxw * dxw * 2.0, p),
+            "elastic_flux": -ii(dxeta * 2.0 * w, p_x),
+            "elastic_bulk": -ii(dxeta * 2.0 * dxw, p),
+            "initial": i0(w[0] ** 2),
+        },
+    }
+
+
+@pytest.mark.parametrize("run_name", ["desk_ex1", "desk_ex2"])
+def test_weak_form_terms_match_the_grid_rule(run_name, request):
+    cfg, series, _ = request.getfixturevalue(run_name)
+    bumps = builtin_test_functions(float(series.times[-1]), cfg.grid.length_l)
+    for phi in bumps.values():
+        for probe, expected in _grid_rule_terms(series, cfg, phi).items():
+            out = probe(series, cfg, phi)
+            assert out["scale"] > 0.0
+            for term, value in expected.items():
+                assert abs(out[term] - value) <= 1e-13 * out["scale"], (
+                    probe.__name__, phi.name, term)
 
 
 def test_probe_rejects_unsupported_test_function(desk_ex1):
