@@ -17,16 +17,20 @@ Configs are INI-style text with sections [grid], [time], [physics], [init],
 format or probe name included), are rejected with line numbers.  One table,
 _SCHEMA, gives each key's type and the dataclass field it fills; parse_config
 and emit_config both walk it, and a key left out takes that field's default.
-Runs, sweep points included, store their fields (times, node positions,
-eta, velocity, penalty force and the contact mask) once, in fields.npz,
-which probe and render read back bitwise.  The csv format adds text
-exports of the same fields; they, the energy ledger and the snapshots go
-through one np.savetxt writer with 17 significant digits.  Then come
-PPM/SVG heatmaps and a manifest.json with sha256 checksums, per-phase
-wall-clock times and the energy ledger's closure (energy_residual_max).
+Every run with any output format (all but formats = none), sweep points
+included, stores its fields (times, node positions, eta, velocity, penalty
+force and the contact mask) once, in fields.npz; probe and render read them
+back bitwise from that file only.  So the npz format names the store that
+every such run writes, and formats = npz alone writes nothing else.  The csv
+format adds text exports of the same fields; they, the energy ledger and
+the snapshots go through one np.savetxt writer with 17 significant digits.
+Then come PNG/SVG heatmaps and a manifest.json with sha256 checksums,
+per-phase wall-clock times and the energy ledger's closure
+(energy_residual_max); render adds the files it writes to that manifest.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric blowup,
-4 probe-contract violation.  OBSTRING_THREADS caps the sweep worker pool.
+4 probe-contract violation.  OBSTRING_THREADS caps the sweep worker pool;
+a value other than a whole number >= 1 is a configuration error.
 """
 
 from __future__ import annotations
@@ -316,7 +320,7 @@ def emit_config(parsed: ParsedConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# field store and CSV input/output
+# field store and CSV exports
 
 
 def _write_csv(path: str, labels: list, columns: list,
@@ -333,36 +337,17 @@ def _write_csv(path: str, labels: list, columns: list,
                header=header, comments="")
 
 
-def _read_field_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        xs = np.array([float(tok) for tok in header[1:]])
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return body[:, 0], xs, body[:, 1:]
-
-
 def series_from_run_dir(run_dir: str) -> FieldSeries:
-    """Rebuild a FieldSeries from a stored run.
-
-    Reads fields.npz when the run wrote it, else the CSV fields (csv-only
-    runs, and run directories written before the binary store existed).
-    """
-    store = os.path.join(run_dir, FIELD_STORE)
-    if os.path.exists(store):
-        with np.load(store) as data:
-            times, xs = data["times"], data["xs"]
-            fields = {name: data[name] for name, _ in FIELD_FILES}
-    else:
-        fields = {}
-        for name, fname in FIELD_FILES:
-            path = os.path.join(run_dir, fname)
-            if not os.path.exists(path):
-                raise ConfigurationError(
-                    f"run directory lacks {FIELD_STORE} and {fname}; "
-                    "re-run with npz or csv output"
-                )
-            times, xs, fields[name] = _read_field_csv(path)
-    return FieldSeries(times=times, xs=xs, fields=fields)
+    """Rebuild a FieldSeries from a stored run's fields.npz, its one field store."""
+    path = os.path.join(run_dir, FIELD_STORE)
+    if not os.path.exists(path):
+        raise ConfigurationError(
+            f"run directory {run_dir} lacks {FIELD_STORE}; re-run its config.ini "
+            "with any formats other than none to write it"
+        )
+    with np.load(path) as data:
+        return FieldSeries(times=data["times"], xs=data["xs"],
+                           fields={name: data[name] for name, _ in FIELD_FILES})
 
 
 # ---------------------------------------------------------------------------
@@ -492,17 +477,16 @@ def render_heatmap(
 
 
 def _render_heatmaps(out_dir: str, series: FieldSeries,
-                     mask: np.ndarray | None) -> list[str]:
-    """Render eta, velocity and, when given, the contact mask into out_dir."""
+                     mask: np.ndarray) -> list[str]:
+    """Render eta, velocity and the contact mask into out_dir."""
     paths = []
     for name, matrix, palette in (
         ("eta", series.fields["eta"], "sequential"),
         ("velocity", series.fields["velocity"], "diverging"),
         ("contact", mask, "binary"),
     ):
-        if matrix is not None:
-            paths += render_heatmap(matrix, series.times, series.xs, palette,
-                                    os.path.join(out_dir, name), title=name)
+        paths += render_heatmap(matrix, series.times, series.xs, palette,
+                                os.path.join(out_dir, name), title=name)
     return paths
 
 
@@ -518,6 +502,17 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _file_entry(path: str) -> dict:
+    """A file's manifest entry under "files"."""
+    return {"sha256": _sha256(path), "bytes": os.path.getsize(path)}
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")
+
+
 @dataclass
 class RunManifest:
     solver: str
@@ -529,10 +524,7 @@ class RunManifest:
     energy_residual_max: float = 0.0
 
     def add_file(self, path: str) -> None:
-        self.files[os.path.basename(path)] = {
-            "sha256": _sha256(path),
-            "bytes": os.path.getsize(path),
-        }
+        self.files[os.path.basename(path)] = _file_entry(path)
 
     def write(self) -> str:
         path = os.path.join(self.out_dir, "manifest.json")
@@ -547,9 +539,7 @@ class RunManifest:
             "versions": {"obstring": __version__, "numpy": np.__version__,
                          "python": platform.python_version()},
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, payload)
         return path
 
 
@@ -592,12 +582,10 @@ def _solve_and_write(
     ledger_cols = ledger.as_columns()
     store("energy.csv", list(ledger_cols), list(ledger_cols.values()))
 
-    mask = None
-    if {"npz", "csv", "heatmap"} & set(formats):
+    if formats:  # every run with any output writes the field store
         mask = diagnostics.extract_contact(
             series, link_cells=parsed.probes.link_cells
         ).mask
-    if "npz" in formats:
         store_npz(FIELD_STORE, times=series.times, xs=series.xs,
                   **series.fields, contact=mask)
     if "csv" in formats:
@@ -627,7 +615,7 @@ def _solve_and_write(
     if parsed.output.oracle_modes > 0:
         t0 = _time.perf_counter()
         oracle = galerkin.integrate(parsed.sim, parsed.output.oracle_modes)
-        if "npz" in formats:
+        if formats:
             store_npz("oracle_eta.npz", times=oracle.times, xs=oracle.xs,
                       eta=oracle.fields["eta"])
         if "csv" in formats:
@@ -728,12 +716,14 @@ def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
 
 
 def _worker_count(n_jobs: int) -> int:
+    """n_jobs capped by OBSTRING_THREADS when it is set, else by the CPU count."""
     cap = os.environ.get("OBSTRING_THREADS", "")
-    try:
-        limit = int(cap) if cap else (os.cpu_count() or 1)
-    except ValueError:
-        limit = os.cpu_count() or 1
-    return max(1, min(n_jobs, limit))
+    if not cap:
+        return min(n_jobs, os.cpu_count() or 1)
+    if not (cap.strip().isdigit() and int(cap) >= 1):
+        raise ConfigurationError(
+            f"OBSTRING_THREADS = {cap!r} is not a whole number >= 1")
+    return min(n_jobs, int(cap))
 
 
 def _sweep_one(payload: tuple[str, float, str, str]) -> dict:
@@ -800,6 +790,7 @@ def run_sweep(parsed: ParsedConfig, axis: str, sweep_values: list[float],
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
     if len(sweep_values) < 2:
         raise ConfigurationError("a sweep needs at least two values")
+    workers = _worker_count(len(sweep_values))
     ordered = sorted(sweep_values, reverse=True)
     os.makedirs(out_dir, exist_ok=True)
     config_text = emit_config(parsed)
@@ -808,7 +799,6 @@ def run_sweep(parsed: ParsedConfig, axis: str, sweep_values: list[float],
         (axis, v, config_text, os.path.join(out_dir, f"run_{i:02d}"))
         for i, v in enumerate(ordered)
     ]
-    workers = _worker_count(len(payloads))
     if workers == 1:
         rows = [_sweep_one(p) for p in payloads]
     else:
@@ -914,9 +904,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_probe(args: argparse.Namespace) -> int:
     results = run_probes(args.run_dir, args.probe or None)
     path = os.path.join(args.run_dir, "probes.json")
-    with open(path, "w") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    _write_json(path, results)
     for name, payload in results.items():
         if isinstance(payload, dict) and "residual" not in payload:
             print(f"{name}: {json.dumps(payload, default=float)[:200]}")
@@ -926,20 +914,21 @@ def cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stored_contact_mask(run_dir: str) -> np.ndarray | None:
-    """The contact mask from the same store series_from_run_dir reads."""
-    store = os.path.join(run_dir, FIELD_STORE)
-    if os.path.exists(store):
-        with np.load(store) as data:
-            return data["contact"]
-    mask_path = os.path.join(run_dir, "contact.csv")
-    return _read_field_csv(mask_path)[2] if os.path.exists(mask_path) else None
-
-
 def cmd_render(args: argparse.Namespace) -> int:
-    series = series_from_run_dir(args.run_dir)
-    _render_heatmaps(args.run_dir, series, _stored_contact_mask(args.run_dir))
-    print(f"heatmaps refreshed under {args.run_dir}")
+    run_dir = args.run_dir
+    series = series_from_run_dir(run_dir)
+    with np.load(os.path.join(run_dir, FIELD_STORE)) as data:
+        mask = data["contact"]
+    paths = _render_heatmaps(run_dir, series, mask)
+    # keep the manifest's checksums true for the files just written
+    manifest_path = os.path.join(run_dir, "manifest.json")
+    if os.path.exists(manifest_path):
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        for path in paths:
+            manifest["files"][os.path.basename(path)] = _file_entry(path)
+        _write_json(manifest_path, manifest)
+    print(f"heatmaps refreshed under {run_dir}")
     return 0
 
 

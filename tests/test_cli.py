@@ -283,6 +283,13 @@ def test_tabulated_run_probe_render(tabulated_dir, capsys):
 # run artifacts
 
 
+def _read_field_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A field's CSV export: stored times, node positions, frames x nodes."""
+    xs = np.loadtxt(path, delimiter=",", max_rows=1, dtype=str)[1:].astype(float)
+    body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return body[:, 0], xs, body[:, 1:]
+
+
 def _svg_raster(svg: Path) -> bytes:
     """The PNG bytes a heatmap SVG embeds as base64."""
     return base64.b64decode(svg.read_text().split("base64,")[1].split('"')[0])
@@ -293,6 +300,7 @@ def test_run_writes_expected_files(run_dir):
     expected = {
         "config.ini", "energy.csv", "eta.csv", "velocity.csv", "penalty.csv",
         "contact.csv", "oracle_eta.csv", "manifest.json",
+        "fields.npz", "oracle_eta.npz",
         "eta.png", "eta.svg", "velocity.png", "velocity.svg",
         "contact.png", "contact.svg",
         "snapshot_t0.000000.csv", "snapshot_t0.033000.csv",
@@ -331,7 +339,7 @@ def test_manifest_checksums_match(run_dir, npz_run_dir):
         assert manifest["versions"] == {"obstring": obstring.__version__,
                                         "numpy": np.__version__,
                                         "python": platform.python_version()}
-        assert ("fields.npz" in manifest["files"]) == ("npz" in parsed.output.formats)
+        assert ("fields.npz" in manifest["files"]) == bool(parsed.output.formats)
         for name, meta in manifest["files"].items():
             if name == "manifest.json":
                 continue  # hashed before the manifest itself was written
@@ -343,11 +351,11 @@ def test_manifest_checksums_match(run_dir, npz_run_dir):
 def test_csv_round_trip_is_bitwise(run_dir):
     out, parsed, _ = run_dir
     series, _ = fd_solver.run(parsed.sim)
-    stored = cli.series_from_run_dir(out)
-    assert np.array_equal(stored.times, series.times)
-    assert np.array_equal(stored.xs, series.xs)
-    for name in ("eta", "velocity", "penalty_force"):
-        assert np.array_equal(stored.fields[name], series.fields[name])
+    for name, fname in cli.FIELD_FILES:
+        times, xs, values = _read_field_csv(os.path.join(out, fname))
+        assert np.array_equal(times, series.times)
+        assert np.array_equal(xs, series.xs)
+        assert np.array_equal(values, series.fields[name])
 
 
 def test_npz_round_trip_is_bitwise(npz_run_dir):
@@ -375,7 +383,7 @@ def test_fields_npz_is_deterministic(npz_run_dir, tmp_path):
 
 @pytest.mark.parametrize(
     "formats,calls",
-    [((), 0), (("snapshots",), 0), (("npz",), 1), (("csv",), 1), (("heatmap",), 1)],
+    [((), 0), (("snapshots",), 1), (("npz",), 1), (("csv",), 1), (("heatmap",), 1)],
 )
 def test_contact_extracted_only_when_stored(tmp_path, monkeypatch, formats, calls):
     seen = []
@@ -459,21 +467,21 @@ def test_snapshot_targets_nearest_stored_instant(run_dir):
 
 def test_contact_csv_is_binary(run_dir):
     out, _, _ = run_dir
-    _, _, mask = cli._read_field_csv(os.path.join(out, "contact.csv"))
+    _, _, mask = _read_field_csv(os.path.join(out, "contact.csv"))
     assert set(np.unique(mask)) <= {0.0, 1.0}
 
 
 def test_contact_csv_times_and_positions_are_exact(run_dir):
     out, _, _ = run_dir
-    times, xs, _ = cli._read_field_csv(os.path.join(out, "contact.csv"))
-    eta_times, eta_xs, _ = cli._read_field_csv(os.path.join(out, "eta.csv"))
+    times, xs, _ = _read_field_csv(os.path.join(out, "contact.csv"))
+    eta_times, eta_xs, _ = _read_field_csv(os.path.join(out, "eta.csv"))
     assert np.array_equal(times, eta_times)
     assert np.array_equal(xs, eta_xs)
 
 
 def test_oracle_field_tracks_solver(run_dir, npz_run_dir):
     out, parsed, _ = run_dir
-    times, xs, oracle_eta = cli._read_field_csv(os.path.join(out, "oracle_eta.csv"))
+    times, xs, oracle_eta = _read_field_csv(os.path.join(out, "oracle_eta.csv"))
     stored = cli.series_from_run_dir(out)
     assert oracle_eta.shape == stored.fields["eta"].shape
     # same dynamics pre-contact: loose agreement is enough here
@@ -521,7 +529,8 @@ def test_probe_names_checked_before_the_run_is_read(tmp_path, capsys):
 
 
 def test_probe_reads_either_store(tmp_path, capsys):
-    reports = []
+    # a csv run writes the same field store as an npz run, so probes agree
+    stores, reports = [], []
     for formats in ("csv", "npz"):
         cfg = tmp_path / f"{formats}.ini"
         cfg.write_text(
@@ -533,9 +542,72 @@ def test_probe_reads_either_store(tmp_path, capsys):
         out = tmp_path / formats
         assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
         assert cli.main(["probe", str(out)]) == 0
+        stores.append((out / "fields.npz").read_bytes())
         reports.append((out / "probes.json").read_bytes())
     capsys.readouterr()
+    assert stores[0] == stores[1]
     assert reports[0] == reports[1]
+
+
+def _run_good_config(tmp_path, formats: str) -> str:
+    """Run GOOD_CONFIG without the oracle under the given formats."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(GOOD_CONFIG.replace("csv,heatmap,snapshots", formats)
+                   .replace("oracle_modes = 4", "oracle_modes = 0"))
+    out = str(tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--out", out]) == 0
+    return out
+
+
+@pytest.mark.parametrize("formats", ["npz", "csv", "heatmap", "snapshots", "none"])
+def test_every_run_with_outputs_can_be_probed_and_rendered(tmp_path, capsys, formats):
+    out = _run_good_config(tmp_path, formats)
+    with open(os.path.join(out, "manifest.json")) as fh:
+        files = json.load(fh)["files"]
+    capsys.readouterr()
+    if formats == "none":
+        assert set(files) == {"config.ini", "energy.csv"}
+        for command in ("probe", "render"):
+            assert cli.main([command, out]) == 2
+            assert "lacks fields.npz" in capsys.readouterr().err
+    else:
+        assert "fields.npz" in files
+        assert cli.main(["probe", out]) == 0
+        assert cli.main(["render", out]) == 0
+        capsys.readouterr()
+
+
+def test_csv_fields_without_the_store_must_be_rerun(tmp_path, capsys):
+    # a directory of CSV fields only, as formats = csv wrote before every
+    # run with outputs stored fields.npz
+    out = _run_good_config(tmp_path, "csv")
+    os.remove(os.path.join(out, "fields.npz"))
+    assert {"eta.csv", "velocity.csv", "penalty.csv", "manifest.json"} <= set(
+        os.listdir(out))
+    capsys.readouterr()
+    for command in ("probe", "render"):
+        assert cli.main([command, out]) == 2
+        err = capsys.readouterr().err
+        assert "lacks fields.npz" in err and "re-run its config.ini" in err
+
+
+def test_render_keeps_the_manifest_true(tmp_path, capsys):
+    out = _run_good_config(tmp_path, "npz")
+    manifest_path = os.path.join(out, "manifest.json")
+    with open(manifest_path) as fh:
+        before = json.load(fh)
+    assert cli.main(["render", out]) == 0
+    capsys.readouterr()
+    with open(manifest_path) as fh:
+        after = json.load(fh)
+    assert {k: v for k, v in after.items() if k != "files"} == {
+        k: v for k, v in before.items() if k != "files"}
+    on_disk = set(os.listdir(out)) - {"manifest.json"}
+    assert {"eta.png", "velocity.svg", "contact.png"} <= on_disk
+    assert set(after["files"]) == on_disk
+    for name, meta in after["files"].items():
+        path = os.path.join(out, name)
+        assert meta == {"sha256": cli._sha256(path), "bytes": os.path.getsize(path)}
 
 
 def test_render_command_refreshes_heatmaps(run_dir, npz_run_dir, capsys):
@@ -661,10 +733,23 @@ def test_worker_count_honors_environment(monkeypatch):
     monkeypatch.setenv("OBSTRING_THREADS", "2")
     assert cli._worker_count(8) == 2
     assert cli._worker_count(1) == 1
-    monkeypatch.setenv("OBSTRING_THREADS", "not-a-number")
-    assert cli._worker_count(1) == 1
+    for bad in ("not-a-number", "0", "-1"):
+        monkeypatch.setenv("OBSTRING_THREADS", bad)
+        with pytest.raises(ConfigurationError, match=f"OBSTRING_THREADS = '{bad}'"):
+            cli._worker_count(1)
     monkeypatch.delenv("OBSTRING_THREADS")
     assert cli._worker_count(3) >= 1
+
+
+def test_sweep_refuses_a_malformed_thread_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("OBSTRING_THREADS", "two")
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(GOOD_CONFIG)
+    code = cli.main(["sweep", str(cfg), "--axis", "epsilon", "--values", "0.02,0.01",
+                     "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "OBSTRING_THREADS = 'two'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "s")
 
 
 def test_sweep_runs_each_value(tmp_path, monkeypatch, capsys):
