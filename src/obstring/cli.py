@@ -25,8 +25,9 @@ every such run writes, and formats = npz alone writes nothing else.  The csv
 format adds text exports of the same fields; they, the energy ledger and
 the snapshots go through one np.savetxt writer with 17 significant digits.
 Then come PNG/SVG heatmaps and a manifest.json with sha256 checksums,
-per-phase wall-clock times and the energy ledger's closure
-(energy_residual_max); render adds the files it writes to that manifest.
+per-phase wall-clock times, the energy ledger's closure
+(energy_residual_max) and the step-to-penalty ratio dt_over_eps; render
+adds the files it writes to that manifest.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric blowup,
 4 probe-contract violation.  OBSTRING_THREADS caps the sweep worker pool;
@@ -522,6 +523,7 @@ class RunManifest:
     phases: dict = field(default_factory=dict)
     snapshots: dict = field(default_factory=dict)
     energy_residual_max: float = 0.0
+    dt_over_eps: float = 0.0
 
     def add_file(self, path: str) -> None:
         self.files[os.path.basename(path)] = _file_entry(path)
@@ -536,6 +538,7 @@ class RunManifest:
             "phases": self.phases,
             "snapshots": self.snapshots,
             "energy_residual_max": self.energy_residual_max,
+            "dt_over_eps": self.dt_over_eps,
             "versions": {"obstring": __version__, "numpy": np.__version__,
                          "python": platform.python_version()},
         }
@@ -559,6 +562,7 @@ def _solve_and_write(
     series, ledger = fd_solver.run(parsed.sim)
     manifest.phases["solve"] = _time.perf_counter() - t0
     manifest.energy_residual_max = float(np.abs(ledger.residual()).max(initial=0.0))
+    manifest.dt_over_eps = parsed.sim.time.dt / parsed.sim.physics.epsilon
 
     formats = parsed.output.formats
 

@@ -13,7 +13,8 @@ with the endpoints pinned to the initial displacement's boundary values.
 The damped-wave left-hand side is implicit, so the linear part is
 unconditionally stable and the system matrix is constant in time; the
 penalty force is explicit from the previous level.  Each step is one
-tridiagonal solve with a factorization computed once per run.
+tridiagonal solve that reuses a cyclic-reduction factorization computed once
+per run (``trisolve.ThomasFactorization``).
 
 ``run`` is the one time loop and there is no single-step API
 (``core.StringState``, ``first_step`` and ``step`` were removed); a run with

@@ -6,11 +6,11 @@ constant-in-time operator
     A = (1/dt^2) I - (alpha/dt + 1) L,      (L u)_j = (u_{j+1} - 2 u_j + u_{j-1}) / dx^2,
 
 which is symmetric, tridiagonal and strictly diagonally dominant.  A is
-assembled once per run; its Thomas factorization (forward-elimination pivots
-and multipliers) is precomputed and reused for every step, so each solve is a
-single O(n) forward/backward sweep.  ``dense_solve`` densifies the matrix and
-defers to LAPACK Gaussian elimination — the independent check used by the
-test suite.
+assembled once per run and factored once by cyclic reduction (multipliers
+and pivot reciprocals of about log2 n halving levels); every step reuses the
+factorization, so each solve is one vectorised O(n) forward and backward
+pass over the levels.  ``dense_solve`` densifies the matrix and defers to
+LAPACK Gaussian elimination — the independent check used by the test suite.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from .core import Grid1D, Physics, TimeGrid
 
 
 class ZeroPivotError(ArithmeticError):
-    """Elimination hit a (near-)zero pivot; carries the pivot index."""
+    """Elimination hit a zero pivot; ``index`` is its row of the input matrix."""
 
     def __init__(self, index: int, value: float):
         self.index = index
         self.value = value
         super().__init__(
-            f"zero pivot at elimination index {index} (value {value!r}); "
+            f"zero pivot in row {index} (value {value!r}); "
             "matrix is not diagonally dominant"
         )
 
@@ -65,9 +65,11 @@ class Tridiagonal:
         return y
 
     def dense(self) -> np.ndarray:
-        full = np.diag(self.diag)
-        if self.n > 1:
-            full += np.diag(self.lower, -1) + np.diag(self.upper, 1)
+        n = self.n
+        full = np.zeros((n, n))
+        full.flat[:: n + 1] = self.diag
+        full.flat[n :: n + 1] = self.lower
+        full.flat[1 :: n + 1] = self.upper
         return full
 
 
@@ -88,61 +90,98 @@ def assemble_step_matrix(
 
 
 class ThomasFactorization:
-    """Reusable forward-elimination data for one tridiagonal matrix.
+    """Reusable cyclic-reduction factorization of one tridiagonal matrix.
 
-    Precomputes the pivots beta_k and multipliers m_k = lower_{k-1}/beta_{k-1}
-    so that repeated solves cost one multiply-add per node and sweep.  The
-    sweeps run over plain Python floats, which is substantially faster than
-    per-element numpy indexing for the narrow systems this package uses.
+    Cyclic reduction (Hockney 1965; Heller 1976) eliminates the even rows
+    (0, 2, 4, ...) of an odd-sized system, which leaves a tridiagonal system
+    on the odd rows of about half the size, and repeats down to a single
+    row.  An even-sized level is first padded with one decoupled identity
+    row.  ``__init__`` runs the elimination once and stores, per level, the
+    multipliers alpha and beta that fold the eliminated neighbours into each
+    kept row, plus the eliminated rows' pivot reciprocals and bands scaled
+    by them for the back-substitution.  Each ``solve`` is then one forward
+    and one backward pass of vectorised numpy operations per level, about
+    log2 n levels in all, into work buffers allocated here; so one
+    factorization must not be solved from two threads at once.
+
+    Like the Thomas algorithm, this needs no pivoting on diagonally
+    dominant systems and handles non-symmetric bands.  A zero pivot raises
+    ``ZeroPivotError`` naming the row of the input matrix it belongs to.
     """
 
     def __init__(self, m: Tridiagonal):
         n = m.n
-        diag = m.diag.tolist()
-        lower = m.lower.tolist()
-        upper = m.upper.tolist()
+        lower = np.concatenate(([0.0], m.lower))
+        diag = np.array(m.diag, dtype=float)
+        upper = np.concatenate((m.upper, [0.0]))
+        rows = np.arange(n)  # input row of each row of the current level
 
-        beta = [0.0] * n
-        mult = [0.0] * n
-        for k in range(n):
-            if k == 0:
-                b = diag[0]
-            else:
-                g = lower[k - 1] / b
-                mult[k] = g
-                b = diag[k] - g * upper[k - 1]
-            if b == 0.0:
-                raise ZeroPivotError(k, b)
-            beta[k] = b
-
+        buf = np.zeros(n + 1 - n % 2)  # a padded row's entry stays 0
         self.n = n
-        self._mult = mult
-        self._upper = upper
-        self._inv_beta = [1.0 / bk for bk in beta]
+        self._rhs = buf[:n]
+        self._forward = []
+        self._backward = []
+        while len(diag) > 1:
+            size = len(diag)
+            if size % 2 == 0:
+                lower, diag, upper = (
+                    np.append(lower, 0.0), np.append(diag, 1.0), np.append(upper, 0.0)
+                )
+                rows = np.append(rows, -1)
+            inv = _pivot_reciprocals(diag[0::2], rows[0::2])
+            kept = size // 2
+            solved = (size + 1) // 2  # eliminated rows that are not padding
+            a_e, c_e = lower[0::2], upper[0::2]
+            alpha = -lower[1::2] * inv[:-1]
+            beta = -upper[1::2] * inv[1:]
+
+            nxt = np.zeros(kept + 1 - kept % 2)
+            head = nxt[:kept]
+            # forward: head = alpha * (left rhs) + (kept rhs) + beta * (right rhs)
+            self._forward.append(
+                (head, buf[0:-1:2], buf[1::2], buf[2::2], alpha, beta)
+            )
+            # backward: x_e = d_e / b_e - (c_e / b_e) x_right - (a_e / b_e) x_left
+            self._backward.insert(0, (
+                head, buf[1::2], buf[0 : 2 * solved : 2], inv[:solved],
+                (c_e * inv)[:kept], (a_e * inv)[1:solved],
+            ))
+            lower = alpha * a_e[:-1]
+            diag = diag[1::2] + alpha * c_e[:-1] + beta * a_e[1:]
+            upper = beta * c_e[1:]
+            rows = rows[1::2]
+            buf = nxt
+        self._last = (buf, _pivot_reciprocals(diag, rows))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         n = self.n
         if len(rhs) != n:
             raise ValueError(f"rhs length {len(rhs)} != system size {n}")
-        mult = self._mult
-        upper = self._upper
-        inv_beta = self._inv_beta
+        self._rhs[:] = rhs
+        for head, left, mid, right, alpha, beta in self._forward:
+            np.multiply(alpha, left, out=head)
+            head += mid
+            head += beta * right
+        last, inv = self._last
+        last *= inv
+        for head, mid, elim, inv, right, left in self._backward:
+            mid[:] = head
+            elim *= inv
+            elim[: head.size] -= right * head
+            elim[1:] -= left * head[: left.size]
+        return self._rhs.copy()
 
-        y = np.asarray(rhs, float).tolist()
-        acc = y[0]
-        for k in range(1, n):
-            acc = y[k] - mult[k] * acc
-            y[k] = acc
-        acc = y[n - 1] * inv_beta[n - 1]
-        y[n - 1] = acc
-        for k in range(n - 2, -1, -1):
-            acc = (y[k] - upper[k] * acc) * inv_beta[k]
-            y[k] = acc
-        return np.array(y)
+
+def _pivot_reciprocals(pivots: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """1 / pivots, or ZeroPivotError naming the input row of the first zero."""
+    zero = np.flatnonzero(pivots == 0.0)
+    if zero.size:
+        raise ZeroPivotError(int(rows[zero[0]]), float(pivots[zero[0]]))
+    return 1.0 / pivots
 
 
 def thomas_solve(m: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
-    """Solve m x = rhs by the Thomas algorithm; the input is untouched.
+    """Solve m x = rhs by factoring m and solving once; the input is untouched.
 
     Residual contract: ||M x - rhs||_inf <= 1e-12 * (||M||_inf ||x||_inf
     + ||rhs||_inf) for diagonally dominant systems.

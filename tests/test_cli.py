@@ -332,6 +332,14 @@ def test_energy_csv_holds_the_ledger(run_dir):
     assert closure <= 1e-11 * ledger.total_energy()[0]
 
 
+def test_manifest_records_dt_over_eps(run_dir):
+    out, parsed, _ = run_dir
+    with open(os.path.join(out, "manifest.json")) as fh:
+        ratio = json.load(fh)["dt_over_eps"]
+    assert isinstance(ratio, float)
+    assert ratio == parsed.sim.time.dt / parsed.sim.physics.epsilon
+
+
 def test_manifest_checksums_match(run_dir, npz_run_dir):
     for out, parsed, _ in (run_dir, npz_run_dir):
         with open(os.path.join(out, "manifest.json")) as fh:

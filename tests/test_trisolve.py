@@ -1,7 +1,8 @@
-"""Tridiagonal assembly and Thomas-algorithm tests.
+"""Tridiagonal assembly and cyclic-reduction solver tests.
 
 The dense LAPACK route (``dense_solve``) is the independent oracle for the
-hand-written forward/backward sweeps throughout.
+cyclic-reduction levels throughout; at the reference size n = 4999 the
+residual through ``matvec`` stands in for it, so no n x n matrix is built.
 """
 
 from dataclasses import replace
@@ -83,6 +84,25 @@ def test_zero_pivot_reported_with_index():
     assert "pivot" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "row, value",
+    [(1, 1.0), (3, 1.5)],
+    ids=["second-level", "third-level"],
+)
+def test_deep_zero_pivot_names_the_input_row(row, value):
+    # n = 7, diag 2, bands 1: the first level keeps rows 1, 3, 5 with pivots
+    # diag - 1; the second keeps row 3 with pivot (diag_3 - 1) - 1/2.  So
+    # diag_1 = 1 zeroes row 1 on the second level (where it is row 0) and
+    # diag_3 = 1.5 zeroes row 3 on the third (where it is row 0).
+    diag = np.full(7, 2.0)
+    diag[row] = value
+    m = Tridiagonal(lower=np.ones(6), diag=diag, upper=np.ones(6))
+    with pytest.raises(ZeroPivotError) as info:
+        ThomasFactorization(m)
+    assert info.value.index == row
+    assert info.value.value == 0.0
+
+
 def test_band_length_mismatch_rejected():
     with pytest.raises(ValueError, match="band lengths"):
         Tridiagonal(lower=np.zeros(3), diag=np.ones(3), upper=np.zeros(2))
@@ -140,3 +160,69 @@ def test_thomas_matches_dense_on_dominant_systems(n, seed):
     ref = dense_solve(m, rhs)
     scale = max(np.linalg.norm(ref, np.inf), 1e-300)
     assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "n", [*range(1, 71), *(2**k + d for k in range(7, 13) for d in (-1, 0, 1))]
+)
+def test_matches_dense_across_levels_and_paddings(n):
+    # 1..70 and 2^k - 1, 2^k, 2^k + 1 up to 4097: every level count up to
+    # 13, with and without a padded level at each depth
+    rng = np.random.default_rng(n)
+    m = _random_dominant(rng, n)
+    rhs = rng.standard_normal(n)
+    x = thomas_solve(m, rhs)
+    ref = dense_solve(m, rhs)
+    assert np.linalg.norm(x - ref, np.inf) <= 1e-14 * np.linalg.norm(ref, np.inf)
+
+
+def _reference_step_matrix(cells_n: int = 5000) -> Tridiagonal:
+    return assemble_step_matrix(
+        Grid1D(1.0, cells_n), TimeGrid(0.3, 1500), Physics(0.01, 5e-4)
+    )
+
+
+def test_reference_step_matrix_meets_residual_contract():
+    m = _reference_step_matrix()
+    assert m.n == 4999
+    rng = np.random.default_rng(4999)
+    rhs = 25e6 * rng.standard_normal(m.n)
+    x = ThomasFactorization(m).solve(rhs)
+    norm_m = np.max(np.abs(m.diag)) + 2.0 * np.max(np.abs(m.upper))
+    bound = 1e-12 * (norm_m * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+    assert np.max(np.abs(m.matvec(x) - rhs)) <= bound
+
+
+@pytest.mark.parametrize("cells_n", [5000, 4999])
+def test_mirrored_rhs_gives_mirrored_solution_at_reference_size(cells_n):
+    # n = 4999 is odd; n = 4998 is padded on the first level
+    m = _reference_step_matrix(cells_n)
+    rng = np.random.default_rng(cells_n)
+    v = rng.standard_normal(m.n)
+    x = ThomasFactorization(m).solve(v + v[::-1])
+    assert np.max(np.abs(x - x[::-1])) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_solve_leaves_rhs_untouched():
+    m = _reference_step_matrix(4999)
+    rhs = np.random.default_rng(3).standard_normal(m.n)
+    kept = rhs.copy()
+    rhs.flags.writeable = False
+    ThomasFactorization(m).solve(rhs)
+    thomas_solve(m, rhs)
+    assert np.array_equal(rhs, kept)
+
+
+@pytest.mark.parametrize("cells_n", [5000, 4999])
+def test_repeated_solves_are_bitwise_identical(cells_n):
+    # the work buffers are reused: neither an earlier result nor a
+    # non-finite rhs in between may leak into a later solve
+    m = _reference_step_matrix(cells_n)
+    fact = ThomasFactorization(m)
+    rhs = np.random.default_rng(5).standard_normal(m.n)
+    first = fact.solve(rhs)
+    kept = first.copy()
+    fact.solve(np.full(m.n, np.nan))
+    fact.solve(-rhs)
+    assert first.tobytes() == kept.tobytes()
+    assert fact.solve(rhs).tobytes() == kept.tobytes()
