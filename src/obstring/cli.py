@@ -638,7 +638,9 @@ def _solve_and_write(
 def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
     """Evaluate the enabled diagnostics over a stored run directory.
 
-    Probe names given by the caller are checked before anything is read.
+    Probe names given by the caller are checked before anything is read, and
+    then exactly those run; without names the config's selection runs, plus
+    the boundary probes its stress_delta and velocity_* keys switch on.
     """
     chosen = _PROBE_NAMES(",".join(names)) if names else None
     manifest_path = os.path.join(run_dir, "manifest.json")
@@ -686,7 +688,7 @@ def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
         results["dissipation"] = {
             k: v for k, v in est.items() if k != "density"
         }
-    if settings.stress_delta > 0.0:
+    if chosen is None and settings.stress_delta > 0.0:
         report = diagnostics.extract_contact(series, link_cells=settings.link_cells)
         interior = [
             (g, s)
@@ -700,7 +702,7 @@ def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
             results["stress_jump"] = diagnostics.stress_jump_probe(
                 series, sim, graph, settings.stress_delta
             )
-    if settings.velocity_t1 >= 0.0 and settings.velocity_deltas:
+    if chosen is None and settings.velocity_t1 >= 0.0 and settings.velocity_deltas:
         probe = diagnostics.velocity_jump_probe(
             series,
             settings.velocity_t1,
@@ -910,10 +912,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     path = os.path.join(args.run_dir, "probes.json")
     _write_json(path, results)
     for name, payload in results.items():
-        if isinstance(payload, dict) and "residual" not in payload:
-            print(f"{name}: {json.dumps(payload, default=float)[:200]}")
-        else:
-            print(f"{name}: {payload}")
+        print(f"{name}: {json.dumps(payload, default=float)[:200]}")
     print(f"probe report written to {path}")
     return 0
 

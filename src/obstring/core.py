@@ -167,6 +167,13 @@ class SimConfig:
     init: InitialData
     output_stride: int = 0  # 0 = auto: max(1, steps_m // 300)
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.output_stride, int) and self.output_stride >= 0):
+            raise ConfigurationError(
+                f"output_stride must be an integer >= 0 (0 = auto), "
+                f"got {self.output_stride!r}"
+            )
+
 
 @dataclass
 class FieldSeries:
@@ -314,14 +321,7 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     """
     evaluate_initial(cfg.init, cfg.grid)
 
-    stride = cfg.output_stride
-    if stride in (0, None):
-        stride = max(1, cfg.time.steps_m // 300)
-    if not (isinstance(stride, int) and stride >= 1):
-        raise ConfigurationError(
-            f"output_stride must be a positive integer, got {cfg.output_stride!r}"
-        )
-
+    stride = cfg.output_stride or max(1, cfg.time.steps_m // 300)
     return replace(cfg, output_stride=stride)
 
 

@@ -94,7 +94,6 @@ class EnergyLedger:
         self.visc_cum: list[float] = []
         self.num_cum: list[float] = []
         self.work_cum: list[float] = []
-        self._v_prev = np.empty(0)
 
     @classmethod
     def open(cls, eta0: np.ndarray, v0: np.ndarray, cfg: SimConfig) -> "EnergyLedger":
@@ -106,16 +105,15 @@ class EnergyLedger:
         ledger.visc_cum.append(0.0)
         ledger.num_cum.append(0.0)
         ledger.work_cum.append(0.0)
-        ledger._v_prev = v0
         return ledger
 
     def append_step(
-        self, eta_prev: np.ndarray, eta_new: np.ndarray, force_prev: np.ndarray
+        self, eta_new: np.ndarray, v_new: np.ndarray, v: np.ndarray,
+        force: np.ndarray,
     ) -> None:
-        """Account for one step eta_prev -> eta_new driven by force_prev."""
+        """Account for one step from velocity v to (eta_new, v_new) under force."""
         dt, dx = self.dt, self.dx
-        v_new = (eta_new - eta_prev) / dt
-        jump = v_new - self._v_prev
+        jump = v_new - v
         slope, slope_v = np.diff(eta_new), np.diff(v_new)
         dv_sq = float(slope_v @ slope_v) / dx  # ||Dv||^2
         self.times.append(self.times[-1] + dt)
@@ -125,8 +123,7 @@ class EnergyLedger:
         self.num_cum.append(
             self.num_cum[-1] + 0.5 * float(jump @ jump) * dx + 0.5 * dt * dt * dv_sq
         )
-        self.work_cum.append(self.work_cum[-1] + dt * float(force_prev @ v_new) * dx)
-        self._v_prev = v_new
+        self.work_cum.append(self.work_cum[-1] + dt * float(force @ v_new) * dx)
 
     def __len__(self) -> int:
         return len(self.times)

@@ -2,19 +2,19 @@
 
 Interior nodes j = 1..N-1 advance through
 
-    (eta^{i+1} - 2 eta^i + eta^{i-1}) / dt^2
+    (eta^{i+1} - eta^i - dt v^i) / dt^2
         - (alpha/dt) * [(L eta^{i+1})_j - (L eta^i)_j]
         - (L eta^{i+1})_j  =  F^i_j,
 
     (L u)_j = (u_{j+1} - 2 u_j + u_{j-1}) / dx^2,
-    F^i_j   = (1/eps) * [eta^i_j < 0] * max(0, -(eta^i_j - eta^{i-1}_j)/dt),
+    F^i_j   = (1/eps) * [eta^i_j < 0] * max(0, -v^i_j),
 
-with the endpoints pinned to the initial displacement's boundary values.
-The damped-wave left-hand side is implicit, so the linear part is
-unconditionally stable and the system matrix is constant in time; the
-penalty force is explicit from the previous level.  Each step is one
-tridiagonal solve that reuses a cyclic-reduction factorization computed once
-per run (``trisolve.ThomasFactorization``).
+with v^i = (eta^i - eta^{i-1})/dt, v^0 = v0, and the endpoints pinned to the
+initial displacement's boundary values.  The damped-wave left-hand side is
+implicit, so the linear part is unconditionally stable and the system matrix
+is constant in time; the penalty force is explicit in (eta^i, v^i).  Each
+step is one tridiagonal solve that reuses a cyclic-reduction factorization
+computed once per run (``trisolve.ThomasFactorization``).
 
 ``run`` is the one time loop and there is no single-step API
 (``core.StringState``, ``first_step`` and ``step`` were removed); a run with
@@ -42,19 +42,20 @@ log = logging.getLogger(__name__)
 
 
 def penalty_force(
-    eta_curr: np.ndarray, eta_prev: np.ndarray, dt: float, epsilon: float
+    eta: np.ndarray, velocity: np.ndarray, epsilon: float
 ) -> np.ndarray:
     """Velocity-penalty force field F >= 0, zero at the boundary nodes.
 
-    F_j = (1/epsilon) * [eta_curr_j < 0] * max(0, -(eta_curr_j - eta_prev_j)/dt).
+    F_j = (1/epsilon) * [eta_j < 0] * max(0, -velocity_j), the paper's
+    (1/eps) chi{eta < 0} (d_t eta)^- at one time level.
 
     The indicator is strict (nodes at exactly zero feel no force) and only
     downward motion is penalized, so the force is repulsive everywhere.
     """
-    if len(eta_curr) != len(eta_prev):
-        raise ValueError("displacement frames have mismatched lengths")
-    v = (eta_curr - eta_prev) / dt
-    force = np.where(eta_curr < 0.0, np.maximum(0.0, -v) / epsilon, 0.0)
+    # numpy would silently broadcast a length-1 velocity
+    if len(eta) != len(velocity):
+        raise ValueError("displacement and velocity have mismatched lengths")
+    force = np.where(eta < 0.0, np.maximum(0.0, -velocity) / epsilon, 0.0)
     force[0] = 0.0
     force[-1] = 0.0
     return force
@@ -92,13 +93,13 @@ def scheme_residual(series: FieldSeries, cfg: SimConfig) -> np.ndarray:
 def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
     """Execute the configured experiment.
 
-    The loop walks the time levels i = 0..M holding two frames, prev and
-    curr.  At each level F^i = penalty_force(curr, prev) is evaluated once:
-    it is stored with the level and drives the step i -> i+1.  Level 0
-    pairs eta0 with the synthetic previous frame eta0 - dt*v0, so its
-    stored force carries (v0)^-.  Step 0 -> 1 is the kinematic start-up
-    eta^1 = eta^0 + dt*v0 with the endpoints pinned (first order, like the
-    scheme); every later step is one tridiagonal solve.
+    The loop walks the time levels i = 0..M carrying (eta^i, v^i), with
+    v^0 = v0.  At each level F^i = penalty_force(eta^i, v^i) is evaluated
+    once: it is stored with the level and drives the step i -> i+1.  Step
+    0 -> 1 is the kinematic start-up eta^1 = eta^0 + dt*v0 with the
+    endpoints pinned (first order, like the scheme); every later step is one
+    tridiagonal solve.  Each new level's velocity is formed once and feeds
+    its stored row, its force, the ledger and the next right-hand side.
 
     Fields are stored every output_stride steps plus step 0 and the final
     step, into arrays preallocated for 1 + ceil(M / stride) frames; the
@@ -127,14 +128,14 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
         grid.cells_n, steps_m, dt, alpha, physics.epsilon, stride,
     )
 
-    prev, curr = eta0 - dt * v0, eta0
+    curr, v = eta0, v0
     row = 0
     for i in range(steps_m + 1):
-        force = penalty_force(curr, prev, dt, physics.epsilon)
+        force = penalty_force(curr, v, physics.epsilon)
         if i % stride == 0 or i == steps_m:
             times[row] = i * dt
             eta[row] = curr
-            velocity[row] = v0 if i == 0 else (curr - prev) / dt
+            velocity[row] = v
             penalty[row] = force
             row += 1
         if i == steps_m:
@@ -147,7 +148,7 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
         else:
             rhs = (
                 force[1:-1]
-                + (2.0 * curr[1:-1] - prev[1:-1]) / dt**2
+                + (curr[1:-1] + dt * v[1:-1]) / dt**2
                 - (alpha / dt) * ((curr[2:] - 2.0 * curr[1:-1] + curr[:-2]) / dx**2)
             )
             rhs[0] += coupling * eta0[0]
@@ -155,8 +156,9 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
             nxt[1:-1] = factorization.solve(rhs)
         if not np.all(np.isfinite(nxt)):
             raise NumericBlowupError(i + 1)
-        ledger.append_step(curr, nxt, force)
-        prev, curr = curr, nxt
+        v_next = (nxt - curr) / dt
+        ledger.append_step(nxt, v_next, v, force)
+        curr, v = nxt, v_next
 
     fields = {"eta": eta, "velocity": velocity, "penalty_force": penalty}
     return FieldSeries(times=times, xs=grid.nodes(), fields=fields), ledger

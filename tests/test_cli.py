@@ -557,6 +557,65 @@ def test_probe_reads_either_store(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
+BOUNDARY_CONFIG = """\
+[grid]
+l = 1.0
+n = 400
+[time]
+T = 0.5
+m = 200
+[physics]
+alpha = 0.01
+epsilon = 0.005
+[init]
+kind = example2
+[output]
+formats = npz
+[probes]
+stress_delta = 0.02
+velocity_t1 = 0.2
+velocity_x0 = 0.3
+velocity_x1 = 0.4
+velocity_deltas = 0.02,0.01
+"""
+
+
+@pytest.fixture(scope="module")
+def boundary_run_dir(tmp_path_factory):
+    """An example2 run whose config switches on both boundary probes."""
+    out = tmp_path_factory.mktemp("cli") / "boundary"
+    cli.execute_run(cli.parse_config(BOUNDARY_CONFIG), str(out))
+    return str(out)
+
+
+def _probe_report(out: str, *names: str) -> dict:
+    argv = ["probe", out] + [arg for name in names for arg in ("--probe", name)]
+    assert cli.main(argv) == 0
+    with open(os.path.join(out, "probes.json")) as fh:
+        return json.load(fh)
+
+
+def test_probe_runs_the_boundary_probes_the_config_enables(boundary_run_dir, capsys):
+    report = _probe_report(boundary_run_dir)
+    assert set(report) == set(cli.DEFAULT_PROBES) | {"stress_jump", "velocity_jump"}
+    stress = report["stress_jump"]
+    assert stress and all(np.isfinite(value) for value in stress.values())
+    velocity = report["velocity_jump"]
+    arrays = ("deltas", "before", "after", "jump")
+    assert all(isinstance(velocity[key], list) for key in arrays)
+    assert velocity["deltas"] == [0.02, 0.01] and velocity["node_count"] > 0
+    assert np.all(np.isfinite([velocity[key] for key in arrays]))
+    out = capsys.readouterr().out
+    assert "stress_jump: {" in out and "velocity_jump: {" in out
+
+
+def test_named_probes_run_alone(boundary_run_dir, capsys):
+    assert set(_probe_report(boundary_run_dir, "momentum")) == {"momentum"}
+    assert set(_probe_report(boundary_run_dir, "penetration", "contact")) == {
+        "penetration", "contact"}
+    capsys.readouterr()
+
+
 def _run_good_config(tmp_path, formats: str) -> str:
     """Run GOOD_CONFIG without the oracle under the given formats."""
     cfg = tmp_path / "cfg.ini"
@@ -790,6 +849,25 @@ def test_sweep_runs_each_value(tmp_path, monkeypatch, capsys):
     assert cli.main(["probe", str(point)]) == 0
     assert cli.main(["render", str(point)]) == 0
     capsys.readouterr()
+
+
+def test_sweep_in_a_process_pool_reports_the_penetration_slope(tmp_path, monkeypatch,
+                                                               capsys):
+    monkeypatch.setenv("OBSTRING_THREADS", "2")  # two worker processes
+    cfg = tmp_path / "drop.ini"
+    cfg.write_text("[grid]\nl = 1.0\nn = 100\n[time]\nT = 0.06\nm = 60\n"
+                   "[physics]\nalpha = 0.01\nepsilon = 0.02\n"
+                   "[init]\nkind = example1\n[output]\nformats = npz\n")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(cfg), "--axis", "epsilon", "--values", "0.02,0.01",
+                     "--out", str(out)]) == 0
+    assert "2/2 ok" in capsys.readouterr().out
+    with open(out / "sweep.csv") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [dict(zip(header, line.strip().split(","))) for line in fh]
+    assert [float(row["value"]) for row in rows] == [0.02, 0.01]
+    assert all(float(row["l1_max"]) > 0.0 for row in rows)  # both reach the obstacle
+    assert np.isfinite(float(rows[0]["slope_l1_next"]))
 
 
 @pytest.mark.parametrize("axis, good, bad", [

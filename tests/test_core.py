@@ -216,12 +216,18 @@ def test_validate_config_snaps_boundaries():
 
 def test_validate_config_rejects_bad_stride():
     cfg = single_mode_config(resolution=100)
-    bad = SimConfig(
-        grid=cfg.grid, time=cfg.time, physics=cfg.physics, init=cfg.init,
-        output_stride=-3,
-    )
     with pytest.raises(ConfigurationError):
-        validate_config(bad)
+        validate_config(SimConfig(
+            grid=cfg.grid, time=cfg.time, physics=cfg.physics, init=cfg.init,
+            output_stride=-3,
+        ))
+
+
+@pytest.mark.parametrize("stride", [None, 2.5, "3"])
+def test_sim_config_checks_its_stride(stride):
+    # None is not the auto stride (0 is); nothing but an int gets through
+    with pytest.raises(ConfigurationError, match="output_stride"):
+        replace(single_mode_config(resolution=100), output_stride=stride)
 
 
 def test_field_series_validation_and_lookup():

@@ -84,7 +84,8 @@ def test_ledger_hand_case():
     assert ledger.kinetic[0] == pytest.approx(0.25)  # 0.5 * 1 * dx
     assert ledger.elastic[0] == 0.0
 
-    ledger.append_step(eta0, np.array([0.0, 0.1, 0.0]), np.zeros(3))
+    eta1 = np.array([0.0, 0.1, 0.0])
+    ledger.append_step(eta1, (eta1 - eta0) / 0.1, v0, np.zeros(3))
     # v_new = (0,1,0) = v0; forward slopes of eta: (0.2, -0.2)
     assert ledger.kinetic[1] == pytest.approx(0.25)
     assert ledger.elastic[1] == pytest.approx(0.5 * (0.04 + 0.04) * 0.5)

@@ -25,35 +25,36 @@ from obstring.fd_solver import penalty_force, run, scheme_residual
 
 def test_penalty_active_on_downward_penetration():
     # depth 0.001 moving down at 2: F = (1/eps) * 2 = 4000 for eps = 5e-4
-    dt = 1e-3
-    eta_curr = np.array([0.0, -0.001, -0.001, 0.0])
-    eta_prev = eta_curr + 2.0 * dt
-    force = penalty_force(eta_curr, eta_prev, dt, epsilon=5e-4)
+    eta = np.array([0.0, -0.001, -0.001, 0.0])
+    force = penalty_force(eta, np.full(4, -2.0), epsilon=5e-4)
     assert force[0] == 0.0 and force[-1] == 0.0
     assert np.allclose(force[1:-1], 4000.0, rtol=1e-12)
 
 
 def test_penalty_inactive_above_obstacle():
-    eta_curr = np.full(5, 0.5)
-    eta_prev = eta_curr + 0.01  # moving down, but not penetrating
-    assert np.all(penalty_force(eta_curr, eta_prev, 1e-3, 1e-3) == 0.0)
+    eta = np.full(5, 0.5)
+    velocity = np.full(5, -10.0)  # moving down, but not penetrating
+    assert np.all(penalty_force(eta, velocity, 1e-3) == 0.0)
 
 
 def test_penalty_inactive_on_upward_motion():
-    eta_curr = np.array([0.0, -0.2, 0.0])
-    eta_prev = np.array([0.0, -0.3, 0.0])  # below, but rebounding
-    assert np.all(penalty_force(eta_curr, eta_prev, 1e-3, 1e-3) == 0.0)
+    eta = np.array([0.0, -0.2, 0.0])
+    velocity = np.array([0.0, 100.0, 0.0])  # below, but rebounding
+    assert np.all(penalty_force(eta, velocity, 1e-3) == 0.0)
 
 
 def test_penalty_indicator_is_strict_at_zero():
-    eta_curr = np.array([0.0, 0.0, 0.0])
-    eta_prev = np.array([0.0, 0.5, 0.0])
-    assert np.all(penalty_force(eta_curr, eta_prev, 1e-3, 1e-3) == 0.0)
+    eta = np.array([0.0, 0.0, 0.0])
+    velocity = np.array([0.0, -500.0, 0.0])
+    assert np.all(penalty_force(eta, velocity, 1e-3) == 0.0)
 
 
 def test_penalty_rejects_mismatched_frames():
     with pytest.raises(ValueError):
-        penalty_force(np.zeros(4), np.zeros(5), 1e-3, 1e-3)
+        penalty_force(np.zeros(4), np.zeros(5), 1e-3)
+    # a length-1 velocity would broadcast silently
+    with pytest.raises(ValueError):
+        penalty_force(-np.ones(4), -np.ones(1), 1e-3)
 
 
 # ---------------------------------------------------------------------------
