@@ -92,6 +92,8 @@ DEFAULT_PROBES = (
     "renorm",
     "dissipation",
 )
+# switched on by their [probes] keys rather than by enabled; --probe names them
+BOUNDARY_PROBES = ("stress_jump", "velocity_jump")
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +133,15 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
-def _names(known: tuple[str, ...], what: str, everything: bool = False):
+def _names(known: tuple[str, ...], what: str, everything: tuple[str, ...] = ()):
     """Caster for a comma-separated subset of known; "none" is the empty set
-    and, when everything is set, "all" is every known name."""
+    and, when everything is given, "all" stands for it."""
 
     def cast(text: str) -> tuple[str, ...]:
         if text.strip() == "none":
             return ()
         if everything and text.strip() == "all":
-            return known
+            return everything
         names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
         bad = [name for name in names if name not in known]
         if bad:
@@ -150,7 +152,9 @@ def _names(known: tuple[str, ...], what: str, everything: bool = False):
 
 
 _FORMAT_NAMES = _names(KNOWN_FORMATS, "output format")
-_PROBE_NAMES = _names(DEFAULT_PROBES, "probe", everything=True)
+_PROBE_NAMES = _names(DEFAULT_PROBES, "probe", everything=DEFAULT_PROBES)
+_NAMED_PROBES = _names(DEFAULT_PROBES + BOUNDARY_PROBES, "probe",
+                       everything=DEFAULT_PROBES)
 
 # section -> key -> (caster, target, field): the key's value fills that field
 # of that dataclass.  Target None marks the node-table files of
@@ -635,14 +639,23 @@ def _solve_and_write(
 # probes over stored runs
 
 
+def _unset_keys(probe: str, settings: ProbeSettings) -> list[str]:
+    """The [probes] keys a boundary probe needs that settings leave unset."""
+    if probe == "stress_jump":
+        return [] if settings.stress_delta > 0.0 else ["stress_delta"]
+    return ([] if settings.velocity_t1 >= 0.0 else ["velocity_t1"]) + (
+        [] if settings.velocity_deltas else ["velocity_deltas"])
+
+
 def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
     """Evaluate the enabled diagnostics over a stored run directory.
 
-    Probe names given by the caller are checked before anything is read, and
-    then exactly those run; without names the config's selection runs, plus
-    the boundary probes its stress_delta and velocity_* keys switch on.
+    Probe names given by the caller are checked before the fields are read,
+    and then exactly those run; a named boundary probe whose [probes] keys
+    are unset is a configuration error.  Without names the config's
+    selection runs, plus the boundary probes whose keys are all set.
     """
-    chosen = _PROBE_NAMES(",".join(names)) if names else None
+    chosen = _NAMED_PROBES(",".join(names)) if names else None
     manifest_path = os.path.join(run_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise ConfigurationError(f"no manifest.json under {run_dir}")
@@ -651,8 +664,17 @@ def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
     parsed = parse_config(manifest["config_text"])
     sim = validate_config(parsed.sim)
     settings = parsed.probes
+    if chosen is None:
+        enabled = settings.enabled + tuple(
+            probe for probe in BOUNDARY_PROBES if not _unset_keys(probe, settings))
+    else:
+        enabled = chosen
+        for probe in (p for p in BOUNDARY_PROBES if p in chosen):
+            missing = _unset_keys(probe, settings)
+            if missing:
+                raise ConfigurationError(
+                    f"probe {probe} needs [probes] {', '.join(missing)}")
     series = series_from_run_dir(run_dir)
-    enabled = settings.enabled if chosen is None else chosen
 
     results: dict[str, object] = {}
     bumps = diagnostics.builtin_test_functions(
@@ -688,7 +710,7 @@ def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
         results["dissipation"] = {
             k: v for k, v in est.items() if k != "density"
         }
-    if chosen is None and settings.stress_delta > 0.0:
+    if "stress_jump" in enabled:
         report = diagnostics.extract_contact(series, link_cells=settings.link_cells)
         interior = [
             (g, s)
@@ -702,7 +724,7 @@ def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
             results["stress_jump"] = diagnostics.stress_jump_probe(
                 series, sim, graph, settings.stress_delta
             )
-    if chosen is None and settings.velocity_t1 >= 0.0 and settings.velocity_deltas:
+    if "velocity_jump" in enabled:
         probe = diagnostics.velocity_jump_probe(
             series,
             settings.velocity_t1,
@@ -974,7 +996,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = add("probe", help="evaluate diagnostics on a stored run")
     p_probe.add_argument("run_dir")
     p_probe.add_argument("--probe", action="append",
-                         help="probe name (repeatable; default: config selection)")
+                         help="probe name, one of "
+                         f"{', '.join(DEFAULT_PROBES + BOUNDARY_PROBES)} or all "
+                         "(repeatable; default: config selection)")
     p_probe.set_defaults(func=cmd_probe)
 
     p_render = add("render", help="regenerate heatmaps for a stored run")

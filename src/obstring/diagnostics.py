@@ -13,7 +13,10 @@ Every space-time integral goes through one quadrature, _form: cell sums
 in x and trapezoidal weights over the stored instants in t, so probes stay
 meaningful on strided output.  Test functions are separable polynomial
 bumps phi = a(t) b(x) and enter only through their 1-D profiles, so
-II[f phi] is the bilinear form (w_t dx a) . f . b.
+II[f phi] is the bilinear form (w_t dx a) . f . b.  Since phi is compactly
+supported, II[f phi] involves f only on phi's support: each weak-form
+residual slices the stored fields to that window (plus one node on each
+side for the x-derivatives) before any derivative or product is formed.
 """
 
 from __future__ import annotations
@@ -60,7 +63,11 @@ def time_weights(times: np.ndarray) -> np.ndarray:
 
 
 def _form(field2d: np.ndarray, wa: np.ndarray, b: np.ndarray) -> float:
-    """II[field * a(t) b(x)], with wa = trapezoid weight * dx * a(t)."""
+    """II[field * a(t) b(x)], with wa = trapezoid weight * dx * a(t).
+
+    field, wa and b may all be restricted to the same window of frames and
+    nodes; where a(t) b(x) vanishes outside it, the sum is the same.
+    """
     return float(wa @ (field2d @ b))
 
 
@@ -428,10 +435,26 @@ def builtin_test_functions(horizon_T: float, length_l: float) -> dict[str, BumpT
 # weak-form residuals
 
 
-def _weights(series: FieldSeries, phi: BumpTestFunction, require_nonneg: bool = False):
-    """_form weights (wa, wa_t, b, b_x) of phi after its contract checks.
+def _span(mask: np.ndarray, halo: int) -> slice:
+    """Indices from the first to the last True entry of mask, widened by halo
+    on each side and clipped to the array.  A mask with no True entry spans
+    index 0 and its halo, where every weight of the window vanishes."""
+    on = np.flatnonzero(mask)
+    first, last = (on[0], on[-1]) if len(on) else (0, 0)
+    return slice(max(first - halo, 0), min(last + 1 + halo, len(mask)))
 
-    a0 = a(t_0) * dx weighs the initial terms: I[f p(0, .)] = a0 * (f[0] @ b).
+
+def _weights(series: FieldSeries, phi: BumpTestFunction, require_nonneg: bool = False):
+    """phi's support window and its _form weights there, after the contract checks.
+
+    Returns ((rows, cols), wa, wa_t, b, b_x, a0).  rows are the frames where
+    a or a' is nonzero; cols the nodes where b or b' is nonzero plus one
+    node on each side, clipped to the rod, so np.gradient along x on the
+    window is central wherever b or b' is nonzero and there equals the
+    full-field derivative bitwise.  The weights are those of the full grid
+    restricted to the window.  a0 = a(t_0) * dx weighs the initial terms,
+    I[f p(0, .)] = a0 * (f[0] @ b), which only a window starting at frame 0
+    has; otherwise phi(0, .) = 0 and they are 0.0.
     """
     a, a_t, b, b_x = phi.profiles(series.times, series.xs)
     if abs(a[-1] * b).max() > 0.0 or abs(a[:, None] * b[[0, -1]]).max() > 0.0:
@@ -441,8 +464,10 @@ def _weights(series: FieldSeries, phi: BumpTestFunction, require_nonneg: bool = 
     # the extremes of a(t) b(x) are products of the extremes of a and of b
     if require_nonneg and np.outer([a.min(), a.max()], [b.min(), b.max()]).min() < 0.0:
         raise ProbeContractError("test function must be nonnegative")
-    w = time_weights(series.times) * series.dx
-    return w * a, w * a_t, b, b_x, a[0] * series.dx
+    rows = _span((a != 0.0) | (a_t != 0.0), halo=0)
+    cols = _span((b != 0.0) | (b_x != 0.0), halo=1)
+    w = time_weights(series.times)[rows] * series.dx
+    return (rows, cols), w * a[rows], w * a_t[rows], b[cols], b_x[cols], a[0] * series.dx
 
 
 def weak_momentum_residual(
@@ -458,10 +483,10 @@ def weak_momentum_residual(
     Returns the residual, the individual terms, and scale = sum of their
     magnitudes for relative comparison.
     """
-    wa, wa_t, b, b_x, a0 = _weights(series, phi)
-    v = series.fields["velocity"]
-    eta = series.fields["eta"]
-    force = series.fields["penalty_force"]
+    (rows, cols), wa, wa_t, b, b_x, a0 = _weights(series, phi)
+    v = series.fields["velocity"][rows, cols]
+    eta = series.fields["eta"][rows, cols]
+    force = series.fields["penalty_force"][rows, cols]
     alpha = cfg.physics.alpha
 
     dxv = np.gradient(v, series.dx, axis=1)
@@ -470,7 +495,7 @@ def weak_momentum_residual(
     transport = _form(v, wa_t, b)
     viscous = -alpha * _form(dxv, wa, b_x)
     elastic = -_form(dxeta, wa, b_x)
-    initial = a0 * float(v[0] @ b)
+    initial = a0 * float(v[0] @ b) if rows.start == 0 else 0.0
     forcing = _form(force, wa, b)
 
     terms = {
@@ -495,10 +520,10 @@ def local_energy_residual(
     the initial energy weighted by phi(0, .).  For a dissipative solution
     lhs <= rhs, so slack = rhs - lhs should not be significantly negative.
     """
-    wa, wa_t, b, b_x, a0 = _weights(series, phi, require_nonneg=True)
-    v = series.fields["velocity"]
-    eta = series.fields["eta"]
-    force = series.fields["penalty_force"]
+    (rows, cols), wa, wa_t, b, b_x, a0 = _weights(series, phi, require_nonneg=True)
+    v = series.fields["velocity"][rows, cols]
+    eta = series.fields["eta"][rows, cols]
+    force = series.fields["penalty_force"][rows, cols]
     alpha = cfg.physics.alpha
 
     dxv = np.gradient(v, series.dx, axis=1)
@@ -513,7 +538,8 @@ def local_energy_residual(
         "viscous_flux": alpha * _form(dxv * v, wa, b_x),
         "elastic_flux": _form(dxeta * v, wa, b_x),
     }
-    rhs = a0 * float((0.5 * v[0] ** 2 + 0.5 * dxeta[0] ** 2) @ b)
+    rhs = (a0 * float((0.5 * v[0] ** 2 + 0.5 * dxeta[0] ** 2) @ b)
+           if rows.start == 0 else 0.0)
     lhs = sum(lhs_terms.values())
     scale = abs(rhs) + sum(abs(t) for t in lhs_terms.values())
     return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs, "scale": scale, **lhs_terms}
@@ -534,9 +560,9 @@ def renormalized_residual(
     velocity is negative, where b'(w) vanishes.  Returns the slack and a
     magnitude scale.
     """
-    wa, wa_t, b, b_x, a0 = _weights(series, phi, require_nonneg=True)
-    v = series.fields["velocity"]
-    eta = series.fields["eta"]
+    (rows, cols), wa, wa_t, b, b_x, a0 = _weights(series, phi, require_nonneg=True)
+    v = series.fields["velocity"][rows, cols]
+    eta = series.fields["eta"][rows, cols]
     alpha = cfg.physics.alpha
 
     w = np.maximum(v, 0.0)
@@ -550,7 +576,7 @@ def renormalized_residual(
         "viscous_bulk": -alpha * _form(dxw * dxw * 2.0, wa, b),
         "elastic_flux": -_form(dxeta * 2.0 * w, wa, b_x),
         "elastic_bulk": -_form(dxeta * 2.0 * dxw, wa, b),
-        "initial": a0 * float(w[0] ** 2 @ b),
+        "initial": a0 * float(w[0] ** 2 @ b) if rows.start == 0 else 0.0,
     }
     slack = sum(terms.values())
     scale = sum(abs(t) for t in terms.values())

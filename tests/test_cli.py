@@ -616,6 +616,18 @@ def test_named_probes_run_alone(boundary_run_dir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name, key", [("stress_jump", "stress_delta"),
+                                       ("velocity_jump", "velocity_t1")])
+def test_probe_names_a_boundary_probe(boundary_run_dir, run_dir, capsys, name, key):
+    assert _probe_report(boundary_run_dir, name) == {
+        name: _probe_report(boundary_run_dir)[name]}
+    assert set(_probe_report(boundary_run_dir, "momentum", name)) == {"momentum", name}
+    capsys.readouterr()
+    # GOOD_CONFIG leaves every boundary key unset
+    assert cli.main(["probe", run_dir[0], "--probe", name]) == 2
+    assert f"probe {name} needs [probes] {key}" in capsys.readouterr().err
+
+
 def _run_good_config(tmp_path, formats: str) -> str:
     """Run GOOD_CONFIG without the oracle under the given formats."""
     cfg = tmp_path / "cfg.ini"

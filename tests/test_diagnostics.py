@@ -346,14 +346,59 @@ def _grid_rule_terms(series, cfg, phi):
 @pytest.mark.parametrize("run_name", ["desk_ex1", "desk_ex2"])
 def test_weak_form_terms_match_the_grid_rule(run_name, request):
     cfg, series, _ = request.getfixturevalue(run_name)
-    bumps = builtin_test_functions(float(series.times[-1]), cfg.grid.length_l)
-    for phi in bumps.values():
+    T, L = float(series.times[-1]), cfg.grid.length_l
+    bumps = [
+        *builtin_test_functions(T, L).values(),
+        # x-support (0, 0.4 l): the window starts at the rod end, with no halo
+        BumpTestFunction(0.0, 0.4 * T, 0.2 * L, 0.2 * L, name="rod_end"),
+        # t-support starts at 0.3 T: the window holds no initial frame
+        BumpTestFunction(0.6 * T, 0.3 * T, 0.5 * L, 0.3 * L, name="late_start"),
+        # five nodes inside the x-support
+        BumpTestFunction(0.3 * T, 0.2 * T, 0.55 * L, 2.5 * series.dx, name="few_nodes"),
+    ]
+    for phi in bumps:
         for probe, expected in _grid_rule_terms(series, cfg, phi).items():
             out = probe(series, cfg, phi)
             assert out["scale"] > 0.0
             for term, value in expected.items():
                 assert abs(out[term] - value) <= 1e-13 * out["scale"], (
                     probe.__name__, phi.name, term)
+
+
+def test_weak_form_probes_read_only_the_support_window(desk_ex2):
+    # the window: frames where a or a' is nonzero, nodes where b or b' is
+    # nonzero plus one on each side; NaN anywhere else must not reach a term
+    cfg, series, _ = desk_ex2
+    bumps = builtin_test_functions(float(series.times[-1]), cfg.grid.length_l)
+    for phi in bumps.values():
+        a, a_t, b, b_x = phi.profiles(series.times, series.xs)
+        on_t = np.flatnonzero((a != 0.0) | (a_t != 0.0))
+        on_x = np.flatnonzero((b != 0.0) | (b_x != 0.0))
+        window = np.zeros((len(series.times), len(series.xs)), dtype=bool)
+        window[on_t[0]:on_t[-1] + 1, max(on_x[0] - 1, 0):on_x[-1] + 2] = True
+        assert not window.all()
+        poisoned = FieldSeries(
+            times=series.times, xs=series.xs,
+            fields={k: np.where(window, f, np.nan) for k, f in series.fields.items()},
+        )
+        for probe in (weak_momentum_residual, local_energy_residual,
+                      renormalized_residual):
+            out = probe(poisoned, cfg, phi)
+            assert all(np.isfinite(list(out.values()))), (probe.__name__, phi.name)
+            assert out == probe(series, cfg, phi), (probe.__name__, phi.name)
+
+
+def test_weak_forms_vanish_for_a_bump_between_grid_points(desk_ex1):
+    # no node (or no stored frame) inside the support: an empty window
+    cfg, series, _ = desk_ex1
+    dx, dt = series.dx, float(series.times[1] - series.times[0])
+    between_nodes = BumpTestFunction(0.1, 0.05, 0.5 + 0.5 * dx, 0.4 * dx)
+    between_frames = BumpTestFunction(0.1 + 0.5 * dt, 0.4 * dt, 0.5, 0.2)
+    for phi in (between_nodes, between_frames):
+        for probe in (weak_momentum_residual, local_energy_residual,
+                      renormalized_residual):
+            out = probe(series, cfg, phi)
+            assert out["scale"] == 0.0, (probe.__name__, out)
 
 
 def test_probe_rejects_unsupported_test_function(desk_ex1):

@@ -4,6 +4,8 @@ per-run call counts its layer rows read stay pinned."""
 from collections import Counter
 from pathlib import Path
 
+import numpy
+
 from obstring import cli, core, diagnostics, fd_solver, galerkin, trisolve
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -20,8 +22,8 @@ def test_every_tracer_hook_resolves():
     assert not missing
 
 
-def test_one_run_makes_the_pinned_layer_calls(monkeypatch):
-    # one force per level, one ledger row per step, one solve per implicit step
+def _counter(monkeypatch):
+    """(calls, counted): counted(owner, attr) makes calls[attr] count owner.attr."""
     calls = Counter()
 
     def counted(owner, attr):
@@ -33,6 +35,12 @@ def test_one_run_makes_the_pinned_layer_calls(monkeypatch):
 
         monkeypatch.setattr(owner, attr, wrapper)
 
+    return calls, counted
+
+
+def test_one_run_makes_the_pinned_layer_calls(monkeypatch):
+    # one force per level, one ledger row per step, one solve per implicit step
+    calls, counted = _counter(monkeypatch)
     counted(fd_solver, "penalty_force")
     counted(diagnostics.EnergyLedger, "append_step")
     counted(trisolve.ThomasFactorization, "solve")
@@ -43,3 +51,47 @@ def test_one_run_makes_the_pinned_layer_calls(monkeypatch):
     assert calls == {"penalty_force": steps_m + 1, "append_step": steps_m,
                      "solve": steps_m - 1}
     assert len(ledger) == steps_m + 1
+
+
+# the benchmark's ramp_probe run at its tiny size: example2 at 1/1000 with
+# every probe the [probes] keys switch on
+RAMP_PROBE_CONFIG = """\
+[grid]
+l = 1.0
+n = 1000
+[time]
+T = 0.5
+m = 500
+[physics]
+alpha = 0.01
+epsilon = 0.002
+[init]
+kind = example2
+[output]
+formats = npz
+[probes]
+enabled = all
+stress_delta = 0.01
+velocity_t1 = 0.2
+velocity_x0 = 0.3
+velocity_x1 = 0.4
+velocity_deltas = 0.02,0.01,0.005
+"""
+
+
+def test_one_probe_makes_the_pinned_layer_calls(monkeypatch, tmp_path):
+    # 7 x-derivatives for each of the 5 bumps, 2 more for stress_jump; one
+    # contact extraction for contact and one for stress_jump
+    run_dir = str(tmp_path / "ramp")
+    cli.execute_run(cli.parse_config(RAMP_PROBE_CONFIG), run_dir)
+    calls, counted = _counter(monkeypatch)
+    counted(numpy, "gradient")
+    counted(diagnostics, "extract_contact")
+    for name in ("weak_momentum_residual", "local_energy_residual",
+                 "renormalized_residual"):
+        counted(diagnostics, name)
+    results = cli.run_probes(run_dir)
+    assert set(results) == set(cli.DEFAULT_PROBES + cli.BOUNDARY_PROBES)
+    assert calls == {"gradient": 37, "extract_contact": 2,
+                     "weak_momentum_residual": 5, "local_energy_residual": 5,
+                     "renormalized_residual": 5}
