@@ -23,13 +23,12 @@ from .core import (
     single_mode_config,
     validate_config,
 )
-from .fd_solver import penalty_force, run, scheme_residual
+from .fd_solver import penalty_force, run
 from .trisolve import (
     ThomasFactorization,
     Tridiagonal,
     ZeroPivotError,
     assemble_step_matrix,
-    dense_solve,
     thomas_solve,
 )
 
@@ -49,13 +48,11 @@ __all__ = [
     "Tridiagonal",
     "ZeroPivotError",
     "assemble_step_matrix",
-    "dense_solve",
     "evaluate_initial",
     "example1_config",
     "example2_config",
     "penalty_force",
     "run",
-    "scheme_residual",
     "single_mode_config",
     "thomas_solve",
     "validate_config",

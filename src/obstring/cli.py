@@ -21,11 +21,13 @@ Every run with any output format (all but formats = none), sweep points
 included, stores its fields (times, node positions, eta, velocity, penalty
 force and the contact mask) once, in fields.npz; probe and render read them
 back bitwise from that file only.  So the npz format names the store that
-every such run writes, and formats = npz alone writes nothing else.  The csv
-format adds text exports of the same fields; they, the energy ledger and
-the snapshots go through one np.savetxt writer with 17 significant digits.
-Then come PNG/SVG heatmaps and a manifest.json with sha256 checksums,
-per-phase wall-clock times, the energy ledger's closure
+every such run writes, and formats = npz alone writes nothing else.  The
+default is npz,heatmap.  Two text exports are opt-in: csv writes the
+stored fields, and snapshots writes one snapshot_t*.csv per [output]
+snapshots instant (the presets list six), each the stored row nearest that
+instant.  They and the energy ledger go through one np.savetxt writer with
+17 significant digits.  Then come PNG/SVG heatmaps and a manifest.json with
+sha256 checksums, per-phase wall-clock times, the energy ledger's closure
 (energy_residual_max) and the step-to-penalty ratio dt_over_eps; render
 adds the files it writes to that manifest.
 
@@ -77,7 +79,7 @@ EXAMPLE1_SNAPSHOTS = (0.0, 0.02, 0.04, 0.06, 0.2, 0.3)
 EXAMPLE2_SNAPSHOTS = (0.0, 0.04, 0.08, 0.16, 0.28, 0.32)
 
 KNOWN_FORMATS = ("npz", "csv", "heatmap", "snapshots")
-DEFAULT_FORMATS = ("npz", "heatmap", "snapshots")
+DEFAULT_FORMATS = ("npz", "heatmap")
 FIELD_STORE = "fields.npz"
 FIELD_FILES = (
     ("eta", "eta.csv"),
@@ -652,8 +654,10 @@ def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
 
     Probe names given by the caller are checked before the fields are read,
     and then exactly those run; a named boundary probe whose [probes] keys
-    are unset is a configuration error.  Without names the config's
-    selection runs, plus the boundary probes whose keys are all set.
+    are unset is a configuration error, and a named stress_jump on a run
+    with no interior left contact boundary a ProbeContractError.  Without
+    names the config's selection runs, plus the boundary probes whose keys
+    are all set (stress_jump only where such a boundary exists).
     """
     chosen = _NAMED_PROBES(",".join(names)) if names else None
     manifest_path = os.path.join(run_dir, "manifest.json")
@@ -724,6 +728,11 @@ def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
             results["stress_jump"] = diagnostics.stress_jump_probe(
                 series, sim, graph, settings.stress_delta
             )
+        elif chosen is not None:
+            raise ProbeContractError(
+                "probe stress_jump needs a left contact boundary inside "
+                "(0.05 l, 0.95 l), and this run has none among its "
+                f"{len(report.boundary_graphs)} boundary graphs")
     if "velocity_jump" in enabled:
         probe = diagnostics.velocity_jump_probe(
             series,

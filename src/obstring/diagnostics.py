@@ -6,7 +6,7 @@ difference velocity, penalty force) and produce scalar or tabular
 diagnostics: penetration metrics, contact-set geometry, mollified
 dissipation estimates, and residuals of the weak-form identities the
 solution is expected to satisfy (momentum balance, localized energy decay,
-a renormalization identity for the positive velocity part, and jump/trace
+a renormalization identity for the positive velocity part, and jump
 identities across the contact boundary).
 
 Every space-time integral goes through one quadrature, _form: cell sums
@@ -44,7 +44,6 @@ __all__ = [
     "time_weights",
     "velocity_jump_probe",
     "weak_momentum_residual",
-    "zero_trace_residual",
 ]
 
 
@@ -706,40 +705,3 @@ def velocity_jump_probe(
         "node_count": len(cols),
     }
 
-
-def zero_trace_residual(
-    series: FieldSeries, boundary: np.ndarray, phi: BumpTestFunction
-) -> dict[str, float]:
-    """Integration-by-parts defect over the region right of a contact boundary.
-
-    On w(t) = {f(t) <= x <= l}, if the velocity trace vanishes on the
-    graph (the string has stuck) and phi vanishes at x = l, then
-
-        II_w (d_x v) phi + II_w v (d_x phi) = 0.
-
-    The graph must be monotone in time.  Both integrals and their sum are
-    returned; scale is the magnitude sum.
-    """
-    boundary = np.asarray(boundary, dtype=float)
-    rows, f = _graph_on_times(boundary, series.times)
-    steps = np.diff(boundary[:, 1])
-    if len(steps) and not (np.all(steps >= -1e-12) or np.all(steps <= 1e-12)):
-        raise ProbeContractError("contact boundary must be monotone in time")
-    xs = series.xs
-    times = series.times[rows]
-    v = series.fields["velocity"][rows]
-    dx = series.dx
-
-    a, _, b, b_x = phi.profiles(times, xs)
-    wa = time_weights(times) * dx * a
-    dxv = np.gradient(v, dx, axis=1)
-    region = xs[None, :] >= f[:, None]
-
-    bulk = _form(np.where(region, dxv, 0.0), wa, b)
-    flux = _form(np.where(region, v, 0.0), wa, b_x)
-    return {
-        "residual": bulk + flux,
-        "scale": abs(bulk) + abs(flux),
-        "bulk": bulk,
-        "flux": flux,
-    }

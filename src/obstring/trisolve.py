@@ -7,10 +7,12 @@ constant-in-time operator
 
 which is symmetric, tridiagonal and strictly diagonally dominant.  A is
 assembled once per run and factored once by cyclic reduction (multipliers
-and pivot reciprocals of about log2 n halving levels); every step reuses the
-factorization, so each solve is one vectorised O(n) forward and backward
-pass over the levels.  ``dense_solve`` densifies the matrix and defers to
-LAPACK Gaussian elimination — the independent check used by the test suite.
+and pivot reciprocals of about log2 n halving levels).  The reduction stops
+at the first level of at most ``DENSE_TAIL_ROWS`` rows, whose exact inverse
+the factorization builds from its own elimination, without LAPACK.  Every
+step reuses the factorization, so each solve is one vectorised O(n) forward
+pass over the levels above that cut, one dense product on the cut level,
+and one backward pass.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grid1D, Physics, TimeGrid
+
+# the solve finishes the first reduced level of at most this many rows with
+# one dense product (see ThomasFactorization)
+DENSE_TAIL_ROWS = 256
 
 
 class ZeroPivotError(ArithmeticError):
@@ -96,17 +102,26 @@ class ThomasFactorization:
     (0, 2, 4, ...) of an odd-sized system, which leaves a tridiagonal system
     on the odd rows of about half the size, and repeats down to a single
     row.  An even-sized level is first padded with one decoupled identity
-    row.  ``__init__`` runs the elimination once and stores, per level, the
-    multipliers alpha and beta that fold the eliminated neighbours into each
-    kept row, plus the eliminated rows' pivot reciprocals and bands scaled
-    by them for the back-substitution.  Each ``solve`` is then one forward
-    and one backward pass of vectorised numpy operations per level, about
-    log2 n levels in all, into work buffers allocated here; so one
-    factorization must not be solved from two threads at once.
+    row.  ``__init__`` runs the whole elimination once, so a zero pivot on
+    any level raises ``ZeroPivotError`` naming the row of the input matrix
+    it belongs to.  It stores, per level, the multipliers alpha and beta
+    that fold the eliminated neighbours into each kept row, plus the
+    eliminated rows' pivot reciprocals and bands scaled by them for the
+    back-substitution.
+
+    The small levels cost per numpy call, not per row, so the solve stops at
+    the first level of at most ``DENSE_TAIL_ROWS`` rows and finishes it with
+    one product by that level's exact inverse (the hybrid of Zhang, Cohen
+    and Owens, PPoPP 2010).  The inverse is built here without LAPACK: the
+    identity goes through the remaining levels as a block of right-hand
+    sides.  Each ``solve`` is then one vectorised forward pass per level
+    above the cut, one matrix-vector product and one backward pass per
+    level, into work buffers allocated here; so one factorization must not
+    be solved from two threads at once.  At n <= ``DENSE_TAIL_ROWS`` a
+    solve is the product alone.
 
     Like the Thomas algorithm, this needs no pivoting on diagonally
-    dominant systems and handles non-symmetric bands.  A zero pivot raises
-    ``ZeroPivotError`` naming the row of the input matrix it belongs to.
+    dominant systems and handles non-symmetric bands.
     """
 
     def __init__(self, m: Tridiagonal):
@@ -119,10 +134,20 @@ class ThomasFactorization:
         buf = np.zeros(n + 1 - n % 2)  # a padded row's entry stays 0
         self.n = n
         self._rhs = buf[:n]
-        self._forward = []
-        self._backward = []
-        while len(diag) > 1:
+        forward, backward, block = [], [], None
+        while True:
             size = len(diag)
+            if block is None and size <= DENSE_TAIL_ROWS:
+                # the cut: the solve stops here, and the identity goes on
+                # below it, column j of the block the right-hand side e_j
+                self._tail = buf[:size]
+                self._forward, self._backward = forward, backward
+                forward, backward = [], []
+                buf = np.zeros((size + 1 - size % 2, size))
+                buf.flat[:: size + 1] = 1.0
+                block = buf
+            if size == 1:
+                break
             if size % 2 == 0:
                 lower, diag, upper = (
                     np.append(lower, 0.0), np.append(diag, 1.0), np.append(upper, 0.0)
@@ -135,41 +160,54 @@ class ThomasFactorization:
             alpha = -lower[1::2] * inv[:-1]
             beta = -upper[1::2] * inv[1:]
 
-            nxt = np.zeros(kept + 1 - kept % 2)
+            # a coefficient per row, the same in every column of the block
+            per_row = (-1,) + (1,) * (buf.ndim - 1)
+            nxt = np.zeros((kept + 1 - kept % 2,) + buf.shape[1:])
             head = nxt[:kept]
+            elim = buf[0 : 2 * solved : 2]
             # forward: head = alpha * (left rhs) + (kept rhs) + beta * (right rhs)
-            self._forward.append(
-                (head, buf[0:-1:2], buf[1::2], buf[2::2], alpha, beta)
-            )
+            forward.append((
+                head, buf[0:-1:2], buf[1::2], buf[2::2],
+                alpha.reshape(per_row), beta.reshape(per_row),
+            ))
             # backward: x_e = d_e / b_e - (c_e / b_e) x_right - (a_e / b_e) x_left
-            self._backward.insert(0, (
-                head, buf[1::2], buf[0 : 2 * solved : 2], inv[:solved],
-                (c_e * inv)[:kept], (a_e * inv)[1:solved],
+            backward.insert(0, (
+                head, buf[1::2], elim, inv[:solved].reshape(per_row),
+                elim[:kept], (c_e * inv)[:kept].reshape(per_row),
+                elim[1:solved], (a_e * inv)[1:solved].reshape(per_row),
+                head[: solved - 1],
             ))
             lower = alpha * a_e[:-1]
             diag = diag[1::2] + alpha * c_e[:-1] + beta * a_e[1:]
             upper = beta * c_e[1:]
             rows = rows[1::2]
             buf = nxt
-        self._last = (buf, _pivot_reciprocals(diag, rows))
+        _sweep(forward, backward, buf, _pivot_reciprocals(diag, rows)[:, None])
+        # column j of the block solves for e_j: the block's rows are the inverse
+        self._inverse = block[: block.shape[1]]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         n = self.n
         if len(rhs) != n:
             raise ValueError(f"rhs length {len(rhs)} != system size {n}")
         self._rhs[:] = rhs
-        for head, left, mid, right, alpha, beta in self._forward:
-            np.multiply(alpha, left, out=head)
-            head += mid
-            head += beta * right
-        last, inv = self._last
-        last *= inv
-        for head, mid, elim, inv, right, left in self._backward:
-            mid[:] = head
-            elim *= inv
-            elim[: head.size] -= right * head
-            elim[1:] -= left * head[: left.size]
+        _sweep(self._forward, self._backward, self._tail, self._inverse)
         return self._rhs.copy()
+
+
+def _sweep(forward, backward, tail: np.ndarray, inverse: np.ndarray) -> None:
+    """Solve in place: the forward passes, then the reduced level (``tail``
+    becomes ``inverse @ tail``), then the backward passes."""
+    for head, left, mid, right, alpha, beta in forward:
+        np.multiply(alpha, left, out=head)
+        head += mid
+        head += beta * right
+    tail[...] = inverse @ tail
+    for head, mid, elim, inv, elim_r, right, elim_l, left, head_l in backward:
+        mid[...] = head
+        elim *= inv
+        elim_r -= right * head
+        elim_l -= left * head_l
 
 
 def _pivot_reciprocals(pivots: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -188,7 +226,3 @@ def thomas_solve(m: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     """
     return ThomasFactorization(m).solve(rhs)
 
-
-def dense_solve(m: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
-    """Dense Gaussian-elimination reference solution (LAPACK, pivoted)."""
-    return np.linalg.solve(m.dense(), np.asarray(rhs, float))

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
+from dense_oracle import dense_solve
 from obstring import diagnostics, fd_solver, galerkin
 from obstring.core import example1_config, example2_config, single_mode_config, validate_config
-from obstring.trisolve import Tridiagonal, dense_solve, thomas_solve
+from obstring.trisolve import Tridiagonal, thomas_solve
 
 # ---------------------------------------------------------------------------
 # fixtures: reference-resolution runs and the analytic cross-check pair

@@ -102,7 +102,7 @@ offset = 0
 v0 = 0
 [output]
 stride = 0
-formats = npz,heatmap,snapshots
+formats = npz,heatmap
 snapshots = 0,0.02,0.040000000000000001,0.059999999999999998,0.20000000000000001,0.29999999999999999
 oracle_modes = 0
 [probes]
@@ -628,6 +628,24 @@ def test_probe_names_a_boundary_probe(boundary_run_dir, run_dir, capsys, name, k
     assert f"probe {name} needs [probes] {key}" in capsys.readouterr().err
 
 
+def test_named_stress_jump_without_an_interior_boundary_says_why(tmp_path, capsys):
+    # GOOD_CONFIG never reaches the obstacle (offset 1, amplitude 0.4), so
+    # the run has no contact boundary at all
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(GOOD_CONFIG.replace("csv,heatmap,snapshots", "npz")
+                   .replace("oracle_modes = 4", "oracle_modes = 0")
+                   + "stress_delta = 0.05\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--out", out]) == 0
+    # selected by its key, it is left out where it cannot run
+    assert set(_probe_report(out)) == {"penetration", "contact"}
+    capsys.readouterr()
+    assert cli.main(["probe", out, "--probe", "stress_jump"]) == 4
+    err = capsys.readouterr().err
+    assert "probe stress_jump needs a left contact boundary" in err
+    assert "none among its 0 boundary graphs" in err
+
+
 def _run_good_config(tmp_path, formats: str) -> str:
     """Run GOOD_CONFIG without the oracle under the given formats."""
     cfg = tmp_path / "cfg.ini"
@@ -938,3 +956,33 @@ def test_example_subcommand_smoke(tmp_path, capsys):
     cfg = validate_config(cli._preset_parsed("example1", 60, 0.02, None, 2).sim)
     assert cfg.output_stride == 2
     assert len(series.times) == 10  # steps 0,2,...,18 at m = 18
+
+
+def test_presets_write_snapshots_only_when_asked(tmp_path, capsys):
+    out = tmp_path / "ex1"
+    assert cli.main(["example1", "--out", str(out), "--resolution", "200"]) == 0
+    assert not list(out.glob("snapshot_t*.csv"))
+    with open(out / "manifest.json") as fh:
+        assert json.load(fh)["snapshots"] == {}
+    # config.ini keeps the preset's six instants, so asking for snapshots
+    # writes one table per instant: the stored row of fields.npz nearest it
+    text = (out / "config.ini").read_text()
+    assert "formats = npz,heatmap\n" in text
+    cfg = tmp_path / "snapshots.ini"
+    cfg.write_text(text.replace("formats = npz,heatmap\n",
+                                "formats = npz,heatmap,snapshots\n"))
+    again = tmp_path / "again"
+    assert cli.main(["run", str(cfg), "--out", str(again)]) == 0
+    capsys.readouterr()
+    with open(again / "manifest.json") as fh:
+        snapshots = json.load(fh)["snapshots"]
+    assert len(snapshots) == len(cli.EXAMPLE1_SNAPSHOTS) == 6
+    assert len(list(again.glob("snapshot_t*.csv"))) == 6
+    with np.load(again / "fields.npz") as data:
+        for wanted, stored in snapshots.items():
+            (row,) = np.flatnonzero(data["times"] == stored)
+            expected = np.column_stack([data["xs"], *(
+                data[name][row] for name in ("eta", "velocity", "penalty_force"))])
+            body = np.loadtxt(again / f"snapshot_t{wanted}.csv", delimiter=",",
+                              skiprows=1)
+            assert np.array_equal(body, expected)

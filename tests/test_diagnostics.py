@@ -29,7 +29,6 @@ from obstring.diagnostics import (
     time_weights,
     velocity_jump_probe,
     weak_momentum_residual,
-    zero_trace_residual,
 )
 from obstring.fd_solver import run
 
@@ -524,13 +523,3 @@ def test_velocity_probe_window_must_span_stored_frames():
     with pytest.raises(ProbeContractError, match="stride"):
         velocity_jump_probe(series, 0.25, 0.4, 0.6, deltas=[0.05, 0.01])
 
-
-def test_zero_trace_residual_trivial_and_monotone_contract(flat_run):
-    _, series, _ = flat_run
-    phi = BumpTestFunction(0.25, 0.2, 0.7, 0.25)
-    graph = np.array([[0.1, 0.5], [0.2, 0.52], [0.3, 0.54]])
-    out = zero_trace_residual(series, graph, phi)
-    assert abs(out["residual"]) <= 1e-10 and out["scale"] <= 1e-10
-    zigzag = np.array([[0.1, 0.5], [0.2, 0.6], [0.3, 0.5]])
-    with pytest.raises(ProbeContractError, match="monotone"):
-        zero_trace_residual(series, zigzag, phi)

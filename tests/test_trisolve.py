@@ -1,8 +1,9 @@
 """Tridiagonal assembly and cyclic-reduction solver tests.
 
-The dense LAPACK route (``dense_solve``) is the independent oracle for the
-cyclic-reduction levels throughout; at the reference size n = 4999 the
-residual through ``matvec`` stands in for it, so no n x n matrix is built.
+The dense LAPACK route (``dense_solve``, tests/dense_oracle.py) is the
+independent oracle for the cyclic-reduction levels and the dense tail
+throughout; at the reference size n = 4999 the residual through ``matvec``
+stands in for it, so no n x n matrix is built.
 """
 
 from dataclasses import replace
@@ -12,21 +13,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obstring.core import Grid1D, Physics, TimeGrid
+from dense_oracle import dense_solve
+from obstring import fd_solver, galerkin
+from obstring.core import Grid1D, Physics, TimeGrid, single_mode_config, validate_config
 from obstring.trisolve import (
+    DENSE_TAIL_ROWS,
     ThomasFactorization,
     Tridiagonal,
     ZeroPivotError,
     assemble_step_matrix,
-    dense_solve,
     thomas_solve,
 )
 
 
-def _random_dominant(rng: np.random.Generator, n: int) -> Tridiagonal:
+def _random_dominant(
+    rng: np.random.Generator, n: int, symmetric: bool = False
+) -> Tridiagonal:
     """Strictly diagonally dominant system with random signs."""
     lower = rng.uniform(-1.0, 1.0, max(n - 1, 0))
-    upper = rng.uniform(-1.0, 1.0, max(n - 1, 0))
+    upper = lower.copy() if symmetric else rng.uniform(-1.0, 1.0, max(n - 1, 0))
     margin = rng.uniform(0.5, 2.0, n)
     diag = margin.copy()
     if n > 1:
@@ -226,3 +231,65 @@ def test_repeated_solves_are_bitwise_identical(cells_n):
     fact.solve(-rhs)
     assert first.tobytes() == kept.tobytes()
     assert fact.solve(rhs).tobytes() == kept.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the dense tail: the levels at and below DENSE_TAIL_ROWS rows are one product
+
+CUT = DENSE_TAIL_ROWS
+
+
+def _meets_residual_contract(m: Tridiagonal, x: np.ndarray, rhs: np.ndarray) -> bool:
+    magnitudes = Tridiagonal(np.abs(m.lower), np.abs(m.diag), np.abs(m.upper))
+    norm_m = np.max(magnitudes.matvec(np.ones(m.n)))  # ||M||_inf, the largest row sum
+    bound = 1e-12 * (norm_m * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+    return np.max(np.abs(m.matvec(x) - rhs)) <= bound
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])
+@pytest.mark.parametrize(
+    "n", [1, 2, CUT - 1, CUT, CUT + 1, 2 * CUT - 1, 2 * CUT, 2 * CUT + 1, 4999]
+)
+def test_dense_tail_matches_dense_around_the_cut(n, symmetric):
+    # n <= CUT is the product alone; CUT + 1 .. 2 CUT + 1 cut after one
+    # level, padded or not; 4999 is the reference size, cut at 156 rows
+    rng = np.random.default_rng(n + symmetric)
+    m = _random_dominant(rng, n, symmetric)
+    rhs = rng.standard_normal(n)
+    x = ThomasFactorization(m).solve(rhs)
+    assert _meets_residual_contract(m, x, rhs)
+    if n <= 2 * CUT + 1:
+        ref = dense_solve(m, rhs)
+        assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 9], ids=lambda lv: f"level-{lv}")
+def test_zero_pivot_at_or_below_the_cut_names_the_input_row(level):
+    # n = 1023, diag 2, bands 1: level L has 2^(10-L) - 1 rows, so level 2
+    # (255 rows) is the cut and level 9 the single last row.  Every pivot on
+    # level L is 2^(1-L) and level L's first pivot is input row 2^L - 1, so
+    # lowering that row's diagonal by the pivot zeroes it exactly.
+    row = 2**level - 1
+    diag = np.full(1023, 2.0)
+    diag[row] -= 2.0 ** (1 - level)
+    m = Tridiagonal(lower=np.ones(1022), diag=diag, upper=np.ones(1022))
+    with pytest.raises(ZeroPivotError) as info:
+        ThomasFactorization(m)
+    assert info.value.index == row
+    assert info.value.value == 0.0
+
+
+def test_solver_and_oracle_run_without_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    # both sides of the cut: 49 interior rows, and 299 (cut after one level)
+    for cells_n in (50, 300):
+        cfg = validate_config(single_mode_config(
+            resolution=cells_n, offset=0.3, amplitude=0.5, horizon_T=0.02))
+        series, _ = fd_solver.run(cfg)
+        assert np.all(np.isfinite(series.fields["eta"]))
+    oracle = galerkin.integrate(cfg, 4)
+    assert np.all(np.isfinite(oracle.fields["eta"]))
