@@ -1,8 +1,8 @@
 """Verification probes for penalized-string runs.
 
 The energy ledger books the scheme's own discrete energy step by step (see
-EnergyLedger).  The probes consume stored fields (displacement, backward-
-difference velocity, penalty force) and produce scalar or tabular
+EnergyLedger).  The probes consume stored fields (displacement, the
+velocity each step solves for, penalty force) and produce scalar or tabular
 diagnostics: penetration metrics, contact-set geometry, mollified
 dissipation estimates, and residuals of the weak-form identities the
 solution is expected to satisfy (momentum balance, localized energy decay,
@@ -77,7 +77,8 @@ def _form(field2d: np.ndarray, wa: np.ndarray, b: np.ndarray) -> float:
 class EnergyLedger:
     """Per-step energy bookkeeping in the scheme's own discrete energy.
 
-    With D the forward difference, ||u||^2 = sum(u^2)*dx and
+    With D the forward difference, ||u||^2 = sum(u^2)*dx, v^{i+1} the
+    velocity each step solves for (eta^{i+1} = eta^i + dt v^{i+1}) and
     E = ||v||^2/2 + ||D eta||^2/2, every implicit step satisfies exactly
 
         E^{i+1} - E^i + ||v^{i+1} - v^i||^2/2

@@ -9,12 +9,21 @@ Interior nodes j = 1..N-1 advance through
     (L u)_j = (u_{j+1} - 2 u_j + u_{j-1}) / dx^2,
     F^i_j   = (1/eps) * [eta^i_j < 0] * max(0, -v^i_j),
 
-with v^i = (eta^i - eta^{i-1})/dt, v^0 = v0, and the endpoints pinned to the
-initial displacement's boundary values.  The damped-wave left-hand side is
-implicit, so the linear part is unconditionally stable and the system matrix
-is constant in time; the penalty force is explicit in (eta^i, v^i).  Each
-step is one tridiagonal solve that reuses a cyclic-reduction factorization
-computed once per run (``trisolve.ThomasFactorization``).
+with v^0 = v0 and the endpoints pinned to the initial displacement's
+boundary values.  Subtracting the step matrix applied to eta^i leaves an
+equation for the increment w = eta^{i+1} - eta^i = dt v^{i+1},
+
+    A w = F^i + v^i/dt + L eta^i,        A = I/dt^2 - (alpha/dt + 1) L,
+
+and w vanishes at the pinned ends, so no boundary value enters the
+right-hand side.  Each step solves for the velocity v^{i+1} = w/dt and sets
+eta^{i+1} = eta^i + dt v^{i+1}: the solve computes a small correction, not
+a large total, so eta carries no cancellation of terms of size eta/dt^2.
+The damped-wave left-hand side is implicit, so the linear part is
+unconditionally stable and A is constant in time; the penalty force is
+explicit in (eta^i, v^i).  Each step is one tridiagonal solve that reuses a
+cyclic-reduction factorization computed once per run
+(``trisolve.ThomasFactorization``).
 
 ``run`` is the one time loop and there is no single-step API
 (``core.StringState``, ``first_step`` and ``step`` were removed); a run with
@@ -96,10 +105,12 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
     The loop walks the time levels i = 0..M carrying (eta^i, v^i), with
     v^0 = v0.  At each level F^i = penalty_force(eta^i, v^i) is evaluated
     once: it is stored with the level and drives the step i -> i+1.  Step
-    0 -> 1 is the kinematic start-up eta^1 = eta^0 + dt*v0 with the
-    endpoints pinned (first order, like the scheme); every later step is one
-    tridiagonal solve.  Each new level's velocity is formed once and feeds
-    its stored row, its force, the ledger and the next right-hand side.
+    0 -> 1 is the kinematic start-up v^1 = v0 on the interior and zero at
+    the pinned ends (first order, like the scheme); every later step solves
+    A (dt v^{i+1}) = F^i + v^i/dt + L eta^i for v^{i+1}.  Either way
+    eta^{i+1} = eta^i + dt v^{i+1}, so the ends keep eta^0's values and each
+    new level's velocity feeds its stored row, its force, the ledger and the
+    next right-hand side.
 
     Fields are stored every output_stride steps plus step 0 and the final
     step, into arrays preallocated for 1 + ceil(M / stride) frames; the
@@ -109,13 +120,12 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
     """
     cfg = validate_config(cfg)
     grid, tgrid, physics = cfg.grid, cfg.time, cfg.physics
-    dt, dx, alpha = tgrid.dt, grid.dx, physics.alpha
+    dt, dx = tgrid.dt, grid.dx
     steps_m, stride = tgrid.steps_m, cfg.output_stride
     eta0, v0 = evaluate_initial(cfg.init, grid)
 
     factorization = ThomasFactorization(assemble_step_matrix(grid, tgrid, physics))
     ledger = EnergyLedger.open(eta0, v0, cfg)
-    coupling = (alpha / dt + 1.0) / dx**2
 
     frames = 1 + math.ceil(steps_m / stride)
     times = np.empty(frames)
@@ -125,7 +135,7 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
 
     log.info(
         "run: N=%d M=%d dt=%g alpha=%g eps=%g stride=%d",
-        grid.cells_n, steps_m, dt, alpha, physics.epsilon, stride,
+        grid.cells_n, steps_m, dt, physics.alpha, physics.epsilon, stride,
     )
 
     curr, v = eta0, v0
@@ -141,22 +151,19 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
         if i == steps_m:
             break
 
-        nxt = np.empty_like(curr)
-        nxt[0], nxt[-1] = eta0[0], eta0[-1]
+        v_next = np.zeros_like(curr)
         if i == 0:
-            nxt[1:-1] = eta0[1:-1] + dt * v0[1:-1]
+            v_next[1:-1] = v0[1:-1]
         else:
             rhs = (
                 force[1:-1]
-                + (curr[1:-1] + dt * v[1:-1]) / dt**2
-                - (alpha / dt) * ((curr[2:] - 2.0 * curr[1:-1] + curr[:-2]) / dx**2)
+                + v[1:-1] / dt
+                + (curr[2:] - 2.0 * curr[1:-1] + curr[:-2]) / dx**2
             )
-            rhs[0] += coupling * eta0[0]
-            rhs[-1] += coupling * eta0[-1]
-            nxt[1:-1] = factorization.solve(rhs)
+            np.divide(factorization.solve(rhs), dt, out=v_next[1:-1])
+        nxt = curr + dt * v_next
         if not np.all(np.isfinite(nxt)):
             raise NumericBlowupError(i + 1)
-        v_next = (nxt - curr) / dt
         ledger.append_step(nxt, v_next, v, force)
         curr, v = nxt, v_next
 

@@ -85,8 +85,9 @@ def assemble_step_matrix(
     """Implicit-step operator over the interior nodes j = 1..N-1.
 
     diag = 1/dt^2 + 2(alpha/dt + 1)/dx^2, off-diagonals = -(alpha/dt + 1)/dx^2.
-    Dirichlet rows are not part of the system; the solver folds the known
-    boundary values into the right-hand side.
+    Dirichlet rows are not part of the system.  The solver's unknown is the
+    increment eta^{i+1} - eta^i, which vanishes at the pinned ends, so no
+    boundary value is folded into the right-hand side.
     """
     n = grid.cells_n - 1
     coupling = (physics.alpha / time.dt + 1.0) / grid.dx**2

@@ -1,8 +1,11 @@
-"""The independent reference for the tridiagonal solver's tests.
+"""The independent references for the solver's tests.
 
 ``dense_solve`` densifies the matrix and defers to LAPACK's pivoted Gaussian
 elimination, a route that shares no code with the cyclic reduction it
-checks.  It lives with the tests because no package path needs it.
+checks.  ``thomas_sweep`` is the textbook scalar Thomas algorithm in any
+numpy precision: in float64 it checks systems too large to densify, and in
+np.longdouble it drives the extended-precision run of the scheme.  Both
+live with the tests because no package path needs them.
 """
 
 import numpy as np
@@ -13,3 +16,23 @@ from obstring.trisolve import Tridiagonal
 def dense_solve(m: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     """Dense Gaussian-elimination reference solution (LAPACK, pivoted)."""
     return np.linalg.solve(m.dense(), np.asarray(rhs, float))
+
+
+def thomas_sweep(m: Tridiagonal, rhs: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Solve m x = rhs by the scalar Thomas algorithm in ``dtype`` arithmetic.
+
+    One Python step per row and no pivoting, so m must be diagonally
+    dominant.  The bands and rhs are converted to ``dtype`` as given; build
+    m from ``dtype`` bands to keep its entries unrounded.
+    """
+    lower, diag, upper, x = (
+        list(np.asarray(u, dtype)) for u in (m.lower, m.diag, m.upper, rhs)
+    )
+    for i in range(1, m.n):
+        w = lower[i - 1] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        x[i] -= w * x[i - 1]
+    x[-1] /= diag[-1]
+    for i in range(m.n - 2, -1, -1):
+        x[i] = (x[i] - upper[i] * x[i + 1]) / diag[i]
+    return np.array(x, dtype)

@@ -215,7 +215,7 @@ def test_energy_decays_and_contact_work_is_nonpositive(paper_ex1, paper_ex2):
 def test_ledger_closes_at_reference_resolution(paper_ex1, paper_ex2):
     for _, _, ledger, _ in (paper_ex1, paper_ex2):
         e0 = ledger.total_energy()[0]
-        assert np.abs(ledger.residual()).max() <= 1e-9 * e0
+        assert np.abs(ledger.residual()).max() <= 1e-11 * e0
 
 
 def test_drop_first_contact_time_is_physical(paper_ex1):
@@ -255,6 +255,14 @@ def test_symmetric_datum_stays_symmetric(paper_ex1):
         f"max |eta(x) - eta(l-x)| = {asym:.2e} over all stored frames",
     )
     assert passed
+
+
+def test_mirror_asymmetry_is_rounding_sized(paper_ex1):
+    # criterion 9's 1e-10 gate, with margin: the symmetric datum's stored
+    # frames differ from their mirror images by about 3e-15
+    _, series, _, _ = paper_ex1
+    eta = series.fields["eta"]
+    assert np.max(np.abs(eta - eta[:, ::-1])) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

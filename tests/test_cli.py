@@ -536,8 +536,9 @@ def test_probe_names_checked_before_the_run_is_read(tmp_path, capsys):
     assert "unknown probe(s): bogus" in capsys.readouterr().err
 
 
-def test_probe_reads_either_store(tmp_path, capsys):
-    # a csv run writes the same field store as an npz run, so probes agree
+def test_csv_and_npz_runs_write_the_same_store_and_report(tmp_path, capsys):
+    # csv is an export beside fields.npz, not a second store: both runs
+    # write the same fields.npz, so their probes.json agree bytewise
     stores, reports = [], []
     for formats in ("csv", "npz"):
         cfg = tmp_path / f"{formats}.ini"

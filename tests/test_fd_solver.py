@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dense_oracle import thomas_sweep
 from obstring.core import (
     Grid1D,
     InitialData,
@@ -12,11 +13,13 @@ from obstring.core import (
     Physics,
     SimConfig,
     TimeGrid,
+    evaluate_initial,
     example1_config,
     single_mode_config,
     validate_config,
 )
 from obstring.fd_solver import penalty_force, run, scheme_residual
+from obstring.trisolve import Tridiagonal
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +96,10 @@ def test_first_step_reference_drop_value():
     j = 250  # x = 0.05, a crest of sin^2(10 pi x)
     assert abs(eta[0, j] - 1.5) < 1e-12
     assert abs(eta[1, j] - 1.49) < 1e-12
-    assert np.array_equal(series.fields["velocity"][1], (eta[1] - eta[0]) / dt)
+    velocity = series.fields["velocity"]
+    assert np.array_equal(eta[1], eta[0] + dt * velocity[1])
+    _, v0 = evaluate_initial(cfg.init, cfg.grid)
+    assert np.array_equal(velocity[1, 1:-1], v0[1:-1])
 
 
 def test_first_step_pins_boundaries():
@@ -198,6 +204,62 @@ def test_run_symmetry_of_symmetric_preset(desk_ex1):
     eta = series.fields["eta"]
     sym_err = np.max(np.abs(eta - eta[:, ::-1]))
     assert sym_err <= 1e-10
+
+
+def test_stored_levels_advance_by_their_velocity(desk_ex1):
+    # each step solves for v^{i+1} and sets eta^{i+1} = eta^i + dt v^{i+1};
+    # the ends never move
+    cfg, series, _ = desk_ex1
+    eta, velocity = series.fields["eta"], series.fields["velocity"]
+    assert np.array_equal(eta[1:], eta[:-1] + cfg.time.dt * velocity[1:])
+    assert np.all(eta[:, 0] == eta[0, 0]) and np.all(eta[:, -1] == eta[0, -1])
+
+
+def _extended_precision_eta(cfg: SimConfig) -> np.ndarray:
+    """Every level of cfg's scheme in np.longdouble, from cfg's float64 inputs.
+
+    The literal step equation: solved for eta^{i+1} with the pinned ends
+    folded into the right-hand side, v^i the difference quotient, and each
+    solve a scalar Thomas sweep, so no line is shared with ``run``.
+    """
+    ld = np.longdouble
+    dt, dx = ld(cfg.time.dt), ld(cfg.grid.dx)
+    alpha, eps = ld(cfg.physics.alpha), ld(cfg.physics.epsilon)
+    eta0, v0 = (np.asarray(u, ld) for u in evaluate_initial(cfg.init, cfg.grid))
+    coupling = (alpha / dt + 1) / dx**2
+    off = np.full(eta0.size - 3, -coupling)
+    m = Tridiagonal(off, np.full(eta0.size - 2, 1 / dt**2 + 2 * coupling), off)
+    prev, curr = eta0, eta0.copy()
+    curr[1:-1] += dt * v0[1:-1]
+    levels = [prev, curr]
+    for _ in range(cfg.time.steps_m - 1):
+        v = (curr - prev) / dt
+        force = np.where(curr < 0, np.maximum(0, -v) / eps, 0)
+        rhs = (
+            force[1:-1]
+            + (curr[1:-1] + dt * v[1:-1]) / dt**2
+            - (alpha / dt) * (curr[2:] - 2 * curr[1:-1] + curr[:-2]) / dx**2
+        )
+        rhs[0] += coupling * eta0[0]
+        rhs[-1] += coupling * eta0[-1]
+        prev, curr = curr, eta0.copy()
+        curr[1:-1] = thomas_sweep(m, rhs, ld)
+        levels.append(curr)
+    return np.array(levels)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is no wider than float64 here",
+)
+def test_run_matches_extended_precision_scheme(desk_ex1):
+    # the same scheme in 64-bit-mantissa arithmetic, so what is left is
+    # run's own rounding, about 3e-14; a step that solved for eta^{i+1}
+    # itself would lose about 1e-12 to cancelling terms of size eta/dt^2
+    cfg, series, _ = desk_ex1
+    ref = _extended_precision_eta(cfg)
+    assert ref.shape == series.fields["eta"].shape
+    assert np.max(np.abs(series.fields["eta"] - ref)) <= 2e-13
 
 
 def test_penetration_mass_scales_with_epsilon():

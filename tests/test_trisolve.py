@@ -1,9 +1,10 @@
 """Tridiagonal assembly and cyclic-reduction solver tests.
 
 The dense LAPACK route (``dense_solve``, tests/dense_oracle.py) is the
-independent oracle for the cyclic-reduction levels and the dense tail
-throughout; at the reference size n = 4999 the residual through ``matvec``
-stands in for it, so no n x n matrix is built.
+independent oracle for the cyclic-reduction levels and the dense tail up to
+n = 2 * DENSE_TAIL_ROWS + 1.  Above that, the scalar Thomas sweep
+(``thomas_sweep``, same module) or the residual through ``matvec`` stands in
+for it, so no matrix larger than 513 x 513 is built.
 """
 
 from dataclasses import replace
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_solve
+from dense_oracle import dense_solve, thomas_sweep
 from obstring import fd_solver, galerkin
 from obstring.core import Grid1D, Physics, TimeGrid, single_mode_config, validate_config
 from obstring.trisolve import (
@@ -172,12 +173,14 @@ def test_thomas_matches_dense_on_dominant_systems(n, seed):
 )
 def test_matches_dense_across_levels_and_paddings(n):
     # 1..70 and 2^k - 1, 2^k, 2^k + 1 up to 4097: every level count up to
-    # 13, with and without a padded level at each depth
+    # 13, with and without a padded level at each depth.  Above one level
+    # over the dense tail the scalar sweep stands in for LAPACK, so the
+    # largest n never builds an n x n matrix.
     rng = np.random.default_rng(n)
     m = _random_dominant(rng, n)
     rhs = rng.standard_normal(n)
     x = thomas_solve(m, rhs)
-    ref = dense_solve(m, rhs)
+    ref = dense_solve(m, rhs) if n <= 2 * DENSE_TAIL_ROWS + 1 else thomas_sweep(m, rhs)
     assert np.linalg.norm(x - ref, np.inf) <= 1e-14 * np.linalg.norm(ref, np.inf)
 
 
