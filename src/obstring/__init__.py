@@ -29,7 +29,6 @@ from .trisolve import (
     Tridiagonal,
     ZeroPivotError,
     assemble_step_matrix,
-    thomas_solve,
 )
 
 __version__ = "0.1.0"
@@ -54,6 +53,5 @@ __all__ = [
     "penalty_force",
     "run",
     "single_mode_config",
-    "thomas_solve",
     "validate_config",
 ]

@@ -53,7 +53,7 @@ import time as _time
 import zlib
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -210,9 +210,13 @@ _TEXT = {
 def _read_column_file(path: str) -> tuple[float, ...]:
     try:
         values = np.loadtxt(path, delimiter=",", ndmin=1)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read table {path}: {exc}") from exc
-    return tuple(np.atleast_1d(values).astype(float).tolist())
+    if values.ndim != 1:
+        raise ConfigurationError(
+            f"table {path} must be one column, got {values.shape[1]} columns"
+        )
+    return tuple(values.tolist())
 
 
 def _has_default(target: type, name: str) -> bool:
@@ -536,18 +540,9 @@ class RunManifest:
 
     def write(self) -> str:
         path = os.path.join(self.out_dir, "manifest.json")
-        payload = {
-            "solver": self.solver,
-            "out_dir": self.out_dir,
-            "config_text": self.config_text,
-            "files": self.files,
-            "phases": self.phases,
-            "snapshots": self.snapshots,
-            "energy_residual_max": self.energy_residual_max,
-            "dt_over_eps": self.dt_over_eps,
-            "versions": {"obstring": __version__, "numpy": np.__version__,
-                         "python": platform.python_version()},
-        }
+        payload = asdict(self)
+        payload["versions"] = {"obstring": __version__, "numpy": np.__version__,
+                               "python": platform.python_version()}
         _write_json(path, payload)
         return path
 

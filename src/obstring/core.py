@@ -123,10 +123,10 @@ class InitialData:
     kind = "single_mode" eta0 = offset + amplitude*sin(mode*pi*x/l), v0 const
     kind = "tabulated"   explicit node tables (length cells_n + 1)
 
-    The kind, the single_mode parameters and the presence of both tables
-    are checked at construction.  The table lengths, which need the grid,
-    are checked by evaluate_initial, and so is the one nonnegativity screen
-    that every kind except the two presets must pass.  The presets are
+    The kind, the single_mode parameters and the presence and finiteness of
+    both tables are checked at construction.  The table lengths, which need
+    the grid, are checked by evaluate_initial, and so is the one
+    nonnegativity screen that every kind except the two presets must pass.  The presets are
     evaluated verbatim, including Example 2's sign-changing sine plateau.
     """
 
@@ -155,6 +155,12 @@ class InitialData:
             for name, table in (("eta0", self.eta0_table), ("v0", self.v0_table)):
                 if table is None:
                     raise ConfigurationError(f"init.{name} table is required")
+                bad = np.flatnonzero(~np.isfinite(table))
+                if bad.size:
+                    raise ConfigurationError(
+                        f"init.{name} table must be finite, got {table[bad[0]]} "
+                        f"at node {bad[0]}"
+                    )
 
 
 @dataclass(frozen=True)

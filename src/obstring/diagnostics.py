@@ -9,11 +9,13 @@ solution is expected to satisfy (momentum balance, localized energy decay,
 a renormalization identity for the positive velocity part, and jump
 identities across the contact boundary).
 
-Every space-time integral goes through one quadrature, _form: cell sums
-in x and trapezoidal weights over the stored instants in t, so probes stay
+Every space-time integral uses one rule: cell sums in x and trapezoidal
+weights over the stored instants in t (time_weights), so probes stay
 meaningful on strided output.  Test functions are separable polynomial
-bumps phi = a(t) b(x) and enter only through their 1-D profiles, so
-II[f phi] is the bilinear form (w_t dx a) . f . b.  Since phi is compactly
+bumps phi = a(t) b(x) and enter only through their 1-D profiles, so the
+rule applied to II[f phi] is the bilinear form (w_t dx a) . f . b, which
+_form evaluates for the weak-form residuals; dissipation_estimate and
+velocity_jump_probe apply the rule directly.  Since phi is compactly
 supported, II[f phi] involves f only on phi's support: each weak-form
 residual slices the stored fields to that window (plus one node on each
 side for the x-derivatives) before any derivative or product is formed.

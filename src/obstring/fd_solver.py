@@ -25,9 +25,8 @@ explicit in (eta^i, v^i).  Each step is one tridiagonal solve that reuses a
 cyclic-reduction factorization computed once per run
 (``trisolve.ThomasFactorization``).
 
-``run`` is the one time loop and there is no single-step API
-(``core.StringState``, ``first_step`` and ``step`` were removed); a run with
-``output_stride = 1`` stores every frame.
+``run`` is the one time loop; a run with ``output_stride = 1`` stores every
+frame.
 """
 
 from __future__ import annotations

@@ -44,7 +44,6 @@ from .core import (
     ConfigurationError,
     FieldSeries,
     NumericBlowupError,
-    Physics,
     SimConfig,
     initial_callables,
     validate_config,
@@ -52,14 +51,7 @@ from .core import (
 
 log = logging.getLogger(__name__)
 
-__all__ = [
-    "ModalState",
-    "SmoothCutoff",
-    "integrate",
-    "modal_energy",
-    "modal_rhs",
-    "reconstruct",
-]
+__all__ = ["SmoothCutoff", "integrate"]
 
 
 @dataclass(frozen=True)
@@ -82,20 +74,6 @@ class SmoothCutoff:
         return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
 
 
-@dataclass
-class ModalState:
-    """Amplitudes and rates of the sine expansion around the offset h."""
-
-    n_modes: int
-    q: np.ndarray
-    qdot: np.ndarray
-    offset_h: float
-    length_l: float
-
-    def frequencies(self) -> np.ndarray:
-        return _frequencies(self.n_modes, self.length_l)
-
-
 def _frequencies(n_modes: int, length_l: float) -> np.ndarray:
     k = np.arange(1, n_modes + 1)
     return (k * math.pi / length_l) ** 2
@@ -108,18 +86,6 @@ def _mode_matrix(n_modes: int, length_l: float, xs: np.ndarray) -> np.ndarray:
     # honors eta(0) = eta(l) = offset_h exactly
     shapes[:, (xs == 0.0) | (xs == length_l)] = 0.0
     return shapes
-
-
-def reconstruct(state: ModalState, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Displacement and velocity fields of a modal state at the given nodes."""
-    shapes = _mode_matrix(state.n_modes, state.length_l, xs)
-    return state.offset_h + state.q @ shapes, state.qdot @ shapes
-
-
-def modal_energy(state: ModalState) -> float:
-    """Kinetic + elastic energy of the expansion, (l/4) sum(qdot^2 + lam q^2)."""
-    lam = state.frequencies()
-    return 0.25 * state.length_l * float(np.sum(state.qdot**2 + lam * state.q**2))
 
 
 def _midpoints(quad_nodes: int, length_l: float) -> np.ndarray:
@@ -151,32 +117,6 @@ def _modal_accel(
         active = cutoff_eta(eta_q) * cutoff_vel(v_q) * v_q
         dqdot -= force_scale * (shapes_q @ active)
     return dqdot
-
-
-def modal_rhs(
-    state: ModalState,
-    physics: Physics,
-    cutoff_eta: SmoothCutoff,
-    cutoff_vel: SmoothCutoff,
-    quad_nodes: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side (dq, dqdot) of the modal system.
-
-    The penalty projection integral is evaluated on quad_nodes uniform
-    midpoints; quad_nodes must be at least 4 * n_modes so the highest
-    mode is resolved.
-    """
-    if quad_nodes < 4 * state.n_modes:
-        raise ValueError("quad_nodes must be at least 4 * n_modes")
-    lam = state.frequencies()
-    shapes = _mode_matrix(
-        state.n_modes, state.length_l, _midpoints(quad_nodes, state.length_l)
-    )
-    dqdot = _modal_accel(
-        state.q, state.qdot, lam, physics.alpha * lam, state.offset_h, shapes,
-        2.0 / (quad_nodes * physics.epsilon), cutoff_eta, cutoff_vel,
-    )
-    return state.qdot.copy(), dqdot
 
 
 def _project(values: np.ndarray, shapes: np.ndarray, quad_nodes: int) -> np.ndarray:

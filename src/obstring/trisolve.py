@@ -63,21 +63,6 @@ class Tridiagonal:
                 f"match diagonal length {n}"
             )
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        if self.n > 1:
-            y[:-1] += self.upper * x[1:]
-            y[1:] += self.lower * x[:-1]
-        return y
-
-    def dense(self) -> np.ndarray:
-        n = self.n
-        full = np.zeros((n, n))
-        full.flat[:: n + 1] = self.diag
-        full.flat[n :: n + 1] = self.lower
-        full.flat[1 :: n + 1] = self.upper
-        return full
-
 
 def assemble_step_matrix(
     grid: Grid1D, time: TimeGrid, physics: Physics
@@ -188,6 +173,11 @@ class ThomasFactorization:
         self._inverse = block[: block.shape[1]]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with m x = rhs, in a new array; rhs is untouched.
+
+        Residual contract: ||m x - rhs||_inf <= 1e-12 * (||m||_inf ||x||_inf
+        + ||rhs||_inf) for diagonally dominant systems.
+        """
         n = self.n
         if len(rhs) != n:
             raise ValueError(f"rhs length {len(rhs)} != system size {n}")
@@ -217,13 +207,3 @@ def _pivot_reciprocals(pivots: np.ndarray, rows: np.ndarray) -> np.ndarray:
     if zero.size:
         raise ZeroPivotError(int(rows[zero[0]]), float(pivots[zero[0]]))
     return 1.0 / pivots
-
-
-def thomas_solve(m: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
-    """Solve m x = rhs by factoring m and solving once; the input is untouched.
-
-    Residual contract: ||M x - rhs||_inf <= 1e-12 * (||M||_inf ||x||_inf
-    + ||rhs||_inf) for diagonally dominant systems.
-    """
-    return ThomasFactorization(m).solve(rhs)
-

@@ -1,11 +1,12 @@
 """The independent references for the solver's tests.
 
-``dense_solve`` densifies the matrix and defers to LAPACK's pivoted Gaussian
-elimination, a route that shares no code with the cyclic reduction it
-checks.  ``thomas_sweep`` is the textbook scalar Thomas algorithm in any
-numpy precision: in float64 it checks systems too large to densify, and in
-np.longdouble it drives the extended-precision run of the scheme.  Both
-live with the tests because no package path needs them.
+``dense`` and ``matvec`` build the full matrix and apply the bands, for
+residual checks.  ``dense_solve`` densifies the matrix and defers to
+LAPACK's pivoted Gaussian elimination, a route that shares no code with the
+cyclic reduction it checks.  ``thomas_sweep`` is the textbook scalar Thomas
+algorithm in any numpy precision: in float64 it checks systems too large to
+densify, and in np.longdouble it drives the extended-precision run of the
+scheme.  All live with the tests because no package path needs them.
 """
 
 import numpy as np
@@ -13,9 +14,28 @@ import numpy as np
 from obstring.trisolve import Tridiagonal
 
 
+def matvec(m: Tridiagonal, x: np.ndarray) -> np.ndarray:
+    """m @ x from the bands."""
+    y = m.diag * x
+    if m.n > 1:
+        y[:-1] += m.upper * x[1:]
+        y[1:] += m.lower * x[:-1]
+    return y
+
+
+def dense(m: Tridiagonal) -> np.ndarray:
+    """The full n x n matrix."""
+    n = m.n
+    full = np.zeros((n, n))
+    full.flat[:: n + 1] = m.diag
+    full.flat[n :: n + 1] = m.lower
+    full.flat[1 :: n + 1] = m.upper
+    return full
+
+
 def dense_solve(m: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     """Dense Gaussian-elimination reference solution (LAPACK, pivoted)."""
-    return np.linalg.solve(m.dense(), np.asarray(rhs, float))
+    return np.linalg.solve(dense(m), np.asarray(rhs, float))
 
 
 def thomas_sweep(m: Tridiagonal, rhs: np.ndarray, dtype=np.float64) -> np.ndarray:

@@ -269,6 +269,30 @@ def test_table_files_refused_unless_tabulated(key):
         cli.parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("1.0\nabc\n1.0\n", "cannot read table"),
+     ("1.0,1.0\n" * 21, "must be one column, got 2 columns")],
+    ids=["non-numeric", "two-columns"],
+)
+def test_unreadable_table_exits_two(tabulated_dir, capsys, text, message):
+    (tabulated_dir / "eta0.csv").write_text(text)
+    assert cli.main(["run", "tab.ini", "--out", str(tabulated_dir / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "eta0.csv" in err and message in err
+
+
+@pytest.mark.parametrize("table", ["eta0", "v0"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_table_exits_two(tabulated_dir, capsys, table, value):
+    path = tabulated_dir / f"{table}.csv"
+    column = np.loadtxt(path)
+    column[5] = value
+    np.savetxt(path, column)
+    assert cli.main(["run", "tab.ini", "--out", str(tabulated_dir / "out")]) == 2
+    assert f"init.{table} table must be finite" in capsys.readouterr().err
+
+
 def test_tabulated_run_probe_render(tabulated_dir, capsys):
     out = str(tabulated_dir / "out")
     assert cli.main(["run", "tab.ini", "--out", out]) == 0

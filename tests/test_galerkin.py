@@ -19,18 +19,15 @@ from obstring.core import (
     TimeGrid,
 )
 from obstring.galerkin import (
-    ModalState,
     SmoothCutoff,
     _DormandPrince,
     _free_amplitude_bound,
     _free_propagator,
+    _frequencies,
     _midpoints,
     _modal_accel,
     _mode_matrix,
     integrate,
-    modal_energy,
-    modal_rhs,
-    reconstruct,
 )
 
 
@@ -55,59 +52,63 @@ def test_cutoff_requires_positive_width():
         SmoothCutoff(a=0.0)
 
 
+def _modal_kernel(n_modes, phys, offset_h):
+    """qddot(q, qdot) of the modal system on l = 1, and the frequencies lam.
+
+    The invariants are hoisted as integrate hoists them: 4 * n_modes
+    midpoints, a displacement cutoff of width eps and a velocity cutoff of
+    width 1 / n_modes, so the kernel's arithmetic is integrate's.
+    """
+    quad = 4 * n_modes
+    lam = _frequencies(n_modes, 1.0)
+    shapes = _mode_matrix(n_modes, 1.0, _midpoints(quad, 1.0))
+    cut_eta, cut_vel = SmoothCutoff(phys.epsilon), SmoothCutoff(1.0 / n_modes)
+
+    def accel(q, qdot):
+        return _modal_accel(q, qdot, lam, phys.alpha * lam, offset_h, shapes,
+                            2.0 / (quad * phys.epsilon), cut_eta, cut_vel)
+
+    return accel, lam
+
+
 def test_mode_frequencies():
-    state = ModalState(3, np.zeros(3), np.zeros(3), 1.0, 2.0)
-    assert np.allclose(state.frequencies(), [(np.pi / 2) ** 2,
-                                             np.pi**2,
-                                             (3 * np.pi / 2) ** 2])
+    assert np.allclose(_frequencies(3, 2.0), [(np.pi / 2) ** 2,
+                                              np.pi**2,
+                                              (3 * np.pi / 2) ** 2])
 
 
 def test_reconstruct_pins_endpoints_exactly():
-    rng = np.random.default_rng(3)
-    state = ModalState(6, rng.standard_normal(6), rng.standard_normal(6), 1.5, 1.0)
-    eta, vel = reconstruct(state, np.array([0.0, 0.25, 1.0]))
-    assert eta[0] == 1.5 and eta[-1] == 1.5
-    assert abs(vel[0]) < 1e-12 and abs(vel[-1]) < 1e-12
+    # a constant v0 and a mode-3 datum excite many modes; the stored fields
+    # still sit exactly on the pinned ends at every frame
+    init = InitialData("single_mode", amplitude=0.3, mode=3, offset=1.5, v0=0.7)
+    series = integrate(SimConfig(Grid1D(1.0, 16), TimeGrid(0.05, 10), Physics(1.0, 0.01),
+                                 init, output_stride=1), 6)
+    eta, vel = series.fields["eta"], series.fields["velocity"]
+    assert np.any(vel[:, 1:-1] != 0.0)
+    assert np.all(eta[:, [0, -1]] == 1.5)
+    assert np.all(vel[:, [0, -1]] == 0.0)
 
 
 def test_modal_rhs_single_mode_closed_form():
     # no contact, alpha = 1, l = 1: qddot = -pi^2 (qdot + q)
-    state = ModalState(1, np.array([0.3]), np.array([0.2]), 1.0, 1.0)
-    dq, dqdot = modal_rhs(
-        state, Physics(alpha=1.0, epsilon=0.002),
-        SmoothCutoff(0.002), SmoothCutoff(0.25), quad_nodes=8,
-    )
-    assert np.allclose(dq, [0.2], rtol=1e-15)
-    assert np.allclose(dqdot, [-np.pi**2 * 0.5], rtol=1e-12)
+    accel, _ = _modal_kernel(1, Physics(alpha=1.0, epsilon=0.002), 1.0)
+    assert np.allclose(accel(np.array([0.3]), np.array([0.2])), [-np.pi**2 * 0.5],
+                       rtol=1e-12)
 
 
 def test_modal_rhs_no_contact_shortcut_is_linear():
     rng = np.random.default_rng(5)
     q = 0.05 * rng.standard_normal(6)          # sum |q| < offset 1.0
     qdot = rng.standard_normal(6)
-    state = ModalState(6, q, qdot, 1.0, 1.0)
-    phys = Physics(alpha=0.7, epsilon=0.002)
-    dq, dqdot = modal_rhs(state, phys, SmoothCutoff(0.002), SmoothCutoff(0.1), 24)
-    lam = state.frequencies()
-    assert np.array_equal(dq, qdot)
-    assert np.allclose(dqdot, -0.7 * lam * qdot - lam * q, rtol=1e-14)
+    accel, lam = _modal_kernel(6, Physics(alpha=0.7, epsilon=0.002), 1.0)
+    assert np.allclose(accel(q, qdot), -0.7 * lam * qdot - lam * q, rtol=1e-14)
 
 
 def test_modal_rhs_penalty_opposes_downward_motion():
     # displacement and velocity both negative mid-span: force pushes up
-    state = ModalState(1, np.array([-0.5]), np.array([-1.0]), 0.0, 1.0)
-    phys = Physics(alpha=0.0, epsilon=0.01)
-    _, dqdot = modal_rhs(state, phys, SmoothCutoff(0.01), SmoothCutoff(0.5), 16)
-    lam = state.frequencies()
-    linear = -lam * state.q
-    assert dqdot[0] > linear[0]  # strictly repulsive contribution
-
-
-def test_modal_rhs_quadrature_resolution_contract():
-    state = ModalState(4, np.zeros(4), np.zeros(4), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        modal_rhs(state, Physics(1.0, 0.01), SmoothCutoff(0.01),
-                  SmoothCutoff(0.25), quad_nodes=15)
+    q = np.array([-0.5])
+    accel, lam = _modal_kernel(1, Physics(alpha=0.0, epsilon=0.01), 0.0)
+    assert accel(q, np.array([-1.0]))[0] > -lam[0] * q[0]  # strictly repulsive
 
 
 def test_projection_round_trip_on_midpoints():
@@ -115,49 +116,38 @@ def test_projection_round_trip_on_midpoints():
     n_modes, quad = 8, 64
     rng = np.random.default_rng(17)
     q = rng.standard_normal(n_modes)
-    state = ModalState(n_modes, q, np.zeros(n_modes), 2.0, 1.0)
-    xq = (np.arange(quad) + 0.5) / quad
-    eta, _ = reconstruct(state, xq)
+    xq = _midpoints(quad, 1.0)
+    eta = 2.0 + q @ _mode_matrix(n_modes, 1.0, xq)
     shapes = np.sin(np.arange(1, n_modes + 1)[:, None] * np.pi * xq[None, :])
     q_back = (2.0 / quad) * (shapes @ (eta - 2.0))
     assert np.max(np.abs(q_back - q)) <= 1e-10
 
 
-def _rk4_trajectory(state, phys, cut_eta, cut_vel, quad, h, steps):
-    """Classical RK4 on the modal system of modal_rhs; yields the state each step.
-
-    The invariants modal_rhs rebuilds on every call are hoisted, which
-    leaves its arithmetic unchanged and makes fine reference steps cheap.
-    """
-    lam = state.frequencies()
-    shapes = _mode_matrix(state.n_modes, state.length_l,
-                          _midpoints(quad, state.length_l))
-
-    def f(qq, vv):
-        return vv, _modal_accel(qq, vv, lam, phys.alpha * lam, state.offset_h, shapes,
-                                2.0 / (quad * phys.epsilon), cut_eta, cut_vel)
-
-    q, qdot = state.q.copy(), state.qdot.copy()
+def _rk4_trajectory(accel, q, qdot, h, steps):
+    """Classical RK4 on q' = qdot, qdot' = accel(q, qdot); yields (q, qdot)
+    after each step."""
     for _ in range(steps):
-        k1q, k1v = f(q, qdot)
-        k2q, k2v = f(q + 0.5 * h * k1q, qdot + 0.5 * h * k1v)
-        k3q, k3v = f(q + 0.5 * h * k2q, qdot + 0.5 * h * k2v)
-        k4q, k4v = f(q + h * k3q, qdot + h * k3v)
+        k1q, k1v = qdot, accel(q, qdot)
+        k2q = qdot + 0.5 * h * k1v
+        k2v = accel(q + 0.5 * h * k1q, k2q)
+        k3q = qdot + 0.5 * h * k2v
+        k3v = accel(q + 0.5 * h * k2q, k3q)
+        k4q = qdot + h * k3v
+        k4v = accel(q + h * k3q, k4q)
         q = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
         qdot = qdot + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        yield ModalState(state.n_modes, q, qdot, state.offset_h, state.length_l)
+        yield q, qdot
 
 
 def test_modal_energy_non_increasing_without_contact():
+    # the modal energy (l/4) sum(qdot^2 + lam q^2) on l = 1
     rng = np.random.default_rng(23)
     q0 = 0.1 * rng.standard_normal(4)
-    state = ModalState(4, q0, np.zeros(4), 1.0, 1.0)
-    phys = Physics(alpha=1.0, epsilon=0.002)
-    e_prev = modal_energy(state)
+    accel, lam = _modal_kernel(4, Physics(alpha=1.0, epsilon=0.002), 1.0)
+    e_prev = 0.25 * float(np.sum(lam * q0**2))
     e0 = e_prev
-    for s in _rk4_trajectory(state, phys, SmoothCutoff(0.002),
-                             SmoothCutoff(0.25), 16, h=5e-4, steps=200):
-        e = modal_energy(s)
+    for q, qdot in _rk4_trajectory(accel, q0, np.zeros(4), h=5e-4, steps=200):
+        e = 0.25 * float(np.sum(qdot**2 + lam * q**2))
         assert e <= e_prev + 1e-8 * e0
         e_prev = e
     assert e_prev < 0.9 * e0  # damping has real effect over the window
@@ -166,15 +156,11 @@ def test_modal_energy_non_increasing_without_contact():
 def test_modes_stay_decoupled_without_contact():
     q0 = np.zeros(8)
     q0[2] = 0.2  # mode 3 only, well above the obstacle
-    state = ModalState(8, q0, np.zeros(8), 1.0, 1.0)
-    phys = Physics(alpha=1.0, epsilon=0.002)
-    last = None
-    for s in _rk4_trajectory(state, phys, SmoothCutoff(0.002),
-                             SmoothCutoff(0.125), 32, h=2e-4, steps=50):
-        last = s
-    others = np.delete(np.abs(last.q), 2)
+    accel, _ = _modal_kernel(8, Physics(alpha=1.0, epsilon=0.002), 1.0)
+    *_, (q, _) = _rk4_trajectory(accel, q0, np.zeros(8), h=2e-4, steps=50)
+    others = np.delete(np.abs(q), 2)
     assert np.all(others <= 1e-15)
-    assert abs(last.q[2] - 0.2) > 1e-6  # the excited mode did evolve
+    assert abs(q[2] - 0.2) > 1e-6  # the excited mode did evolve
 
 
 def test_integrate_requires_equal_endpoints():
@@ -326,15 +312,16 @@ def test_integrate_matches_rk4_trajectory(offset, v0, contact, steps, refine, st
     shapes = np.sin(np.arange(1, n_modes + 1)[:, None] * np.pi * xq[None, :])
     q0 = (2.0 / quad) * (shapes @ (0.15 * np.sin(2 * np.pi * xq)))
     qdot0 = (2.0 / quad) * (shapes @ np.full(quad, v0))
-    state = ModalState(n_modes, q0, qdot0, offset, 1.0)
-    certified = np.sum(_free_amplitude_bound(q0, qdot0, state.frequencies())) <= offset
+    accel, lam = _modal_kernel(n_modes, phys, offset)
+    certified = np.sum(_free_amplitude_bound(q0, qdot0, lam)) <= offset
     assert certified != contact
     n_sub = refine * math.ceil(tgrid.dt / (0.1 / (n_modes * np.pi) ** 2))
-    trajectory = list(_rk4_trajectory(state, phys, SmoothCutoff(0.002),
-                                      SmoothCutoff(1.0 / n_modes), quad,
-                                      h=tgrid.dt / n_sub, steps=steps * n_sub))
+    trajectory = list(_rk4_trajectory(accel, q0, qdot0, h=tgrid.dt / n_sub,
+                                      steps=steps * n_sub))
+    shapes_x = _mode_matrix(n_modes, 1.0, grid.nodes())
     for frame, i in enumerate(rows[1:], start=1):
-        eta, vel = reconstruct(trajectory[i * n_sub - 1], grid.nodes())
+        q, qdot = trajectory[i * n_sub - 1]
+        eta, vel = offset + q @ shapes_x, qdot @ shapes_x
         assert np.max(np.abs(series.fields["eta"][frame] - eta)) <= tol_eta
         assert np.max(np.abs(series.fields["velocity"][frame] - vel)) <= tol_vel
 
@@ -361,10 +348,10 @@ def test_integrate_stiff_contact_is_fast_and_matches_rk4():
     shapes = np.sin(np.arange(1, n_modes + 1)[:, None] * np.pi * xq[None, :])
     q0 = (2.0 / quad) * (shapes @ (0.5 * np.sin(10 * np.pi * xq) ** 2))
     qdot0 = (2.0 / quad) * (shapes @ np.full(quad, -50.0))
-    trajectory = list(_rk4_trajectory(ModalState(n_modes, q0, qdot0, 1.0, 1.0), phys,
-                                      SmoothCutoff(0.002), SmoothCutoff(1.0 / n_modes),
-                                      quad, h=tgrid.dt / per, steps=25 * per))
-    ref = [reconstruct(trajectory[i * per - 1], grid.nodes())[0] for i in range(1, 26)]
+    accel, _ = _modal_kernel(n_modes, phys, 1.0)
+    trajectory = list(_rk4_trajectory(accel, q0, qdot0, h=tgrid.dt / per, steps=25 * per))
+    shapes_x = _mode_matrix(n_modes, 1.0, grid.nodes())
+    ref = [1.0 + trajectory[i * per - 1][0] @ shapes_x for i in range(1, 26)]
     assert np.max(np.abs(eta[1:] - np.array(ref))) <= 1e-7
 
 

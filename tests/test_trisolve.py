@@ -3,8 +3,8 @@
 The dense LAPACK route (``dense_solve``, tests/dense_oracle.py) is the
 independent oracle for the cyclic-reduction levels and the dense tail up to
 n = 2 * DENSE_TAIL_ROWS + 1.  Above that, the scalar Thomas sweep
-(``thomas_sweep``, same module) or the residual through ``matvec`` stands in
-for it, so no matrix larger than 513 x 513 is built.
+(``thomas_sweep``) or the residual through ``matvec``, both from the same
+module, stands in for it, so no matrix larger than 513 x 513 is built.
 """
 
 from dataclasses import replace
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_solve, thomas_sweep
+from dense_oracle import dense_solve, matvec, thomas_sweep
 from obstring import fd_solver, galerkin
 from obstring.core import Grid1D, Physics, TimeGrid, single_mode_config, validate_config
 from obstring.trisolve import (
@@ -23,7 +23,6 @@ from obstring.trisolve import (
     Tridiagonal,
     ZeroPivotError,
     assemble_step_matrix,
-    thomas_solve,
 )
 
 
@@ -46,7 +45,7 @@ def test_identity_matrix_returns_rhs():
     n = 7
     m = Tridiagonal(lower=np.zeros(n - 1), diag=np.ones(n), upper=np.zeros(n - 1))
     rhs = np.arange(1.0, n + 1.0)
-    assert np.array_equal(thomas_solve(m, rhs), rhs)
+    assert np.array_equal(ThomasFactorization(m).solve(rhs), rhs)
 
 
 def test_hand_solved_three_by_three():
@@ -55,7 +54,7 @@ def test_hand_solved_three_by_three():
         diag=np.array([2.0, 2.0, 2.0]),
         upper=np.array([-1.0, -1.0]),
     )
-    x = thomas_solve(m, np.array([1.0, 0.0, 1.0]))
+    x = ThomasFactorization(m).solve(np.array([1.0, 0.0, 1.0]))
     assert np.allclose(x, [1.0, 1.0, 1.0], rtol=0.0, atol=1e-14)
 
 
@@ -130,7 +129,7 @@ def test_random_dominant_system_matches_dense():
     rng = np.random.default_rng(2024)
     m = _random_dominant(rng, 8)
     rhs = rng.standard_normal(8)
-    x = thomas_solve(m, rhs)
+    x = ThomasFactorization(m).solve(rhs)
     ref = dense_solve(m, rhs)
     assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
 
@@ -142,7 +141,7 @@ def test_symmetric_rhs_gives_symmetric_solution():
     half = rng.standard_normal(m.n // 2 + 1)
     rhs = np.concatenate([half, half[-2::-1]])
     assert len(rhs) == m.n
-    x = thomas_solve(m, rhs)
+    x = ThomasFactorization(m).solve(rhs)
     assert np.max(np.abs(x - x[::-1])) <= 1e-12 * np.max(np.abs(x))
 
 
@@ -153,7 +152,7 @@ def test_factorization_is_reusable():
     for _ in range(4):
         rhs = rng.standard_normal(m.n)
         x = fact.solve(rhs)
-        assert np.allclose(m.matvec(x), rhs, rtol=0.0, atol=1e-9 * np.abs(rhs).max())
+        assert np.allclose(matvec(m, x), rhs, rtol=0.0, atol=1e-9 * np.abs(rhs).max())
 
 
 @settings(max_examples=100, deadline=None)
@@ -162,7 +161,7 @@ def test_thomas_matches_dense_on_dominant_systems(n, seed):
     rng = np.random.default_rng(seed)
     m = _random_dominant(rng, n)
     rhs = rng.standard_normal(n)
-    x = thomas_solve(m, rhs)
+    x = ThomasFactorization(m).solve(rhs)
     ref = dense_solve(m, rhs)
     scale = max(np.linalg.norm(ref, np.inf), 1e-300)
     assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * scale
@@ -179,7 +178,7 @@ def test_matches_dense_across_levels_and_paddings(n):
     rng = np.random.default_rng(n)
     m = _random_dominant(rng, n)
     rhs = rng.standard_normal(n)
-    x = thomas_solve(m, rhs)
+    x = ThomasFactorization(m).solve(rhs)
     ref = dense_solve(m, rhs) if n <= 2 * DENSE_TAIL_ROWS + 1 else thomas_sweep(m, rhs)
     assert np.linalg.norm(x - ref, np.inf) <= 1e-14 * np.linalg.norm(ref, np.inf)
 
@@ -198,7 +197,7 @@ def test_reference_step_matrix_meets_residual_contract():
     x = ThomasFactorization(m).solve(rhs)
     norm_m = np.max(np.abs(m.diag)) + 2.0 * np.max(np.abs(m.upper))
     bound = 1e-12 * (norm_m * np.max(np.abs(x)) + np.max(np.abs(rhs)))
-    assert np.max(np.abs(m.matvec(x) - rhs)) <= bound
+    assert np.max(np.abs(matvec(m, x) - rhs)) <= bound
 
 
 @pytest.mark.parametrize("cells_n", [5000, 4999])
@@ -217,7 +216,6 @@ def test_solve_leaves_rhs_untouched():
     kept = rhs.copy()
     rhs.flags.writeable = False
     ThomasFactorization(m).solve(rhs)
-    thomas_solve(m, rhs)
     assert np.array_equal(rhs, kept)
 
 
@@ -244,9 +242,9 @@ CUT = DENSE_TAIL_ROWS
 
 def _meets_residual_contract(m: Tridiagonal, x: np.ndarray, rhs: np.ndarray) -> bool:
     magnitudes = Tridiagonal(np.abs(m.lower), np.abs(m.diag), np.abs(m.upper))
-    norm_m = np.max(magnitudes.matvec(np.ones(m.n)))  # ||M||_inf, the largest row sum
+    norm_m = np.max(matvec(magnitudes, np.ones(m.n)))  # ||M||_inf, the largest row sum
     bound = 1e-12 * (norm_m * np.max(np.abs(x)) + np.max(np.abs(rhs)))
-    return np.max(np.abs(m.matvec(x) - rhs)) <= bound
+    return np.max(np.abs(matvec(m, x) - rhs)) <= bound
 
 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])
