@@ -26,14 +26,17 @@ default is npz,heatmap.  Two text exports are opt-in: csv writes the
 stored fields, and snapshots writes one snapshot_t*.csv per [output]
 snapshots instant (the presets list six), each the stored row nearest that
 instant.  They and the energy ledger go through one np.savetxt writer with
-17 significant digits.  Then come PNG/SVG heatmaps and a manifest.json with
-sha256 checksums, per-phase wall-clock times, the energy ledger's closure
-(energy_residual_max) and the step-to-penalty ratio dt_over_eps; render
-adds the files it writes to that manifest.
+17 significant digits; a run's tables are dealt among forked export
+workers, which write the bytes one process would.  Then come PNG/SVG
+heatmaps and a manifest.json with sha256 checksums, per-phase wall-clock
+times, the energy ledger's closure (energy_residual_max) and the
+step-to-penalty ratio dt_over_eps; render adds the files it writes to that
+manifest.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric blowup,
-4 probe-contract violation.  OBSTRING_THREADS caps the sweep worker pool;
-a value other than a whole number >= 1 is a configuration error.
+4 probe-contract violation.  OBSTRING_THREADS caps the sweep worker pool
+and the CSV export workers (unset: the CPUs this process may run on); a
+value other than a whole number >= 1 is a configuration error.
 """
 
 from __future__ import annotations
@@ -45,11 +48,13 @@ import hashlib
 import json
 import logging
 import math
+import multiprocessing
 import os
 import platform
 import struct
 import sys
 import time as _time
+import warnings
 import zlib
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
@@ -209,9 +214,14 @@ _TEXT = {
 
 def _read_column_file(path: str) -> tuple[float, ...]:
     try:
-        values = np.loadtxt(path, delimiter=",", ndmin=1)
+        with warnings.catch_warnings():
+            # loadtxt warns on a table without data rows; refused by name below
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, delimiter=",", ndmin=1)
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read table {path}: {exc}") from exc
+    if values.size == 0:
+        raise ConfigurationError(f"table {path} is empty")
     if values.ndim != 1:
         raise ConfigurationError(
             f"table {path} must be one column, got {values.shape[1]} columns"
@@ -346,6 +356,44 @@ def _write_csv(path: str, labels: list, columns: list,
     header = ",".join(lab if isinstance(lab, str) else fmt % lab for lab in labels)
     np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",",
                header=header, comments="")
+
+
+def _write_share(share: list[tuple]) -> None:
+    for path, labels, columns, fmt in share:
+        _write_csv(path, labels, columns, fmt)
+
+
+def _export_csv(jobs: list[tuple], manifest: RunManifest) -> None:
+    """Write (path, labels, columns, fmt) jobs and add each file to manifest.
+
+    Formatting 17-digit text is CPU-bound, so the jobs are dealt round-robin,
+    in order, into _worker_count(len(jobs)) shares.  This process writes the
+    first share and hashes its files while forked children write the others:
+    a forked child inherits the columns without pickling them.  One share
+    forks nothing.
+    """
+    workers = _worker_count(len(jobs))
+    shares = [jobs[k::workers] for k in range(workers)]
+    children = [
+        multiprocessing.get_context("fork").Process(target=_write_share, args=(share,))
+        for share in shares[1:]
+    ]
+    try:
+        for child in children:
+            child.start()
+        _write_share(shares[0])
+        for path, *_ in shares[0]:
+            manifest.add_file(path)
+    finally:
+        for child in children:
+            if child.pid is not None:
+                child.join()
+    for child, share in zip(children, shares[1:]):
+        if child.exitcode != 0:
+            raise OSError(f"CSV export worker exited with code {child.exitcode}; "
+                          f"not written: {', '.join(path for path, *_ in share)}")
+        for path, *_ in share:
+            manifest.add_file(path)
 
 
 def series_from_run_dir(run_dir: str) -> FieldSeries:
@@ -556,6 +604,7 @@ def _solve_and_write(
     parsed: ParsedConfig, out_dir: str
 ) -> tuple[RunManifest, FieldSeries, diagnostics.EnergyLedger]:
     """execute_run, also handing back the solved series and energy ledger."""
+    _worker_count(1)  # a malformed OBSTRING_THREADS fails before the solve
     os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(solver="fd", out_dir=out_dir, config_text=emit_config(parsed))
 
@@ -567,11 +616,9 @@ def _solve_and_write(
 
     formats = parsed.output.formats
 
-    def store(fname: str, labels: list, columns: list,
-              fmt: str | list[str] = "%.17g") -> None:
-        path = os.path.join(out_dir, fname)
-        _write_csv(path, labels, columns, fmt)
-        manifest.add_file(path)
+    def csv_job(fname: str, labels: list, columns: list,
+                fmt: str | list[str] = "%.17g") -> tuple:
+        return os.path.join(out_dir, fname), labels, columns, fmt
 
     def store_npz(fname: str, **arrays: np.ndarray) -> None:
         path = os.path.join(out_dir, fname)
@@ -585,7 +632,7 @@ def _solve_and_write(
     manifest.add_file(cfg_path)
 
     ledger_cols = ledger.as_columns()
-    store("energy.csv", list(ledger_cols), list(ledger_cols.values()))
+    jobs = [csv_job("energy.csv", list(ledger_cols), list(ledger_cols.values()))]
 
     if formats:  # every run with any output writes the field store
         mask = diagnostics.extract_contact(
@@ -595,20 +642,21 @@ def _solve_and_write(
                   **series.fields, contact=mask)
     if "csv" in formats:
         frame_labels = ["t", *("%.17g" % x for x in series.xs)]
-        for name, fname in FIELD_FILES:
-            store(fname, frame_labels, [series.times, series.fields[name]])
-        store("contact.csv", frame_labels, [series.times, mask],
-              fmt=["%.17g"] + ["%d"] * len(series.xs))
+        jobs += [csv_job(fname, frame_labels, [series.times, series.fields[name]])
+                 for name, fname in FIELD_FILES]
+        jobs.append(csv_job("contact.csv", frame_labels, [series.times, mask],
+                            fmt=["%.17g"] + ["%d"] * len(series.xs)))
 
     if "snapshots" in formats:
         names = [name for name, _ in FIELD_FILES]
         for wanted in parsed.output.snapshots:
             row = series.index_at_time(wanted)
-            store(
+            jobs.append(csv_job(
                 f"snapshot_t{wanted:.6f}.csv", ["x", *names],
                 [series.xs, *(series.fields[name][row] for name in names)],
-            )
+            ))
             manifest.snapshots[f"{wanted:.6f}"] = float(series.times[row])
+    _export_csv(jobs, manifest)
     manifest.phases["write"] = _time.perf_counter() - t0
 
     if "heatmap" in formats:
@@ -624,8 +672,8 @@ def _solve_and_write(
             store_npz("oracle_eta.npz", times=oracle.times, xs=oracle.xs,
                       eta=oracle.fields["eta"])
         if "csv" in formats:
-            store("oracle_eta.csv", ["t", *oracle.xs],
-                  [oracle.times, oracle.fields["eta"]])
+            _export_csv([csv_job("oracle_eta.csv", ["t", *oracle.xs],
+                                 [oracle.times, oracle.fields["eta"]])], manifest)
         manifest.phases["oracle"] = _time.perf_counter() - t0
 
     manifest.add_file(manifest.write())
@@ -748,10 +796,13 @@ def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
 
 
 def _worker_count(n_jobs: int) -> int:
-    """n_jobs capped by OBSTRING_THREADS when it is set, else by the CPU count."""
+    """n_jobs capped by OBSTRING_THREADS when it is set, else by the number
+    of CPUs this process may run on (a cpuset can allow fewer than the host has)."""
     cap = os.environ.get("OBSTRING_THREADS", "")
     if not cap:
-        return min(n_jobs, os.cpu_count() or 1)
+        if not hasattr(os, "sched_getaffinity"):  # macOS has no affinity call
+            return min(n_jobs, os.cpu_count() or 1)
+        return min(n_jobs, len(os.sched_getaffinity(0)))
     if not (cap.strip().isdigit() and int(cap) >= 1):
         raise ConfigurationError(
             f"OBSTRING_THREADS = {cap!r} is not a whole number >= 1")

@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -282,6 +283,15 @@ def test_unreadable_table_exits_two(tabulated_dir, capsys, text, message):
     assert "eta0.csv" in err and message in err
 
 
+def test_empty_table_exits_two_with_one_message(tabulated_dir):
+    (tabulated_dir / "eta0.csv").write_text("")
+    done = _fresh_python("-m", "obstring.cli", "run", "tab.ini", "--out", "out",
+                         cwd=tabulated_dir)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["configuration error: table "
+                                        f"{tabulated_dir / 'eta0.csv'} is empty"]
+
+
 @pytest.mark.parametrize("table", ["eta0", "v0"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_table_exits_two(tabulated_dir, capsys, table, value):
@@ -378,6 +388,43 @@ def test_manifest_checksums_match(run_dir, npz_run_dir):
             path = os.path.join(out, name)
             assert os.path.getsize(path) == meta["bytes"]
             assert cli._sha256(path) == meta["sha256"]
+
+
+def test_export_workers_write_the_same_bytes(tmp_path, monkeypatch):
+    cfg = tmp_path / "good.ini"
+    cfg.write_text(GOOD_CONFIG)
+    # "start" sits in the stdout buffer when the export forks: a child that
+    # flushed it again would print it twice
+    script = ("import sys; from obstring import cli; print('start'); "
+              "sys.exit(cli.main(sys.argv[1:]))")
+    hashes = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OBSTRING_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        done = _fresh_python("-c", script, "run", str(cfg), "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        with open(out / "manifest.json") as fh:
+            files = json.load(fh)["files"]
+        assert done.stdout.splitlines() == [  # the count takes in manifest.json
+            "start", f"run complete: {len(files) + 1} files in {out}"]
+        assert sorted(name for name in files if name.endswith(".csv")) == sorted(
+            name for name in os.listdir(out) if name.endswith(".csv"))
+        assert {"oracle_eta.csv", "snapshot_t0.000000.csv",
+                "snapshot_t0.033000.csv"} <= set(files)
+        hashes[threads] = {name: entry["sha256"] for name, entry in files.items()}
+    assert hashes["1"] == hashes["2"]
+
+
+@pytest.mark.parametrize("blocked", ["velocity.csv", "eta.csv"],
+                         ids=["own-share", "child-share"])
+def test_unwritable_csv_fails_the_run_by_name(tmp_path, monkeypatch, blocked):
+    # two shares: energy, velocity, contact, ... here and eta, penalty, ... in a child
+    monkeypatch.setenv("OBSTRING_THREADS", "2")
+    out = tmp_path / "run"
+    (out / blocked).mkdir(parents=True)
+    with pytest.raises(OSError, match=blocked):
+        cli.execute_run(cli.parse_config(GOOD_CONFIG), str(out))
+    assert multiprocessing.active_children() == []
 
 
 def test_csv_round_trip_is_bitwise(run_dir):
@@ -863,6 +910,12 @@ def test_worker_count_honors_environment(monkeypatch):
     assert cli._worker_count(3) >= 1
 
 
+def test_worker_count_caps_by_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("OBSTRING_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._worker_count(4) == 1
+
+
 def test_sweep_refuses_a_malformed_thread_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("OBSTRING_THREADS", "two")
     cfg = tmp_path / "sweep.ini"
@@ -872,6 +925,18 @@ def test_sweep_refuses_a_malformed_thread_cap(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "OBSTRING_THREADS = 'two'" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "s")
+
+
+def test_run_refuses_a_malformed_thread_cap_before_solving(tmp_path, monkeypatch,
+                                                          capsys):
+    # the cap sizes the CSV export workers, which start after the solve
+    monkeypatch.setenv("OBSTRING_THREADS", "two")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(GOOD_CONFIG)
+    monkeypatch.setattr(fd_solver, "run", None)  # never reached
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert "OBSTRING_THREADS = 'two'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "r")
 
 
 def test_sweep_runs_each_value(tmp_path, monkeypatch, capsys):
@@ -912,11 +977,13 @@ def test_sweep_in_a_process_pool_reports_the_penetration_slope(tmp_path, monkeyp
     cfg = tmp_path / "drop.ini"
     cfg.write_text("[grid]\nl = 1.0\nn = 100\n[time]\nT = 0.06\nm = 60\n"
                    "[physics]\nalpha = 0.01\nepsilon = 0.02\n"
-                   "[init]\nkind = example1\n[output]\nformats = npz\n")
+                   "[init]\nkind = example1\n[output]\nformats = csv\n")
     out = tmp_path / "sweep"
     assert cli.main(["sweep", str(cfg), "--axis", "epsilon", "--values", "0.02,0.01",
                      "--out", str(out)]) == 0
     assert "2/2 ok" in capsys.readouterr().out
+    # points store fields.npz only, so a daemonic pool worker never forks exporters
+    assert not os.path.exists(out / "run_00" / "eta.csv")
     with open(out / "sweep.csv") as fh:
         header = fh.readline().strip().split(",")
         rows = [dict(zip(header, line.strip().split(","))) for line in fh]
