@@ -18,23 +18,26 @@ format or probe name included), are rejected with line numbers.  One table,
 _SCHEMA, gives each key's type and the dataclass field it fills; parse_config
 and emit_config both walk it, and a key left out takes that field's default.
 Every run with any output format (all but formats = none), sweep points
-included, stores its fields (times, node positions, eta, velocity, penalty
-force and the contact mask) once, in fields.npz; probe and render read them
-back bitwise from that file only.  So the npz format names the store that
-every such run writes, and formats = npz alone writes nothing else.  The
-default is npz,heatmap.  Two text exports are opt-in: csv writes the
-stored fields, and snapshots writes one snapshot_t*.csv per [output]
-snapshots instant (the presets list six), each the stored row nearest that
-instant.  They and the energy ledger go through one np.savetxt writer with
-17 significant digits; a run's tables are dealt among forked export
-workers, which write the bytes one process would.  Then come PNG/SVG
+included, stores its state once, in fields.npz: times, node positions, eta,
+velocity and epsilon.  probe and render read that file only; the penalty
+force is derived from the state on read, bit for bit the force the solver
+stepped with, and the contact mask from extract_contact where something
+draws it (the csv and heatmap formats, and render).  So the npz format
+names the store that every such run writes, and formats = npz alone writes
+nothing else.  The default is npz,heatmap.  Two text exports are opt-in:
+csv writes the stored fields, and snapshots writes one snapshot_t*.csv per
+[output] snapshots instant (the presets list six), each the stored row
+nearest that instant.  They and the energy ledger go through one
+np.savetxt writer with 17 significant digits; a run's tables are dealt
+among forked export workers, which write the bytes one process would.  Then come PNG/SVG
 heatmaps and a manifest.json with sha256 checksums, per-phase wall-clock
 times, the energy ledger's closure (energy_residual_max) and the
 step-to-penalty ratio dt_over_eps; render adds the files it writes to that
 manifest.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric blowup,
-4 probe-contract violation.  OBSTRING_THREADS caps the sweep worker pool
+Exit codes: 0 success, 2 configuration error (an unreadable fields.npz
+included), 3 numeric blowup, 4 probe-contract violation, 5 output error (a
+file that cannot be written).  OBSTRING_THREADS caps the sweep worker pool
 and the CSV export workers (unset: the CPUs this process may run on); a
 value other than a whole number >= 1 is a configuration error.
 """
@@ -55,6 +58,7 @@ import struct
 import sys
 import time as _time
 import warnings
+import zipfile
 import zlib
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
@@ -86,6 +90,9 @@ EXAMPLE2_SNAPSHOTS = (0.0, 0.04, 0.08, 0.16, 0.28, 0.32)
 KNOWN_FORMATS = ("npz", "csv", "heatmap", "snapshots")
 DEFAULT_FORMATS = ("npz", "heatmap")
 FIELD_STORE = "fields.npz"
+# the members of FIELD_STORE: the stored levels' state and the penalty
+# parameter, from which series_from_run_dir derives the penalty force
+STORE_MEMBERS = ("times", "xs", "eta", "velocity", "epsilon")
 FIELD_FILES = (
     ("eta", "eta.csv"),
     ("velocity", "velocity.csv"),
@@ -363,6 +370,15 @@ def _write_share(share: list[tuple]) -> None:
         _write_csv(path, labels, columns, fmt)
 
 
+def _export_worker(share: list[tuple]) -> None:
+    """A forked export worker: a file it cannot write ends it with one
+    stderr line and exit code 1, and the parent names the share."""
+    try:
+        _write_share(share)
+    except OSError as exc:
+        sys.exit(f"output error: {exc}")
+
+
 def _export_csv(jobs: list[tuple], manifest: RunManifest) -> None:
     """Write (path, labels, columns, fmt) jobs and add each file to manifest.
 
@@ -375,7 +391,7 @@ def _export_csv(jobs: list[tuple], manifest: RunManifest) -> None:
     workers = _worker_count(len(jobs))
     shares = [jobs[k::workers] for k in range(workers)]
     children = [
-        multiprocessing.get_context("fork").Process(target=_write_share, args=(share,))
+        multiprocessing.get_context("fork").Process(target=_export_worker, args=(share,))
         for share in shares[1:]
     ]
     try:
@@ -397,16 +413,35 @@ def _export_csv(jobs: list[tuple], manifest: RunManifest) -> None:
 
 
 def series_from_run_dir(run_dir: str) -> FieldSeries:
-    """Rebuild a FieldSeries from a stored run's fields.npz, its one field store."""
+    """Rebuild a FieldSeries from a stored run's fields.npz, its one field store.
+
+    The penalty force is fd_solver.penalty_force of the stored state, the
+    definition the solver steps with, applied to the whole stack of levels:
+    it comes back bit for bit.  A store that cannot be read, or that lacks
+    a member (stores that kept penalty_force and contact hold no epsilon),
+    is a configuration error.
+    """
     path = os.path.join(run_dir, FIELD_STORE)
     if not os.path.exists(path):
         raise ConfigurationError(
             f"run directory {run_dir} lacks {FIELD_STORE}; re-run its config.ini "
             "with any formats other than none to write it"
         )
-    with np.load(path) as data:
-        return FieldSeries(times=data["times"], xs=data["xs"],
-                           fields={name: data[name] for name, _ in FIELD_FILES})
+    rerun = "re-run its config.ini to write it again"
+    try:
+        # the file is opened here, since np.load leaks its own handle when
+        # the zip directory is unreadable
+        with open(path, "rb") as fh, np.load(fh) as store:
+            state = {name: store[name] for name in STORE_MEMBERS if name in store.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigurationError(f"cannot read {path} ({exc}); {rerun}") from exc
+    missing = [name for name in STORE_MEMBERS if name not in state]
+    if missing:
+        raise ConfigurationError(f"{path} lacks {', '.join(missing)}; {rerun}")
+    eta, velocity = state["eta"], state["velocity"]
+    force = fd_solver.penalty_force(eta, velocity, float(state["epsilon"]))
+    return FieldSeries(times=state["times"], xs=state["xs"],
+                       fields={"eta": eta, "velocity": velocity, "penalty_force": force})
 
 
 # ---------------------------------------------------------------------------
@@ -635,11 +670,13 @@ def _solve_and_write(
     jobs = [csv_job("energy.csv", list(ledger_cols), list(ledger_cols.values()))]
 
     if formats:  # every run with any output writes the field store
+        store_npz(FIELD_STORE, times=series.times, xs=series.xs,
+                  eta=series.fields["eta"], velocity=series.fields["velocity"],
+                  epsilon=parsed.sim.physics.epsilon)
+    if "csv" in formats or "heatmap" in formats:  # the outputs that draw the mask
         mask = diagnostics.extract_contact(
             series, link_cells=parsed.probes.link_cells
         ).mask
-        store_npz(FIELD_STORE, times=series.times, xs=series.xs,
-                  **series.fields, contact=mask)
     if "csv" in formats:
         frame_labels = ["t", *("%.17g" % x for x in series.xs)]
         jobs += [csv_job(fname, frame_labels, [series.times, series.fields[name]])
@@ -997,8 +1034,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     run_dir = args.run_dir
     series = series_from_run_dir(run_dir)
-    with np.load(os.path.join(run_dir, FIELD_STORE)) as data:
-        mask = data["contact"]
+    mask = diagnostics.extract_contact(series).mask  # link_cells never moves the mask
     paths = _render_heatmaps(run_dir, series, mask)
     # keep the manifest's checksums true for the files just written
     manifest_path = os.path.join(run_dir, "manifest.json")
@@ -1079,6 +1115,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericBlowupError as exc:
         print(f"numeric blowup: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 5
 
 if __name__ == "__main__":
     sys.exit(main())

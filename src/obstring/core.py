@@ -186,7 +186,10 @@ class FieldSeries:
     """Strided space-time storage of named node fields.
 
     fields maps {"eta", "velocity", "penalty_force"} to arrays of shape
-    (stored_steps, nodes); times is strictly increasing.
+    (stored_steps, nodes), a stack of time levels with one level per row;
+    times is strictly increasing.  penalty_force is fd_solver.penalty_force
+    of eta and velocity, which gives the same bits on one level or on the
+    whole stack.
     """
 
     times: np.ndarray

@@ -55,17 +55,25 @@ def penalty_force(
     """Velocity-penalty force field F >= 0, zero at the boundary nodes.
 
     F_j = (1/epsilon) * [eta_j < 0] * max(0, -velocity_j), the paper's
-    (1/eps) chi{eta < 0} (d_t eta)^- at one time level.
+    (1/eps) chi{eta < 0} (d_t eta)^-, at one time level (shape (nodes,))
+    or at a stack of levels (shape (frames, nodes)), row by row the same
+    bits.  Beside the returned array only the boolean indicator is
+    allocated.
 
     The indicator is strict (nodes at exactly zero feel no force) and only
-    downward motion is penalized, so the force is repulsive everywhere.
+    downward motion is penalized, so the force is repulsive everywhere;
+    every zero in it is +0.0.
     """
     # numpy would silently broadcast a length-1 velocity
-    if len(eta) != len(velocity):
-        raise ValueError("displacement and velocity have mismatched lengths")
-    force = np.where(eta < 0.0, np.maximum(0.0, -velocity) / epsilon, 0.0)
-    force[0] = 0.0
-    force[-1] = 0.0
+    if np.shape(eta) != np.shape(velocity):
+        raise ValueError("displacement and velocity have mismatched shapes")
+    # 0 - v is -v, except that either signed zero gives +0.0 (np.negative
+    # would give -0.0 for +0.0, and np.maximum may keep it)
+    force = np.subtract(0.0, velocity)
+    np.maximum(0.0, force, out=force)
+    force /= epsilon
+    force *= eta < 0.0
+    force[..., 0] = force[..., -1] = 0.0
     return force
 
 

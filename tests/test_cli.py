@@ -427,6 +427,24 @@ def test_unwritable_csv_fails_the_run_by_name(tmp_path, monkeypatch, blocked):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("threads", ["1", "2"], ids=["own-share", "child-share"])
+def test_unwritable_csv_exits_five_without_a_traceback(tmp_path, monkeypatch, threads):
+    # a fresh interpreter, because a forked export child's stderr bypasses
+    # capsys; at two workers eta.csv is in the child's share
+    monkeypatch.setenv("OBSTRING_THREADS", threads)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(GOOD_CONFIG)
+    out = tmp_path / "run"
+    (out / "eta.csv").mkdir(parents=True)
+    done = _fresh_python("-m", "obstring.cli", "run", str(cfg), "--out", str(out))
+    assert done.returncode == 5
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == int(threads)  # the child's line, then the run's
+    assert all(line.startswith("output error:") for line in lines)
+    assert "eta.csv" in lines[-1]
+
+
 def test_csv_round_trip_is_bitwise(run_dir):
     out, parsed, _ = run_dir
     series, _ = fd_solver.run(parsed.sim)
@@ -445,12 +463,13 @@ def test_npz_round_trip_is_bitwise(npz_run_dir):
     assert np.array_equal(stored.times, series.times)
     assert np.array_equal(stored.xs, series.xs)
     for name in ("eta", "velocity", "penalty_force"):
-        assert np.array_equal(stored.fields[name], series.fields[name])
-    report = diagnostics.extract_contact(series, link_cells=parsed.probes.link_cells)
+        # bitwise, signed zeros included: the force is derived on read
+        assert stored.fields[name].tobytes() == series.fields[name].tobytes()
+    # the store holds the state; the penalty force and mask are derived
     with np.load(os.path.join(out, "fields.npz")) as data:
-        assert set(data.files) == {"times", "xs", "eta", "velocity",
-                                   "penalty_force", "contact"}
-        assert np.array_equal(data["contact"], report.mask)
+        assert set(data.files) == {"times", "xs", "eta", "velocity", "epsilon"}
+        assert data["epsilon"].shape == ()
+        assert data["epsilon"] == parsed.sim.physics.epsilon
 
 
 def test_fields_npz_is_deterministic(npz_run_dir, tmp_path):
@@ -462,7 +481,7 @@ def test_fields_npz_is_deterministic(npz_run_dir, tmp_path):
 
 @pytest.mark.parametrize(
     "formats,calls",
-    [((), 0), (("snapshots",), 1), (("npz",), 1), (("csv",), 1), (("heatmap",), 1)],
+    [((), 0), (("snapshots",), 0), (("npz",), 0), (("csv",), 1), (("heatmap",), 1)],
 )
 def test_contact_extracted_only_when_stored(tmp_path, monkeypatch, formats, calls):
     seen = []
@@ -760,6 +779,39 @@ def test_csv_fields_without_the_store_must_be_rerun(tmp_path, capsys):
         assert "lacks fields.npz" in err and "re-run its config.ini" in err
 
 
+def _rewrite_store(path: str, drop: tuple[str, ...] = (), **extra) -> None:
+    """Rewrite a fields.npz without the members in drop and with extra ones."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files if name not in drop}
+    np.savez(path, **arrays, **extra)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not-a-zip", "no-eta", "older-store"])
+def test_an_unreadable_store_is_refused_by_name(tmp_path, capsys, damage):
+    out = _run_good_config(tmp_path, "npz")
+    path = os.path.join(out, "fields.npz")
+    if damage == "truncated":
+        with open(path, "r+b") as fh:
+            fh.truncate(1000)
+    elif damage == "not-a-zip":
+        Path(path).write_text("t,0,1\n0,0,0\n")
+    elif damage == "no-eta":
+        _rewrite_store(path, drop=("eta",))
+    else:  # as stores were written before the penalty force was derived on read
+        series = cli.series_from_run_dir(out)
+        _rewrite_store(path, drop=("epsilon",),
+                       penalty_force=series.fields["penalty_force"],
+                       contact=diagnostics.extract_contact(series).mask)
+    capsys.readouterr()
+    for command in ("probe", "render"):
+        assert cli.main([command, out]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:")
+        assert "fields.npz" in lines[0] and "re-run its config.ini" in lines[0]
+    if damage == "older-store":
+        assert "lacks epsilon" in lines[0]
+
+
 def test_render_keeps_the_manifest_true(tmp_path, capsys):
     out = _run_good_config(tmp_path, "npz")
     manifest_path = os.path.join(out, "manifest.json")
@@ -780,13 +832,18 @@ def test_render_keeps_the_manifest_true(tmp_path, capsys):
 
 
 def test_render_command_refreshes_heatmaps(run_dir, npz_run_dir, capsys):
+    heatmaps = [f"{field}.{ext}" for field in ("eta", "velocity", "contact")
+                for ext in ("png", "svg")]
     for out, _, _ in (run_dir, npz_run_dir):
+        written = {name: Path(out, name).read_bytes() for name in heatmaps}
         for name in ("eta.png", "eta.svg", "contact.png"):
             os.remove(os.path.join(out, name))
         assert cli.main(["render", out]) == 0
         png = Path(out, "eta.png").read_bytes()
         assert png.startswith(b"\x89PNG\r\n\x1a\n")
         assert _svg_raster(Path(out, "eta.svg")) == png
+        # the mask derived on read draws the run's own contact.png
+        assert {name: Path(out, name).read_bytes() for name in heatmaps} == written
     # both stores hold the same contact mask
     csv_mask, npz_mask = (
         Path(out, "contact.png").read_bytes() for out in (run_dir[0], npz_run_dir[0])
@@ -1070,11 +1127,11 @@ def test_presets_write_snapshots_only_when_asked(tmp_path, capsys):
         snapshots = json.load(fh)["snapshots"]
     assert len(snapshots) == len(cli.EXAMPLE1_SNAPSHOTS) == 6
     assert len(list(again.glob("snapshot_t*.csv"))) == 6
-    with np.load(again / "fields.npz") as data:
-        for wanted, stored in snapshots.items():
-            (row,) = np.flatnonzero(data["times"] == stored)
-            expected = np.column_stack([data["xs"], *(
-                data[name][row] for name in ("eta", "velocity", "penalty_force"))])
-            body = np.loadtxt(again / f"snapshot_t{wanted}.csv", delimiter=",",
-                              skiprows=1)
-            assert np.array_equal(body, expected)
+    series = cli.series_from_run_dir(str(again))
+    for wanted, stored in snapshots.items():
+        (row,) = np.flatnonzero(series.times == stored)
+        expected = np.column_stack([series.xs, *(
+            series.fields[name][row] for name in ("eta", "velocity", "penalty_force"))])
+        body = np.loadtxt(again / f"snapshot_t{wanted}.csv", delimiter=",",
+                          skiprows=1)
+        assert np.array_equal(body, expected)

@@ -58,6 +58,27 @@ def test_penalty_rejects_mismatched_frames():
     # a length-1 velocity would broadcast silently
     with pytest.raises(ValueError):
         penalty_force(-np.ones(4), -np.ones(1), 1e-3)
+    # so would one row of velocities against a stack of levels
+    with pytest.raises(ValueError):
+        penalty_force(-np.ones((3, 4)), -np.ones((1, 4)), 1e-3)
+
+
+def test_penalty_on_a_stack_of_levels_is_bitwise_row_by_row():
+    rng = np.random.default_rng(7)
+    eta = rng.normal(size=(6, 9))
+    velocity = rng.normal(size=(6, 9))
+    # signed zeros in both fields, and a node at exactly zero depth
+    velocity[0, 3], velocity[1, 4], velocity[4, 6] = -0.0, 0.0, 0.0
+    eta[2, 5], eta[3, 2], eta[4, 6] = -0.0, 0.0, -1.0
+    velocity[2, 5] = velocity[3, 2] = -1.0
+    stack = penalty_force(eta, velocity, 0.003)
+    rows = np.stack([penalty_force(e, v, 0.003) for e, v in zip(eta, velocity)])
+    assert stack.tobytes() == rows.tobytes()
+    assert not np.signbit(stack).any()  # every zero is +0.0
+    assert (stack > 0.0).any() and not stack[:, [0, -1]].any()
+    reference = np.where(eta < 0.0, np.maximum(0.0, -velocity) / 0.003, 0.0)
+    reference[:, [0, -1]] = 0.0
+    assert np.array_equal(stack, reference)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,22 @@ def test_one_run_makes_the_pinned_layer_calls(monkeypatch):
     assert len(ledger) == steps_m + 1
 
 
+def test_one_drop_extracts_contact_once_for_its_heatmaps(monkeypatch, tmp_path):
+    # the benchmark's drop operation: example1 with default formats, whose
+    # heatmap draws the contact mask; a store-only run draws nothing
+    calls, counted = _counter(monkeypatch)
+    counted(diagnostics, "extract_contact")
+    out = tmp_path / "drop"
+    argv = ["example1", "--out", str(out), "--resolution", "100", "--epsilon", "0.002"]
+    assert cli.main(argv) == 0
+    assert calls == {"extract_contact": 1}
+    text = (out / "config.ini").read_text()
+    assert "formats = npz,heatmap\n" in text
+    parsed = cli.parse_config(text.replace("formats = npz,heatmap\n", "formats = npz\n"))
+    cli.execute_run(parsed, str(tmp_path / "store_only"))
+    assert calls == {"extract_contact": 1}
+
+
 # the benchmark's ramp_probe run at its tiny size: example2 at 1/1000 with
 # every probe the [probes] keys switch on
 RAMP_PROBE_CONFIG = """\
@@ -81,17 +97,19 @@ velocity_deltas = 0.02,0.01,0.005
 
 def test_one_probe_makes_the_pinned_layer_calls(monkeypatch, tmp_path):
     # 7 x-derivatives for each of the 5 bumps, 2 more for stress_jump; one
-    # contact extraction for contact and one for stress_jump
+    # contact extraction for contact and one for stress_jump; one penalty
+    # force, derived from the stored state on read
     run_dir = str(tmp_path / "ramp")
     cli.execute_run(cli.parse_config(RAMP_PROBE_CONFIG), run_dir)
     calls, counted = _counter(monkeypatch)
     counted(numpy, "gradient")
     counted(diagnostics, "extract_contact")
+    counted(fd_solver, "penalty_force")
     for name in ("weak_momentum_residual", "local_energy_residual",
                  "renormalized_residual"):
         counted(diagnostics, name)
     results = cli.run_probes(run_dir)
     assert set(results) == set(cli.DEFAULT_PROBES + cli.BOUNDARY_PROBES)
-    assert calls == {"gradient": 37, "extract_contact": 2,
+    assert calls == {"gradient": 37, "extract_contact": 2, "penalty_force": 1,
                      "weak_momentum_residual": 5, "local_energy_residual": 5,
                      "renormalized_residual": 5}
