@@ -20,12 +20,13 @@ qdot_k^2 + lam_k q_k^2 never grows, so if sum_k sqrt(q_k^2 + qdot_k^2/lam_k)
 identically zero and the flow map takes the step exactly.  Every other step
 is taken by an error-controlled Dormand-Prince 5(4) pair (rtol = atol =
 1e-8 on the largest scaled component of (q, qdot)), which puts its substeps
-where the penalty switches on; its last substep lands exactly on the end of
-the reporting step, and its last stage is reused as the first stage of the
-next step (FSAL) while consecutive steps stay uncertified.  The modal
-force integral uses composite midpoint quadrature, under which the sine
-modes are exactly orthogonal, so projection and reconstruction round-trip
-exactly.
+where the penalty switches on and grows no step right after a rejection;
+its last substep lands on the end of the reporting step, and its last
+stage is the next step's first (FSAL) while steps stay uncertified.  The
+modal force integral uses composite midpoint quadrature, under which the
+sine modes are exactly orthogonal, so projection and reconstruction
+round-trip exactly; one product gives eta and v on the midpoints, and one
+cutoff call on the width-scaled pair switches both.
 
 This solver shares no code with the finite-difference path on purpose:
 agreement between the two is used as evidence that both discretize the
@@ -70,8 +71,20 @@ class SmoothCutoff:
             raise ValueError("cutoff width must be positive")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        s = np.clip(-np.asarray(x, dtype=float) / self.a, 0.0, 1.0)
-        return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
+        # a fresh array, also for scalar x; maximum(0.0, s) is np.clip's, bit for bit
+        s = np.asarray(np.asarray(x, dtype=float) / -self.a)
+        np.maximum(0.0, s, out=s)
+        np.minimum(s, 1.0, out=s)
+        ramp = s * 6.0
+        ramp += -15.0
+        ramp *= s
+        ramp += 10.0
+        ramp *= s * s * s
+        return ramp
+
+
+# both cutoffs of the penalty run as this one on width-scaled arguments
+_UNIT_CUTOFF = SmoothCutoff(1.0)
 
 
 def _frequencies(n_modes: int, length_l: float) -> np.ndarray:
@@ -92,35 +105,24 @@ def _midpoints(quad_nodes: int, length_l: float) -> np.ndarray:
     return (np.arange(quad_nodes) + 0.5) * (length_l / quad_nodes)
 
 
-def _modal_accel(
-    q: np.ndarray,
-    qdot: np.ndarray,
-    lam: np.ndarray,
-    alam: np.ndarray,
-    offset_h: float,
-    shapes_q: np.ndarray,
-    force_scale: float,
-    cutoff_eta: SmoothCutoff,
-    cutoff_vel: SmoothCutoff,
-) -> np.ndarray:
-    """qddot of the modal system from invariants hoisted by the caller.
+def _modal_accel(y: np.ndarray, out: np.ndarray, rates: np.ndarray, offset_h: float,
+                 shapes_q: np.ndarray, load_q: np.ndarray, widths: np.ndarray) -> None:
+    """Write y' = (qdot, qddot) of the modal system at y = (q, qdot) into out.
 
-    alam = alpha * lam, shapes_q are the modes on the quadrature midpoints
-    and force_scale = 2 / (quad_nodes * eps).  When sum |q_k| <= h the
-    displacement cannot be negative anywhere and the force vanishes
-    identically, which is detected without quadrature.
+    From invariants hoisted by the caller: rates = -(lam, alpha lam),
+    shapes_q the modes on the midpoints, load_q = 2 / (quad_nodes eps)
+    shapes_q and widths the column of cutoff widths.  When sum |q_k| <= h
+    the displacement cannot be negative and the force vanishes identically.
     """
-    dqdot = -alam * qdot - lam * q
-    if float(np.sum(np.abs(q))) > offset_h:
-        eta_q = offset_h + q @ shapes_q
-        v_q = qdot @ shapes_q
-        active = cutoff_eta(eta_q) * cutoff_vel(v_q) * v_q
-        dqdot -= force_scale * (shapes_q @ active)
-    return dqdot
-
-
-def _project(values: np.ndarray, shapes: np.ndarray, quad_nodes: int) -> np.ndarray:
-    return (2.0 / quad_nodes) * (shapes @ values)
+    state, slope = y.reshape(2, -1), out.reshape(2, -1)
+    slope[0] = state[1]
+    np.add.reduce(rates * state, axis=0, out=slope[1])
+    if np.add.reduce(np.abs(state[0])) > offset_h:
+        eta_v = state @ shapes_q
+        eta_v[0] += offset_h
+        active = np.multiply.reduce(_UNIT_CUTOFF(eta_v / widths))
+        active *= eta_v[1]
+        slope[1] -= load_q @ active
 
 
 def _mode_flow(lam: float, alam: float, h: float) -> tuple[float, float, float, float]:
@@ -167,30 +169,29 @@ def _free_propagator(lam: np.ndarray, alam: np.ndarray, h: float) -> np.ndarray:
     return np.array([_mode_flow(float(lk), float(ak), h) for lk, ak in zip(lam, alam)]).T
 
 
-def _free_amplitude_bound(q: np.ndarray, qdot: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _free_amplitude_bound(q: np.ndarray, qdot: np.ndarray, root_lam: np.ndarray) -> np.ndarray:
     """Bound on |q_k(t)| for all later t of the penalty-free flow.
 
     With alpha >= 0 the modal energy qdot^2 + lam q^2 never grows, so
-    lam q_k(t)^2 <= qdot_k^2 + lam q_k^2.
+    lam q_k(t)^2 <= qdot_k^2 + lam q_k^2; root_lam = sqrt(lam).
     """
-    return np.hypot(q, qdot / np.sqrt(lam))
+    return np.hypot(q, qdot / root_lam)
 
 
 # Dormand & Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
-# Table II.5.2).  Row j gives the weights of stages 1..j+1 for stage j+2;
-# the last row is the fifth-order solution, whose right-hand side is the
-# seventh stage and the first stage of the next step (FSAL).
-_DP_A = np.array([
-    [1 / 5, 0, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
-    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+# Table II.5.2) as weights over a buffer of rows y, k1..k7.  Row j weighs
+# k1..k(j+1) into stage j+2's argument (y's weight 1 is set per step); row 5
+# is the fifth-order solution, whose right-hand side k7 is the next step's
+# k1 (FSAL); the last row is the fifth- minus fourth-order weights.
+_DP_W = np.array([
+    [0, 1 / 5, 0, 0, 0, 0, 0, 0],
+    [0, 3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [0, 44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [0, 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [0, 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [0, 35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+    [0, 71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
 ])
-# fifth- minus fourth-order weights over all seven stages
-_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
-                  22 / 525, -1 / 40])
 # relative and absolute tolerance of the mixed error norm, the largest
 # scaled component over (q, qdot)
 _TOL = 1e-8
@@ -203,9 +204,11 @@ _MIN_STEP = 1e-12
 class _DormandPrince:
     """Error-controlled Dormand-Prince 5(4) integrator of y' = f(y).
 
-    The trial step size h and the right-hand side k1 at the last accepted
-    state carry over from one advance() to the next; whoever moves the
-    state by other means sets k1 to None.
+    f(y, out) writes y' into out.  The trial step size h and the
+    right-hand side k1 at the last accepted state carry over from one
+    advance() to the next; whoever moves the state by other means sets k1
+    to None.  As Hairer, Norsett & Wanner advise (Section II.4), the step
+    after a rejected one may not grow.
     """
 
     def __init__(self, f, h: float):
@@ -221,34 +224,44 @@ class _DormandPrince:
         A non-finite error estimate or a step below _MIN_STEP * span raises
         NumericBlowupError(index).
         """
-        k = np.empty((7, y.size))
-        k[0] = self.f(y) if self.k1 is None else self.k1
-        done = 0.0
+        # rows y, k1..k7; stages not yet computed are finite and weigh 0,
+        # because a non-finite stage makes the error estimate non-finite
+        buf = np.zeros((8, y.size))
+        buf[0] = y
+        if self.k1 is None:
+            self.f(y, buf[1])
+        else:
+            buf[1] = self.k1
+        y, y_new = buf[0], np.empty_like(y)
+        done, retry = 0.0, False
         while done < span:
             # stretch by up to 1 % rather than leave a sliver of a step
             landing = 1.01 * self.h >= span - done
             step = span - done if landing else self.h
             if step < _MIN_STEP * span:
                 raise NumericBlowupError(index)
-            for j in range(6):
-                y_new = y + step * (_DP_A[j, : j + 1] @ k[: j + 1])
-                k[j + 1] = self.f(y_new)
+            weights = step * _DP_W
+            weights[:6, 0] = 1.0
+            for w, k in zip(weights[:6], buf[2:]):
+                np.dot(w, buf, out=y_new)
+                self.f(y_new, k)
             scale = _TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
-            err = float(np.max(np.abs(step * (_DP_E @ k)) / scale))
+            err = float((np.abs(weights[6] @ buf) / scale).max())
             if not math.isfinite(err):
                 raise NumericBlowupError(index)
-            if err <= 1.0:
+            grow = 1.0 if retry or err > 1.0 else _GROW
+            retry = err > 1.0
+            if retry:
+                self.rejected += 1
+            else:
                 self.accepted += 1
                 done = span if landing else done + step
-                y = y_new
-                k[0] = k[6]
-            else:
-                self.rejected += 1
-            if err <= (_SAFETY / _GROW) ** 5:
-                self.h = _GROW * step
-            else:
-                self.h = max(_SHRINK, _SAFETY * err ** -0.2) * step
-        self.k1 = k[0]
+                y[:] = y_new
+                buf[1] = buf[7]
+            # err = 0 takes the first branch, never err ** -0.2
+            self.h = step * (grow if err <= (_SAFETY / grow) ** 5
+                             else max(_SHRINK, _SAFETY * err ** -0.2))
+        self.k1 = buf[1]
         return y
 
 
@@ -260,15 +273,16 @@ def integrate(cfg: SimConfig, n_modes: int) -> FieldSeries:
     report the same instants.  Initial data must take the same value at
     both ends (the expansion cannot represent unequal pinned boundaries).
     The penalty integral uses 4*n_modes midpoints and a velocity cutoff of
-    width 1/n_modes.  A reporting step dt whose start certifies
-    sum_k sqrt(q_k^2 + qdot_k^2 / lam_k) <= h cannot reach the penalty
-    and is taken exactly by the closed-form free propagator; any other
-    step is taken by error-controlled Dormand-Prince 5(4) substeps at the
-    module tolerance _TOL, the last one clipped to land on (i + 1) dt.  The
-    trial substep and the last stage carry over between consecutive such
-    steps.  A non-finite state or error estimate, or a substep that
-    underflows, raises NumericBlowupError with the reporting step.  The
-    counts of exact and adaptive steps are logged at INFO.
+    width 1/n_modes, in one pass per evaluation (see _modal_accel).  A
+    reporting step dt whose start certifies sum_k sqrt(q_k^2 + qdot_k^2 /
+    lam_k) <= h cannot reach the penalty and is taken exactly by the
+    closed-form free propagator; any other step is taken by error-controlled
+    Dormand-Prince 5(4) substeps at the module tolerance _TOL, none larger
+    than a rejected one just before it, the last clipped to land on
+    (i + 1) dt.  The trial substep and the last stage carry over between
+    consecutive such steps.  A non-finite state or error estimate, or a
+    substep that underflows, raises NumericBlowupError with the reporting
+    step.  The counts of exact and adaptive steps are logged at INFO.
     """
     if n_modes < 1:
         raise ConfigurationError("need at least one mode")
@@ -280,72 +294,67 @@ def integrate(cfg: SimConfig, n_modes: int) -> FieldSeries:
     ends = np.asarray(eta_fn(np.array([0.0, l])), dtype=float)
     scale = max(1.0, abs(ends[0]))
     if abs(ends[1] - ends[0]) > 1e-12 * scale:
-        raise ConfigurationError(
-            f"boundary values differ ({ends[0]:g} vs {ends[1]:g}); "
-            "the spectral solver needs equal pinned ends"
-        )
+        raise ConfigurationError(f"boundary values differ ({ends[0]:g} vs {ends[1]:g}); "
+                                 "the spectral solver needs equal pinned ends")
     offset_h = float(ends[0])
 
     quad_nodes = 4 * n_modes
     xq = _midpoints(quad_nodes, l)
     shapes_q = _mode_matrix(n_modes, l, xq)
-    q = _project(np.asarray(eta_fn(xq), float) - offset_h, shapes_q, quad_nodes)
-    qdot = _project(np.asarray(v_fn(xq), float), shapes_q, quad_nodes)
+    # y = (q, qdot), projected by midpoint quadrature
+    y = (2.0 / quad_nodes) * np.concatenate((shapes_q @ (eta_fn(xq) - offset_h),
+                                             shapes_q @ v_fn(xq)))
 
     lam = _frequencies(n_modes, l)
+    root_lam = np.sqrt(lam)
     alam = physics.alpha * lam
-    force_scale = 2.0 / (quad_nodes * physics.epsilon)
-    cut_eta = SmoothCutoff(physics.epsilon)
-    cut_vel = SmoothCutoff(1.0 / n_modes)
+    rates = -np.stack((lam, alam))
+    load_q = (2.0 / (quad_nodes * physics.epsilon)) * shapes_q
+    widths = np.array([[physics.epsilon], [1.0 / n_modes]])
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        q, qdot = y[:n_modes], y[n_modes:]
-        return np.concatenate((qdot, _modal_accel(q, qdot, lam, alam, offset_h,
-                                                  shapes_q, force_scale, cut_eta,
-                                                  cut_vel)))
+    def rhs(y: np.ndarray, out: np.ndarray) -> None:
+        _modal_accel(y, out, rates, offset_h, shapes_q, load_q, widths)
 
     dt = time.dt
-    p11, p12, p21, p22 = _free_propagator(lam, alam, dt)
+    # rows (p11, p12) and (p21, p22): one product and one sum per free step
+    flow = _free_propagator(lam, alam, dt).reshape(2, 2, n_modes)
     stepper = _DormandPrince(rhs, dt)
 
     xs = grid.nodes()
     shapes_x = _mode_matrix(n_modes, l, xs)
-    stride = cfg.output_stride
-    frames = 1 + math.ceil(time.steps_m / stride)
-    stored_times = np.empty(frames)
-    stored_eta = np.empty((frames, xs.size))
-    stored_vel = np.empty((frames, xs.size))
-    stored_force = np.empty((frames, xs.size))
-
-    def sample(row: int, index: int):
-        eta = offset_h + q @ shapes_x
-        vel = qdot @ shapes_x
-        stored_times[row] = index * dt
-        stored_eta[row] = eta
-        stored_vel[row] = vel
-        stored_force[row] = -(cut_eta(eta) * cut_vel(vel) * vel) / physics.epsilon
-
-    sample(0, 0)
-    row = 1
+    stride, steps = cfg.output_stride, time.steps_m
+    frames = 1 + math.ceil(steps / stride)
+    stored = np.empty((2, frames, xs.size))  # eta - h and v
+    stored[:, 0] = y.reshape(2, n_modes) @ shapes_x
     free_steps = 0
-    for i in range(time.steps_m):
-        if float(np.sum(_free_amplitude_bound(q, qdot, lam))) <= offset_h:
-            q, qdot = p11 * q + p12 * qdot, p21 * q + p22 * qdot
+    for i in range(steps):
+        if _free_amplitude_bound(*y.reshape(2, n_modes), root_lam).sum() <= offset_h:
+            y = np.add.reduce(flow * y.reshape(2, n_modes), axis=1).reshape(-1)
             stepper.k1 = None
             free_steps += 1
         else:
-            y = stepper.advance(np.concatenate((q, qdot)), dt, i + 1)
-            q, qdot = y[:n_modes], y[n_modes:]
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
+            y = stepper.advance(y, dt, i + 1)
+        if not np.isfinite(y).all():
             raise NumericBlowupError(i + 1)
-        if (i + 1) % stride == 0 or (i + 1) == time.steps_m:
-            sample(row, i + 1)
-            row += 1
+        if (i + 1) % stride == 0 or (i + 1) == steps:
+            stored[:, math.ceil((i + 1) / stride)] = y.reshape(2, n_modes) @ shapes_x
     log.info("integrate: %d exact free steps, %d accepted and %d rejected "
              "adaptive steps", free_steps, stepper.accepted, stepper.rejected)
 
+    eta, vel = stored
+    eta += offset_h
+    # -(1/eps) cut_eta(eta) cut_vel(v) v, negated as fd_solver negates its
+    # force so that every zero is +0.0; 16 frames at a time keep the
+    # cutoff's temporaries small
+    force = np.empty_like(eta)
+    for rows in (slice(first, first + 16) for first in range(0, frames, 16)):
+        switch = _UNIT_CUTOFF(stored[:, rows] / widths[:, :, None])
+        f = np.multiply.reduce(switch, out=force[rows])
+        f *= vel[rows]
+        np.divide(np.subtract(0.0, f, out=f), physics.epsilon, out=f)
+
     return FieldSeries(
-        times=stored_times,
+        times=np.minimum(np.arange(frames) * stride, steps) * dt,
         xs=xs,
-        fields={"eta": stored_eta, "velocity": stored_vel, "penalty_force": stored_force},
+        fields={"eta": eta, "velocity": vel, "penalty_force": force},
     )

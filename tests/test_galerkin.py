@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from modal_reference import modal_rhs
 
 from obstring import galerkin
 from obstring.core import (
@@ -52,12 +53,37 @@ def test_cutoff_requires_positive_width():
         SmoothCutoff(a=0.0)
 
 
+def _clip_cutoff(a, x):
+    """The cutoff as np.clip writes it."""
+    s = np.clip(-np.asarray(x, dtype=float) / a, 0.0, 1.0)
+    return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
+
+
+@pytest.mark.parametrize("a", [1.0, 0.002, 1.0 / 24])
+def test_cutoff_matches_the_clip_formula_bit_for_bit(a):
+    # every non-NaN value bit for bit, -0.0 included, and NaN for NaN: a
+    # NaN state must reach the error estimate (NumericBlowupError), not
+    # vanish in the clamps
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, -a, a, -0.5 * a,
+               5e-324, -5e-324]
+    xs = np.concatenate((special, np.linspace(-2.0 * a, a, 1001)))
+    cutoff = SmoothCutoff(a)
+    for x in (xs, np.stack((xs, xs[::-1]))):
+        got, want = cutoff(x), _clip_cutoff(a, x)
+        assert got.shape == want.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        numbers = ~np.isnan(want)
+        assert np.array_equal(got[numbers].view(np.int64), want[numbers].view(np.int64))
+    assert np.isnan(cutoff(np.nan))
+
+
 def _modal_kernel(n_modes, phys, offset_h):
     """qddot(q, qdot) of the modal system on l = 1, and the frequencies lam.
 
-    The invariants are hoisted as integrate hoists them: 4 * n_modes
-    midpoints, a displacement cutoff of width eps and a velocity cutoff of
-    width 1 / n_modes, so the kernel's arithmetic is integrate's.
+    The invariants are the ones integrate hoists: 4 * n_modes midpoints, a
+    displacement cutoff of width eps and a velocity cutoff of width
+    1 / n_modes.  The formula is the plain one in tests/modal_reference.py,
+    not the fused kernel that integrate calls.
     """
     quad = 4 * n_modes
     lam = _frequencies(n_modes, 1.0)
@@ -65,8 +91,9 @@ def _modal_kernel(n_modes, phys, offset_h):
     cut_eta, cut_vel = SmoothCutoff(phys.epsilon), SmoothCutoff(1.0 / n_modes)
 
     def accel(q, qdot):
-        return _modal_accel(q, qdot, lam, phys.alpha * lam, offset_h, shapes,
-                            2.0 / (quad * phys.epsilon), cut_eta, cut_vel)
+        y = np.concatenate((q, qdot))
+        return modal_rhs(y, lam, phys.alpha * lam, offset_h, shapes,
+                         2.0 / (quad * phys.epsilon), cut_eta, cut_vel)[n_modes:]
 
     return accel, lam
 
@@ -109,6 +136,40 @@ def test_modal_rhs_penalty_opposes_downward_motion():
     q = np.array([-0.5])
     accel, lam = _modal_kernel(1, Physics(alpha=0.0, epsilon=0.01), 0.0)
     assert accel(q, np.array([-1.0]))[0] > -lam[0] * q[0]  # strictly repulsive
+
+
+@pytest.mark.parametrize("offset_h, contact", [(1.0, False), (0.2, True)],
+                         ids=["free", "contact"])
+def test_fused_kernel_matches_the_plain_formula(offset_h, contact):
+    n_modes, quad = 24, 96
+    phys = Physics(alpha=0.01, epsilon=0.002)
+    lam = _frequencies(n_modes, 1.0)
+    alam = phys.alpha * lam
+    shapes = _mode_matrix(n_modes, 1.0, _midpoints(quad, 1.0))
+    force_scale = 2.0 / (quad * phys.epsilon)
+    rates = -np.stack((lam, alam))
+    widths = np.array([[phys.epsilon], [1.0 / n_modes]])
+    cuts = SmoothCutoff(phys.epsilon), SmoothCutoff(1.0 / n_modes)
+    rng = np.random.default_rng(31)
+    pushed = 0
+    for _ in range(50):
+        q = rng.standard_normal(n_modes) / np.arange(1, n_modes + 1)
+        if not contact:
+            q *= 0.99 * offset_h / np.sum(np.abs(q))
+        y = np.concatenate((q, 3.0 * rng.standard_normal(n_modes)))
+        want = modal_rhs(y, lam, alam, offset_h, shapes, force_scale, *cuts)
+        got = np.empty_like(y)
+        _modal_accel(y, got, rates, offset_h, shapes, force_scale * shapes, widths)
+        # normwise: the fused product sums eta and v on the midpoints in
+        # another order, and the eps-wide cutoff's slope 1/eps spreads that
+        # rounding over every mode, so a small cancelling component may move
+        # by more than 1e-13 of itself
+        assert np.array_equal(got[:n_modes], y[n_modes:])
+        qddot = want[n_modes:]
+        assert np.max(np.abs(got[n_modes:] - qddot)) <= 1e-13 * np.max(np.abs(qddot))
+        force = qddot - (-alam * y[n_modes:] - lam * q)
+        pushed += np.max(np.abs(force)) > 1e-12 * np.max(np.abs(qddot))
+    assert (pushed > 25) == contact  # the contact states do switch the force on
 
 
 def test_projection_round_trip_on_midpoints():
@@ -279,7 +340,7 @@ def test_free_propagator_matches_closed_form(n_modes, alpha, h):
 def test_free_propagator_respects_amplitude_certificate(q, qdot, alpha, mode, h):
     lam = np.array([(mode * np.pi) ** 2])
     p11, p12, _, _ = _free_propagator(lam, alpha * lam, h)
-    bound = _free_amplitude_bound(np.array([q]), np.array([qdot]), lam)[0]
+    bound = _free_amplitude_bound(np.array([q]), np.array([qdot]), np.sqrt(lam))[0]
     assert abs(p11[0] * q + p12[0] * qdot) <= bound * (1.0 + 1e-12)
 
 
@@ -297,8 +358,10 @@ def test_integrate_matches_rk4_trajectory(offset, v0, contact, steps, refine, st
     # start, integrate takes error-controlled steps and the string reaches
     # the obstacle at step 6.  The reference takes RK4 substeps ten times
     # finer, within 1.5e-10 of one twice as fine.  integrate misses it by
-    # 7.3e-10 in eta and 2.6e-7 in velocity, bounded with a 4x margin;
-    # RK4 substeps of 0.1/lam_max miss it by 6.3e-9 and 2.5e-6.
+    # 1.1e-9 in eta and 1.6e-7 in velocity (7.3e-10 and 2.6e-7 with step
+    # growth allowed right after a rejection), inside bounds set with a 4x
+    # margin on the latter; RK4 substeps of 0.1/lam_max miss it by 6.3e-9
+    # and 2.5e-6.
     n_modes, quad = 8, 32
     init = InitialData("single_mode", amplitude=0.15, mode=2, offset=offset, v0=v0)
     grid, tgrid = Grid1D(1.0, 40), TimeGrid(0.005 * steps, steps)
@@ -313,7 +376,7 @@ def test_integrate_matches_rk4_trajectory(offset, v0, contact, steps, refine, st
     q0 = (2.0 / quad) * (shapes @ (0.15 * np.sin(2 * np.pi * xq)))
     qdot0 = (2.0 / quad) * (shapes @ np.full(quad, v0))
     accel, lam = _modal_kernel(n_modes, phys, offset)
-    certified = np.sum(_free_amplitude_bound(q0, qdot0, lam)) <= offset
+    certified = np.sum(_free_amplitude_bound(q0, qdot0, np.sqrt(lam))) <= offset
     assert certified != contact
     n_sub = refine * math.ceil(tgrid.dt / (0.1 / (n_modes * np.pi) ** 2))
     trajectory = list(_rk4_trajectory(accel, q0, qdot0, h=tgrid.dt / n_sub,
@@ -326,10 +389,21 @@ def test_integrate_matches_rk4_trajectory(offset, v0, contact, steps, refine, st
         assert np.max(np.abs(series.fields["velocity"][frame] - vel)) <= tol_vel
 
 
+def test_integrate_penalty_force_zeros_are_positive():
+    # fd_solver.penalty_force's promise: the force is >= 0 and every zero
+    # in it is +0.0, also where the velocity is positive
+    init = InitialData("single_mode", amplitude=0.15, mode=2, offset=0.2, v0=-2.0)
+    series = integrate(SimConfig(Grid1D(1.0, 40), TimeGrid(0.04, 8),
+                                 Physics(0.01, 0.002), init), 8)
+    force, vel = series.fields["penalty_force"], series.fields["velocity"]
+    assert np.any(force > 0.0) and np.any((force == 0.0) & (vel > 0.0))
+    assert not np.any(np.signbit(force))
+
+
 def test_integrate_stiff_contact_is_fast_and_matches_rk4():
     # alpha lam_max = 4.0e4, so explicit steps are stability-bound before
     # contact, and the string reaches the obstacle at t = 0.0205.  On a
-    # 2 vCPU host integrate takes 0.34 s here (RK4 substeps of 0.1/lam_max
+    # 2 vCPU host integrate takes 0.2 s here (RK4 substeps of 0.1/lam_max
     # took 1.8 s) and misses RK4 at h = dt/100 by 2.2e-8, which is that
     # reference's own distance from RK4 at h = dt/400; bounded with a 4x
     # margin.
@@ -359,7 +433,7 @@ def test_integrate_raises_on_nan_state_in_contact(monkeypatch):
     # NaN error estimates compare False against the tolerance, so an
     # integrator that only tests for acceptance would retry forever
     monkeypatch.setattr(galerkin, "_modal_accel",
-                        lambda q, *args: np.full_like(q, np.nan))
+                        lambda y, out, *args: out.fill(np.nan))
     init = InitialData("single_mode", amplitude=0.15, mode=2, offset=0.2, v0=-2.0)
     with pytest.raises(NumericBlowupError) as info:
         integrate(SimConfig(Grid1D(1.0, 40), TimeGrid(0.04, 8), Physics(0.01, 0.002),
@@ -369,7 +443,7 @@ def test_integrate_raises_on_nan_state_in_contact(monkeypatch):
 
 def test_adaptive_steps_raise_at_finite_time_blowup():
     # y' = y^2 from y = 1 blows up at t = 1: the steps shrink until they underflow
-    stepper = _DormandPrince(lambda y: y * y, 0.1)
+    stepper = _DormandPrince(lambda y, out: np.multiply(y, y, out=out), 0.1)
     with pytest.raises(NumericBlowupError) as info:
         stepper.advance(np.ones(2), 2.0, 7)
     assert info.value.step_index == 7
