@@ -24,12 +24,7 @@ from .core import (
     validate_config,
 )
 from .fd_solver import penalty_force, run
-from .trisolve import (
-    ThomasFactorization,
-    Tridiagonal,
-    ZeroPivotError,
-    assemble_step_matrix,
-)
+from .trisolve import ThomasFactorization, assemble_step_matrix
 
 __version__ = "0.1.0"
 
@@ -44,8 +39,6 @@ __all__ = [
     "SimConfig",
     "ThomasFactorization",
     "TimeGrid",
-    "Tridiagonal",
-    "ZeroPivotError",
     "assemble_step_matrix",
     "evaluate_initial",
     "example1_config",

@@ -367,7 +367,8 @@ def dissipation_estimate(series: FieldSeries, kernel: MollifierKernel) -> dict:
     density = series.fields["penalty_force"] * (-v_smooth)
     weighted = density * time_weights(series.times)[:, None] * series.dx
     total_abs = float(np.abs(weighted).sum())
-    negative = float(-weighted[weighted < 0.0].sum())
+    # 0 - sum: with no negative cell the empty sum gives +0.0, not -0.0
+    negative = 0.0 - float(weighted[weighted < 0.0].sum())
     return {
         "omega": kernel.omega,
         "total": float(weighted.sum()),

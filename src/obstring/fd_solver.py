@@ -131,7 +131,7 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
     steps_m, stride = tgrid.steps_m, cfg.output_stride
     eta0, v0 = evaluate_initial(cfg.init, grid)
 
-    factorization = ThomasFactorization(assemble_step_matrix(grid, tgrid, physics))
+    factorization = ThomasFactorization(*assemble_step_matrix(grid, tgrid, physics))
     ledger = EnergyLedger.open(eta0, v0, cfg)
 
     frames = 1 + math.ceil(steps_m / stride)

@@ -17,8 +17,6 @@ and one backward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Grid1D, Physics, TimeGrid
@@ -28,46 +26,11 @@ from .core import Grid1D, Physics, TimeGrid
 DENSE_TAIL_ROWS = 256
 
 
-class ZeroPivotError(ArithmeticError):
-    """Elimination hit a zero pivot; ``index`` is its row of the input matrix."""
-
-    def __init__(self, index: int, value: float):
-        self.index = index
-        self.value = value
-        super().__init__(
-            f"zero pivot in row {index} (value {value!r}); "
-            "matrix is not diagonally dominant"
-        )
-
-
-@dataclass(frozen=True)
-class Tridiagonal:
-    """Bands of an n x n tridiagonal matrix (lower/upper have length n-1);
-    the band lengths are checked at construction."""
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
-    def __post_init__(self) -> None:
-        n = self.n
-        if n < 1:
-            raise ValueError("empty matrix")
-        if len(self.lower) != n - 1 or len(self.upper) != n - 1:
-            raise ValueError(
-                f"band lengths {len(self.lower)}/{len(self.upper)} do not "
-                f"match diagonal length {n}"
-            )
-
-
 def assemble_step_matrix(
     grid: Grid1D, time: TimeGrid, physics: Physics
-) -> Tridiagonal:
-    """Implicit-step operator over the interior nodes j = 1..N-1.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bands (lower, diag, upper) of the implicit-step operator over the
+    interior nodes j = 1..N-1; lower and upper are one array.
 
     diag = 1/dt^2 + 2(alpha/dt + 1)/dx^2, off-diagonals = -(alpha/dt + 1)/dx^2.
     Dirichlet rows are not part of the system.  The solver's unknown is the
@@ -78,7 +41,7 @@ def assemble_step_matrix(
     coupling = (physics.alpha / time.dt + 1.0) / grid.dx**2
     diag = np.full(n, 1.0 / time.dt**2 + 2.0 * coupling)
     off = np.full(max(n - 1, 0), -coupling)
-    return Tridiagonal(lower=off, diag=diag, upper=off.copy())
+    return off, diag, off
 
 
 class ThomasFactorization:
@@ -88,12 +51,10 @@ class ThomasFactorization:
     (0, 2, 4, ...) of an odd-sized system, which leaves a tridiagonal system
     on the odd rows of about half the size, and repeats down to a single
     row.  An even-sized level is first padded with one decoupled identity
-    row.  ``__init__`` runs the whole elimination once, so a zero pivot on
-    any level raises ``ZeroPivotError`` naming the row of the input matrix
-    it belongs to.  It stores, per level, the multipliers alpha and beta
-    that fold the eliminated neighbours into each kept row, plus the
-    eliminated rows' pivot reciprocals and bands scaled by them for the
-    back-substitution.
+    row.  ``__init__`` runs the whole elimination once.  It stores, per
+    level, the multipliers alpha and beta that fold the eliminated
+    neighbours into each kept row, plus the eliminated rows' pivot
+    reciprocals and bands scaled by them for the back-substitution.
 
     The small levels cost per numpy call, not per row, so the solve stops at
     the first level of at most ``DENSE_TAIL_ROWS`` rows and finishes it with
@@ -106,16 +67,19 @@ class ThomasFactorization:
     be solved from two threads at once.  At n <= ``DENSE_TAIL_ROWS`` a
     solve is the product alone.
 
-    Like the Thomas algorithm, this needs no pivoting on diagonally
-    dominant systems and handles non-symmetric bands.
+    Like the Thomas algorithm, this divides by its pivots unchecked, so the
+    matrix must be strictly (or irreducibly) diagonally dominant by rows.
+    Every step matrix is strictly so (diag - |lower| - |upper| = 1/dt^2 > 0),
+    and cyclic reduction keeps that dominance on every level (Heller 1976),
+    so no pivot is zero.  Once dt^2 (alpha/dt + 1)/dx^2 nears 2^53 the
+    rounding of diag takes that margin, but the end rows stay strict, which
+    keeps the matrix irreducibly dominant.
     """
 
-    def __init__(self, m: Tridiagonal):
-        n = m.n
-        lower = np.concatenate(([0.0], m.lower))
-        diag = np.array(m.diag, dtype=float)
-        upper = np.concatenate((m.upper, [0.0]))
-        rows = np.arange(n)  # input row of each row of the current level
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+        n = len(diag)
+        lower = np.concatenate(([0.0], lower))
+        upper = np.concatenate((upper, [0.0]))
 
         buf = np.zeros(n + 1 - n % 2)  # a padded row's entry stays 0
         self.n = n
@@ -138,8 +102,7 @@ class ThomasFactorization:
                 lower, diag, upper = (
                     np.append(lower, 0.0), np.append(diag, 1.0), np.append(upper, 0.0)
                 )
-                rows = np.append(rows, -1)
-            inv = _pivot_reciprocals(diag[0::2], rows[0::2])
+            inv = 1.0 / diag[0::2]
             kept = size // 2
             solved = (size + 1) // 2  # eliminated rows that are not padding
             a_e, c_e = lower[0::2], upper[0::2]
@@ -166,17 +129,16 @@ class ThomasFactorization:
             lower = alpha * a_e[:-1]
             diag = diag[1::2] + alpha * c_e[:-1] + beta * a_e[1:]
             upper = beta * c_e[1:]
-            rows = rows[1::2]
             buf = nxt
-        _sweep(forward, backward, buf, _pivot_reciprocals(diag, rows)[:, None])
+        _sweep(forward, backward, buf, (1.0 / diag)[:, None])
         # column j of the block solves for e_j: the block's rows are the inverse
         self._inverse = block[: block.shape[1]]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with m x = rhs, in a new array; rhs is untouched.
+        """x with A x = rhs, in a new array; rhs is untouched.
 
-        Residual contract: ||m x - rhs||_inf <= 1e-12 * (||m||_inf ||x||_inf
-        + ||rhs||_inf) for diagonally dominant systems.
+        Residual contract: ||A x - rhs||_inf <= 1e-12 * (||A||_inf ||x||_inf
+        + ||rhs||_inf) for strictly diagonally dominant systems.
         """
         n = self.n
         if len(rhs) != n:
@@ -199,11 +161,3 @@ def _sweep(forward, backward, tail: np.ndarray, inverse: np.ndarray) -> None:
         elim *= inv
         elim_r -= right * head
         elim_l -= left * head_l
-
-
-def _pivot_reciprocals(pivots: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """1 / pivots, or ZeroPivotError naming the input row of the first zero."""
-    zero = np.flatnonzero(pivots == 0.0)
-    if zero.size:
-        raise ZeroPivotError(int(rows[zero[0]]), float(pivots[zero[0]]))
-    return 1.0 / pivots

@@ -9,9 +9,22 @@ densify, and in np.longdouble it drives the extended-precision run of the
 scheme.  All live with the tests because no package path needs them.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
-from obstring.trisolve import Tridiagonal
+
+class Tridiagonal(NamedTuple):
+    """Bands of an n x n tridiagonal matrix; lower/upper have length n-1.
+    ``ThomasFactorization(*m)`` factors it."""
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.diag)
 
 
 def matvec(m: Tridiagonal, x: np.ndarray) -> np.ndarray:

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from dense_oracle import dense_solve
+from dense_oracle import Tridiagonal, dense_solve
 from obstring import diagnostics, fd_solver, galerkin
 from obstring.core import example1_config, example2_config, single_mode_config, validate_config
-from obstring.trisolve import ThomasFactorization, Tridiagonal
+from obstring.trisolve import ThomasFactorization
 
 # ---------------------------------------------------------------------------
 # fixtures: reference-resolution runs and the analytic cross-check pair
@@ -93,7 +93,7 @@ def test_tridiagonal_solver_matches_dense_reference():
         )
         m = Tridiagonal(lower=lower, diag=diag, upper=upper)
         rhs = rng.uniform(-5.0, 5.0, n)
-        x = ThomasFactorization(m).solve(rhs)
+        x = ThomasFactorization(*m).solve(rhs)
         ref = dense_solve(m, rhs)
         scale = max(float(np.max(np.abs(ref))), 1e-300)
         worst = max(worst, float(np.max(np.abs(x - ref))) / scale)

@@ -1,5 +1,7 @@
 """Energy ledger, contact geometry, mollification, and theorem probes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,19 @@ def test_dissipation_trivial_without_contact(flat_run):
     assert est["total"] == 0.0
     assert est["negative_fraction"] == 0.0
     assert not est["density"].any()
+
+
+def test_dissipation_negative_fraction_is_plus_zero_without_negative_cells():
+    # force on a few cells, velocity downward everywhere: the density is
+    # positive where the force is and +0.0 elsewhere, so no cell is negative
+    times, xs = np.linspace(0.0, 0.1, 11), np.linspace(0.0, 1.0, 21)
+    force = np.zeros((11, 21))
+    force[3:8, 8:13] = 2.0
+    series = _series(times, xs, velocity=np.full((11, 21), -1.0), force=force)
+    est = dissipation_estimate(series, MollifierKernel.build(0.2, 0.01, 0.05))
+    assert est["total"] > 0.0
+    fraction = est["negative_fraction"]
+    assert fraction == 0.0 and math.copysign(1.0, fraction) == 1.0
 
 
 def test_dissipation_converges_to_unsmoothed_total(desk_ex1):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dense_oracle import thomas_sweep
+from dense_oracle import Tridiagonal, thomas_sweep
 from obstring.core import (
     Grid1D,
     InitialData,
@@ -19,7 +19,6 @@ from obstring.core import (
     validate_config,
 )
 from obstring.fd_solver import penalty_force, run, scheme_residual
-from obstring.trisolve import Tridiagonal
 
 
 # ---------------------------------------------------------------------------
