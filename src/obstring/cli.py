@@ -515,9 +515,11 @@ def render_heatmap(
     PNG is the raster; the SVG embeds the same PNG bytes and adds axis
     labels and tick marks.  Non-finite values are a hard error.
     """
+    matrix = np.asarray(matrix)
     if not np.all(np.isfinite(matrix)):
         raise ValueError("cannot render non-finite field values")
-    small = _downsample(np.asarray(matrix, float), max_rows=1200, max_cols=1600)
+    # only the kept cells are converted (a bool mask needs no float copy)
+    small = np.asarray(_downsample(matrix, max_rows=1200, max_cols=1600), float)
     # stored layout is (time, x); image wants x vertical (origin bottom)
     image = _palette_rgb(small.T[::-1, :], palette)
     height, width, _ = image.shape

@@ -15,10 +15,18 @@ meaningful on strided output.  Test functions are separable polynomial
 bumps phi = a(t) b(x) and enter only through their 1-D profiles, so the
 rule applied to II[f phi] is the bilinear form (w_t dx a) . f . b, which
 _form evaluates for the weak-form residuals; dissipation_estimate and
-velocity_jump_probe apply the rule directly.  Since phi is compactly
-supported, II[f phi] involves f only on phi's support: each weak-form
-residual slices the stored fields to that window (plus one node on each
-side for the x-derivatives) before any derivative or product is formed.
+velocity_jump_probe apply the rule directly.
+
+A probe whose integrand vanishes outside a known set slices the stored
+fields to a window around it before any derivative or product is formed,
+and every value it forms on that set is the whole-field one bitwise:
+
+- a weak-form residual: phi's support, since phi is compactly supported
+  (plus one node on each side for the x-derivatives);
+- dissipation_estimate: the bounding box of the penalty force's support
+  {F > 0}, widened on each axis by the mollifier's radius;
+- stress_jump_probe: the frames its boundary graph covers, and the strip
+  columns [min f - delta, max f + delta] plus one node on each side.
 """
 
 from __future__ import annotations
@@ -70,6 +78,15 @@ def _form(field2d: np.ndarray, wa: np.ndarray, b: np.ndarray) -> float:
     nodes; where a(t) b(x) vanishes outside it, the sum is the same.
     """
     return float(wa @ (field2d @ b))
+
+
+def _span(mask: np.ndarray, halo: int) -> slice:
+    """Indices from the first to the last True entry of mask, widened by halo
+    on each side and clipped to the array.  A mask with no True entry spans
+    index 0 and its halo, where the caller's integrand vanishes."""
+    on = np.flatnonzero(mask)
+    first, last = (on[0], on[-1]) if len(on) else (0, 0)
+    return slice(max(first - halo, 0), min(last + 1 + halo, len(mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +181,14 @@ class EnergyLedger:
 # penetration and contact geometry
 
 
-def penetration_metrics(series: FieldSeries) -> dict[str, float]:
+def penetration_metrics(series: FieldSeries) -> dict[str, float | None]:
     """Size of the negative displacement excursion over the stored frames.
 
     Returns the worst pointwise depth, the largest L1 mass of the negative
     part at any stored instant, the final-frame values of both, and the
-    first stored time with any penetration (NaN when the string never dips
-    below the obstacle).
+    first stored time with any penetration (None when the string never
+    dips below the obstacle, so probes.json holds null, as for
+    ContactReport.first_contact_time).
     """
     eta = series.fields["eta"]
     dx = series.dx
@@ -183,7 +201,7 @@ def penetration_metrics(series: FieldSeries) -> dict[str, float]:
         "l1_max": float(per_time_l1.max()),
         "depth_final": float(per_time_depth[-1]),
         "l1_final": float(per_time_l1[-1]),
-        "first_penetration_time": float(series.times[hit[0]]) if len(hit) else math.nan,
+        "first_penetration_time": float(series.times[hit[0]]) if len(hit) else None,
     }
 
 
@@ -242,39 +260,43 @@ def extract_contact(series: FieldSeries, link_cells: int = 12) -> ContactReport:
     mask[:, 0] = False
     mask[:, -1] = False
 
+    in_contact = mask.any(axis=1)
     tol = link_cells * series.dx
-    chains: list[dict] = []
+    chains: list[tuple[str, list]] = []  # (side, points), in creation order
+    live: dict[str, list[list]] = {"left": [], "right": []}
     components = np.zeros(len(times), dtype=int)
 
-    for s, t in enumerate(times):
+    for s in range(len(times)):
+        if not in_contact[s]:  # no edge to link: every chain ends here
+            live = {"left": [], "right": []}
+            continue
+        t = float(times[s])
         runs = _mask_runs(mask[s])
         components[s] = len(runs)
         for side, pos in (("left", 0), ("right", 1)):
             edges = [float(xs[r[pos]]) for r in runs]
             taken = [False] * len(edges)
-            for chain in chains:
-                if not chain["active"] or chain["side"] != side:
-                    continue
+            linked = []
+            for pts in live[side]:
                 best, best_d = -1, tol
                 for k, x in enumerate(edges):
-                    d = abs(x - chain["pts"][-1][1])
+                    d = abs(x - pts[-1][1])
                     if not taken[k] and d <= best_d:
                         best, best_d = k, d
                 if best >= 0:
                     taken[best] = True
-                    chain["pts"].append((float(t), edges[best]))
-                else:
-                    chain["active"] = False
+                    pts.append((t, edges[best]))
+                    linked.append(pts)
             for k, x in enumerate(edges):
                 if not taken[k]:
-                    chains.append(
-                        {"side": side, "pts": [(float(t), x)], "active": True}
-                    )
+                    chains.append((side, [(t, x)]))
+                    linked.append(chains[-1][1])
+            live[side] = linked
 
-    kept = [c for c in chains if len(c["pts"]) >= MIN_CHAIN_FRAMES]
-    kept.sort(key=lambda c: len(c["pts"]), reverse=True)
+    kept = [c for c in chains if len(c[1]) >= MIN_CHAIN_FRAMES]
+    kept.sort(key=lambda c: len(c[1]), reverse=True)
 
-    any_contact = np.nonzero(mask.any(axis=1))[0]
+    any_contact = np.flatnonzero(in_contact)
     first_time = float(times[any_contact[0]]) if len(any_contact) else None
     impulse = _form(force, time_weights(times) * series.dx, np.ones_like(xs))
 
@@ -283,8 +305,8 @@ def extract_contact(series: FieldSeries, link_cells: int = 12) -> ContactReport:
         components_per_time=components,
         first_contact_time=first_time,
         total_penalty_impulse=impulse,
-        boundary_graphs=[np.array(c["pts"]) for c in kept],
-        graph_sides=[c["side"] for c in kept],
+        boundary_graphs=[np.array(pts) for _, pts in kept],
+        graph_sides=[side for side, _ in kept],
     )
 
 
@@ -362,9 +384,20 @@ def dissipation_estimate(series: FieldSeries, kernel: MollifierKernel) -> dict:
     negative_fraction entry reports how much of the total mass (in
     absolute value) the negative cells carry — it should shrink as the
     kernel width does.
+
+    The force F >= 0 confines the density to {F > 0}.  The velocity is
+    mollified only on that set's bounding box widened by the kernel radius
+    on each axis: the taps of a cell with F > 0 read no value outside it,
+    so the density there is the whole-field product bitwise.  It is +0.0
+    wherever F is not positive.
     """
-    v_smooth = mollify(series.fields["velocity"], kernel)
-    density = series.fields["penalty_force"] * (-v_smooth)
+    force = series.fields["penalty_force"]
+    on = force > 0.0
+    window = (_span(on.any(axis=1), halo=(len(kernel.taps_t) - 1) // 2),
+              _span(on.any(axis=0), halo=(len(kernel.taps_x) - 1) // 2))
+    density = np.zeros_like(force)
+    np.multiply(force[window], -mollify(series.fields["velocity"][window], kernel),
+                out=density[window], where=on[window])
     weighted = density * time_weights(series.times)[:, None] * series.dx
     total_abs = float(np.abs(weighted).sum())
     # 0 - sum: with no negative cell the empty sum gives +0.0, not -0.0
@@ -436,15 +469,6 @@ def builtin_test_functions(horizon_T: float, length_l: float) -> dict[str, BumpT
 
 # ---------------------------------------------------------------------------
 # weak-form residuals
-
-
-def _span(mask: np.ndarray, halo: int) -> slice:
-    """Indices from the first to the last True entry of mask, widened by halo
-    on each side and clipped to the array.  A mask with no True entry spans
-    index 0 and its halo, where every weight of the window vanishes."""
-    on = np.flatnonzero(mask)
-    first, last = (on[0], on[-1]) if len(on) else (0, 0)
-    return slice(max(first - halo, 0), min(last + 1 + halo, len(mask)))
 
 
 def _weights(series: FieldSeries, phi: BumpTestFunction, require_nonneg: bool = False):
@@ -619,6 +643,11 @@ def stress_jump_probe(
 
     in the limit of small delta, and should match the penalty-force mass
     in the strip |x - f| <= delta.  Both are returned for comparison.
+
+    Only the graph's frames and the strip columns plus one node on each
+    side are read.  The stress there is the whole-field one bitwise; the
+    strip sums run over the window's columns, so their last bits may
+    differ from sums over every node.
     """
     if delta < 2.0 * series.dx:
         raise ProbeContractError(
@@ -629,16 +658,20 @@ def stress_jump_probe(
     if np.any(f - delta < xs[0]) or np.any(f + delta > xs[-1]):
         raise ProbeContractError("strips around the boundary leave the domain")
 
+    # a node in some strip has xs - max(f) <= delta and xs - min(f) >= -delta
+    # (rounding is monotone); one more node on each side keeps np.gradient
+    # central, hence the whole-field value, on every strip node
+    cols = _span((xs - f.max() <= delta) & (xs - f.min() >= -delta), halo=1)
     dx = series.dx
     alpha = cfg.physics.alpha
-    eta = series.fields["eta"][rows]
-    v = series.fields["velocity"][rows]
+    eta = series.fields["eta"][rows, cols]
+    v = series.fields["velocity"][rows, cols]
     sigma = np.gradient(eta, dx, axis=1) + alpha * np.gradient(v, dx, axis=1)
-    force = series.fields["penalty_force"][rows]
+    force = series.fields["penalty_force"][rows, cols]
 
     w = time_weights(series.times[rows]) * dx
-    ones = np.ones_like(xs)
-    pos = xs[None, :] - f[:, None]
+    ones = np.ones(eta.shape[1])
+    pos = xs[None, cols] - f[:, None]
     right = (pos > 0.0) & (pos <= delta)
     left = (pos >= -delta) & (pos <= 0.0)
     near = np.abs(pos) <= delta

@@ -40,3 +40,11 @@ def desk_ex2():
     cfg = core.validate_config(core.example2_config(resolution=1000, epsilon=0.002))
     series, ledger = fd_solver.run(cfg)
     return cfg, series, ledger
+
+
+@pytest.fixture(scope="session")
+def desk_ex2_stiff():
+    """The piecewise ramp at desk resolution with eps = 1e-3."""
+    cfg = core.validate_config(core.example2_config(resolution=1000, epsilon=0.001))
+    series, ledger = fd_solver.run(cfg)
+    return cfg, series, ledger

@@ -612,6 +612,27 @@ def test_probe_command_writes_report(run_dir, capsys):
     assert "unknown probe(s): wavelets" in capsys.readouterr().err
 
 
+def test_contact_free_probe_report_is_strict_json(tmp_path, capsys):
+    # a run that never penetrates has no first penetration time: null, not
+    # the NaN that RFC 8259 JSON cannot hold
+    cfg = tmp_path / "free.ini"
+    cfg.write_text(GOOD_CONFIG.replace("csv,heatmap,snapshots", "npz")
+                   .replace("enabled = penetration,contact", "enabled = all"))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["probe", str(out)]) == 0
+    capsys.readouterr()
+
+    def refuse(token):
+        raise ValueError(f"probes.json holds {token}")
+
+    with open(out / "probes.json") as fh:
+        report = json.load(fh, parse_constant=refuse)
+    assert report["penetration"]["first_penetration_time"] is None
+    assert report["contact"]["first_contact_time"] is None
+    assert "dissipation" in report
+
+
 def test_probe_names_checked_before_the_run_is_read(tmp_path, capsys):
     # a formats = none run has no field store; the bad name is reported first
     cfg = tmp_path / "none.ini"

@@ -33,6 +33,7 @@ from obstring.diagnostics import (
     weak_momentum_residual,
 )
 from obstring.fd_solver import run
+import probe_reference
 
 
 def _series(times, xs, eta=None, velocity=None, force=None):
@@ -137,7 +138,7 @@ def test_penetration_clean_run_is_zero(flat_run):
     _, series, _ = flat_run
     m = penetration_metrics(series)
     assert m["depth_max"] == 0.0 and m["l1_max"] == 0.0
-    assert np.isnan(m["first_penetration_time"])
+    assert m["first_penetration_time"] is None
 
 
 def test_extract_contact_no_contact(flat_run):
@@ -277,6 +278,49 @@ def test_dissipation_converges_to_unsmoothed_total(desk_ex1):
         gaps.append(abs(est["total"] - raw))
     # the smoothed total approaches the raw one as the kernel narrows
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def _assert_matches_whole_field(series, kernel):
+    """The windowed estimate is the whole-field one bitwise on {F > 0}, +0.0
+    off it, and its sums agree (a zero total may differ in sign)."""
+    got = dissipation_estimate(series, kernel)
+    ref = probe_reference.dissipation_estimate(series, kernel)
+    on = series.fields["penalty_force"] > 0.0
+    assert got["density"][on].tobytes() == ref["density"][on].tobytes()
+    assert np.array_equal(got["density"], ref["density"])
+    assert not np.signbit(got["density"][~on]).any()
+    assert got["total"] == ref["total"]
+    assert got["negative_fraction"] == ref["negative_fraction"]
+    return got
+
+
+@pytest.mark.parametrize("cells", [8, 4, 2])
+@pytest.mark.parametrize("run_name", ["desk_ex1", "desk_ex2"])
+def test_windowed_dissipation_is_the_whole_field_estimate(request, run_name, cells):
+    _, series, _ = request.getfixturevalue(run_name)
+    dt = float(np.diff(series.times).min())
+    est = _assert_matches_whole_field(
+        series, MollifierKernel.build(cells * series.dx, dt, series.dx))
+    assert est["total"] > 0.0
+
+
+@pytest.mark.parametrize("cells", [
+    [],                                # no positive cell
+    [(0, 7), (6, 30)],                 # frame 0 and an interior cell
+    [(0, 0), (11, 39)],                # first and last frame, both rod ends
+    [(6, 20)],                         # one cell: the kernel outgrows its window
+])
+def test_windowed_dissipation_at_the_edges_of_the_field(cells):
+    rng = np.random.default_rng(23)
+    times, xs = np.linspace(0.0, 0.11, 12), np.linspace(0.0, 1.0, 40)
+    force = np.zeros((12, 40))
+    for cell in cells:
+        force[cell] = rng.uniform(0.5, 2.0)
+    series = _series(times, xs, velocity=rng.standard_normal((12, 40)), force=force)
+    dx = float(xs[1] - xs[0])
+    for omega in (2.5 * dx, 0.3):  # 0.3 spans more frames and nodes than the field
+        est = _assert_matches_whole_field(series, MollifierKernel.build(omega, 0.01, dx))
+        assert (est["total"] != 0.0) == bool(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +552,53 @@ def test_stress_probe_contracts(flat_run):
     backwards = np.array([[0.4, 0.5], [0.1, 0.5]])
     with pytest.raises(ProbeContractError, match="increasing"):
         stress_jump_probe(series, cfg, backwards, delta=0.1)
+
+
+def test_windowed_stress_jump_matches_whole_field(desk_ex2, desk_ex2_stiff):
+    # every candidate criterion 10 scores: the strip values are the
+    # whole-field ones bitwise, and only BLAS row sums over fewer columns may
+    # round differently (OpenBLAS 0.3.31: 12 of 336 values, 2.2e-15 relative)
+    worst, checked = 0.0, 0
+    for cfg, series, _ in (desk_ex2, desk_ex2_stiff):
+        report = extract_contact(series)
+        length = cfg.grid.length_l
+        for graph in report.boundary_graphs:
+            if len(graph) < 3:
+                continue
+            if graph[:, 1].min() <= 0.05 * length or graph[:, 1].max() >= 0.95 * length:
+                continue
+            for delta in np.arange(0.006, 0.0501, 0.004):
+                try:
+                    got = stress_jump_probe(series, cfg, graph, float(delta))
+                except ProbeContractError:
+                    continue
+                ref = probe_reference.stress_jump_probe(series, cfg, graph, float(delta))
+                assert (got["delta"], got["time_span"]) == (ref["delta"], ref["time_span"])
+                for key in ("jump_total", "penalty_mass"):
+                    gap = abs(got[key] - ref[key])
+                    worst = max(worst, gap / abs(ref[key]) if gap else 0.0)
+                checked += 1
+    assert checked > 100
+    assert worst <= 1e-12
+
+
+def test_windowed_stress_jump_strips_reaching_both_rod_ends():
+    rng = np.random.default_rng(7)
+    times, xs = np.linspace(0.0, 0.2, 21), np.linspace(0.0, 1.0, 41)
+    shape = (21, 41)
+    series = _series(times, xs, eta=rng.standard_normal(shape),
+                     velocity=rng.standard_normal(shape),
+                     force=rng.uniform(0.0, 1.0, shape))
+    cfg = single_mode_config(resolution=40, horizon_T=0.2)
+    for graph, delta in (
+        (np.array([[0.02, 0.5], [0.17, 0.5]]), 0.5),    # the whole rod
+        (np.array([[0.0, 0.1], [0.2, 0.9]]), 0.1),      # from end to end
+        (np.array([[0.05, 0.42], [0.15, 0.47]]), 0.07),  # an interior window
+    ):
+        got = stress_jump_probe(series, cfg, graph, delta)
+        ref = probe_reference.stress_jump_probe(series, cfg, graph, delta)
+        for key in ref:
+            assert got[key] == pytest.approx(ref[key], rel=1e-12, abs=0.0)
 
 
 def test_velocity_probe_trivial_on_resting_string(flat_run):
