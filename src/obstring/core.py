@@ -185,11 +185,12 @@ class SimConfig:
 class FieldSeries:
     """Strided space-time storage of named node fields.
 
-    fields maps {"eta", "velocity", "penalty_force"} to arrays of shape
-    (stored_steps, nodes), a stack of time levels with one level per row;
-    times is strictly increasing.  penalty_force is fd_solver.penalty_force
-    of eta and velocity, which gives the same bits on one level or on the
-    whole stack.
+    fields maps names to arrays of shape (stored_steps, nodes), a stack of
+    time levels with one level per row; times is strictly increasing.
+    Every series holds the state, "eta" and "velocity".  The series of
+    fd_solver.run and cli.series_from_run_dir also hold "penalty_force",
+    fd_solver.penalty_force of that state, which gives the same bits on one
+    level or on the whole stack; galerkin.integrate's series does not.
     """
 
     times: np.ndarray

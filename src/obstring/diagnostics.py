@@ -211,8 +211,9 @@ class ContactReport:
 
     mask
         Boolean (frames x nodes) array; a node is in contact when its
-        displacement is <= 0 or the penalty force there is active.
-        Boundary nodes are exempt (they are pinned, not in contact).
+        displacement is <= 0, which covers every node where the penalty
+        force is positive (its indicator is eta < 0).  Boundary nodes are
+        exempt (they are pinned, not in contact).
     boundary_graphs
         Polylines (k, 2) of (time, x) tracing the left/right edges of
         contact components through time, longest-lived first.
@@ -252,11 +253,9 @@ def extract_contact(series: FieldSeries, link_cells: int = 12) -> ContactReport:
     edge of the same side within link_cells grid cells; chains shorter
     than MIN_CHAIN_FRAMES frames are dropped.
     """
-    eta = series.fields["eta"]
-    force = series.fields["penalty_force"]
     xs = series.xs
     times = series.times
-    mask = (eta <= 0.0) | (force > 0.0)
+    mask = series.fields["eta"] <= 0.0
     mask[:, 0] = False
     mask[:, -1] = False
 
@@ -298,7 +297,8 @@ def extract_contact(series: FieldSeries, link_cells: int = 12) -> ContactReport:
 
     any_contact = np.flatnonzero(in_contact)
     first_time = float(times[any_contact[0]]) if len(any_contact) else None
-    impulse = _form(force, time_weights(times) * series.dx, np.ones_like(xs))
+    impulse = _form(series.fields["penalty_force"], time_weights(times) * series.dx,
+                    np.ones_like(xs))
 
     return ContactReport(
         mask=mask,
@@ -471,30 +471,57 @@ def builtin_test_functions(horizon_T: float, length_l: float) -> dict[str, BumpT
 # weak-form residuals
 
 
-def _weights(series: FieldSeries, phi: BumpTestFunction, require_nonneg: bool = False):
-    """phi's support window and its _form weights there, after the contract checks.
+class _BumpWindow:
+    """One bump phi = a(t) b(x) on its support window, after the contract checks.
 
-    Returns ((rows, cols), wa, wa_t, b, b_x, a0).  rows are the frames where
-    a or a' is nonzero; cols the nodes where b or b' is nonzero plus one
-    node on each side, clipped to the rod, so np.gradient along x on the
-    window is central wherever b or b' is nonzero and there equals the
-    full-field derivative bitwise.  The weights are those of the full grid
-    restricted to the window.  a0 = a(t_0) * dx weighs the initial terms,
-    I[f p(0, .)] = a0 * (f[0] @ b), which only a window starting at frame 0
-    has; otherwise phi(0, .) = 0 and they are 0.0.
+    The window's rows are the frames where a or a' is nonzero; its columns
+    the nodes where b or b' is nonzero plus one node on each side, clipped
+    to the rod, so np.gradient along x on the window is central wherever b
+    or b' is nonzero and there equals the full-field derivative bitwise.
+    The _form weights are those of the full grid restricted to the window;
+    v, force, dxv = d_x v and dxeta = d_x eta are the window's.  Only a
+    window starting at frame 0 has initial terms; otherwise phi(0, .) = 0
+    and p0 gives 0.0.
     """
-    a, a_t, b, b_x = phi.profiles(series.times, series.xs)
-    if abs(a[-1] * b).max() > 0.0 or abs(a[:, None] * b[[0, -1]]).max() > 0.0:
-        raise ProbeContractError(
-            "test function must vanish at the final time and at both rod ends"
-        )
-    # the extremes of a(t) b(x) are products of the extremes of a and of b
-    if require_nonneg and np.outer([a.min(), a.max()], [b.min(), b.max()]).min() < 0.0:
-        raise ProbeContractError("test function must be nonnegative")
-    rows = _span((a != 0.0) | (a_t != 0.0), halo=0)
-    cols = _span((b != 0.0) | (b_x != 0.0), halo=1)
-    w = time_weights(series.times)[rows] * series.dx
-    return (rows, cols), w * a[rows], w * a_t[rows], b[cols], b_x[cols], a[0] * series.dx
+
+    def __init__(self, series: FieldSeries, phi: BumpTestFunction,
+                 require_nonneg: bool = False):
+        a, a_t, b, b_x = phi.profiles(series.times, series.xs)
+        if abs(a[-1] * b).max() > 0.0 or abs(a[:, None] * b[[0, -1]]).max() > 0.0:
+            raise ProbeContractError(
+                "test function must vanish at the final time and at both rod ends"
+            )
+        # the extremes of a(t) b(x) are products of the extremes of a and of b
+        if require_nonneg and np.outer([a.min(), a.max()], [b.min(), b.max()]).min() < 0.0:
+            raise ProbeContractError("test function must be nonnegative")
+        rows = _span((a != 0.0) | (a_t != 0.0), halo=0)
+        cols = _span((b != 0.0) | (b_x != 0.0), halo=1)
+        w = time_weights(series.times)[rows] * series.dx
+        self.wa, self.wa_t, self.b, self.b_x = w * a[rows], w * a_t[rows], b[cols], b_x[cols]
+        self.a0 = a[0] * series.dx if rows.start == 0 else None
+        self.v = series.fields["velocity"][rows, cols]
+        self.force = series.fields["penalty_force"][rows, cols]
+        self.dxv = np.gradient(self.v, series.dx, axis=1)
+        self.dxeta = np.gradient(series.fields["eta"][rows, cols], series.dx, axis=1)
+
+    def pt(self, f: np.ndarray) -> float:  # II[f p_t]
+        return _form(f, self.wa_t, self.b)
+
+    def px(self, f: np.ndarray) -> float:  # II[f p_x]
+        return _form(f, self.wa, self.b_x)
+
+    def p(self, f: np.ndarray) -> float:  # II[f p]
+        return _form(f, self.wa, self.b)
+
+    def p0(self, row: np.ndarray) -> float:  # I[f p(0, .)], row = f on frame 0
+        return 0.0 if self.a0 is None else self.a0 * float(row @ self.b)
+
+
+def _tally(terms: dict[str, float]) -> tuple[dict[str, float], float, float]:
+    """The terms, their sum and the sum of their magnitudes.  + 0.0 makes a
+    zero term +0.0 (-alpha * 0.0 is -0.0) and keeps every other's bits."""
+    terms = {name: t + 0.0 for name, t in terms.items()}
+    return terms, sum(terms.values()), sum(abs(t) for t in terms.values())
 
 
 def weak_momentum_residual(
@@ -510,30 +537,15 @@ def weak_momentum_residual(
     Returns the residual, the individual terms, and scale = sum of their
     magnitudes for relative comparison.
     """
-    (rows, cols), wa, wa_t, b, b_x, a0 = _weights(series, phi)
-    v = series.fields["velocity"][rows, cols]
-    eta = series.fields["eta"][rows, cols]
-    force = series.fields["penalty_force"][rows, cols]
+    win = _BumpWindow(series, phi)
     alpha = cfg.physics.alpha
-
-    dxv = np.gradient(v, series.dx, axis=1)
-    dxeta = np.gradient(eta, series.dx, axis=1)
-
-    transport = _form(v, wa_t, b)
-    viscous = -alpha * _form(dxv, wa, b_x)
-    elastic = -_form(dxeta, wa, b_x)
-    initial = a0 * float(v[0] @ b) if rows.start == 0 else 0.0
-    forcing = _form(force, wa, b)
-
-    terms = {
-        "transport": transport,
-        "viscous": viscous,
-        "elastic": elastic,
-        "initial": initial,
-        "forcing": forcing,
-    }
-    residual = sum(terms.values())
-    scale = sum(abs(t) for t in terms.values())
+    terms, residual, scale = _tally({
+        "transport": win.pt(win.v),
+        "viscous": -alpha * win.px(win.dxv),
+        "elastic": -win.px(win.dxeta),
+        "initial": win.p0(win.v[0]),
+        "forcing": win.p(win.force),
+    })
     return {"residual": residual, "scale": scale, **terms}
 
 
@@ -547,29 +559,20 @@ def local_energy_residual(
     the initial energy weighted by phi(0, .).  For a dissipative solution
     lhs <= rhs, so slack = rhs - lhs should not be significantly negative.
     """
-    (rows, cols), wa, wa_t, b, b_x, a0 = _weights(series, phi, require_nonneg=True)
-    v = series.fields["velocity"][rows, cols]
-    eta = series.fields["eta"][rows, cols]
-    force = series.fields["penalty_force"][rows, cols]
+    win = _BumpWindow(series, phi, require_nonneg=True)
+    v, dxv, dxeta = win.v, win.dxv, win.dxeta
     alpha = cfg.physics.alpha
-
-    dxv = np.gradient(v, series.dx, axis=1)
-    dxeta = np.gradient(eta, series.dx, axis=1)
-    contact_density = force * np.maximum(-v, 0.0)
-
-    lhs_terms = {
-        "kinetic_transport": -0.5 * _form(v * v, wa_t, b),
-        "elastic_transport": -0.5 * _form(dxeta * dxeta, wa_t, b),
-        "viscous": alpha * _form(dxv * dxv, wa, b),
-        "contact": _form(contact_density, wa, b),
-        "viscous_flux": alpha * _form(dxv * v, wa, b_x),
-        "elastic_flux": _form(dxeta * v, wa, b_x),
-    }
-    rhs = (a0 * float((0.5 * v[0] ** 2 + 0.5 * dxeta[0] ** 2) @ b)
-           if rows.start == 0 else 0.0)
-    lhs = sum(lhs_terms.values())
-    scale = abs(rhs) + sum(abs(t) for t in lhs_terms.values())
-    return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs, "scale": scale, **lhs_terms}
+    lhs_terms, lhs, lhs_scale = _tally({
+        "kinetic_transport": -0.5 * win.pt(v * v),
+        "elastic_transport": -0.5 * win.pt(dxeta * dxeta),
+        "viscous": alpha * win.p(dxv * dxv),
+        "contact": win.p(win.force * np.maximum(-v, 0.0)),
+        "viscous_flux": alpha * win.px(dxv * v),
+        "elastic_flux": win.px(dxeta * v),
+    })
+    rhs = win.p0(0.5 * v[0] ** 2 + 0.5 * dxeta[0] ** 2)
+    return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs, "scale": abs(rhs) + lhs_scale,
+            **lhs_terms}
 
 
 def renormalized_residual(
@@ -587,26 +590,18 @@ def renormalized_residual(
     velocity is negative, where b'(w) vanishes.  Returns the slack and a
     magnitude scale.
     """
-    (rows, cols), wa, wa_t, b, b_x, a0 = _weights(series, phi, require_nonneg=True)
-    v = series.fields["velocity"][rows, cols]
-    eta = series.fields["eta"][rows, cols]
+    win = _BumpWindow(series, phi, require_nonneg=True)
     alpha = cfg.physics.alpha
-
-    w = np.maximum(v, 0.0)
-    dxv = np.gradient(v, series.dx, axis=1)
+    w = np.maximum(win.v, 0.0)
     dxw = np.gradient(w, series.dx, axis=1)
-    dxeta = np.gradient(eta, series.dx, axis=1)
-
-    terms = {
-        "transport": _form(w * w, wa_t, b),
-        "viscous_flux": -alpha * _form(dxv * 2.0 * w, wa, b_x),
-        "viscous_bulk": -alpha * _form(dxw * dxw * 2.0, wa, b),
-        "elastic_flux": -_form(dxeta * 2.0 * w, wa, b_x),
-        "elastic_bulk": -_form(dxeta * 2.0 * dxw, wa, b),
-        "initial": a0 * float(w[0] ** 2 @ b) if rows.start == 0 else 0.0,
-    }
-    slack = sum(terms.values())
-    scale = sum(abs(t) for t in terms.values())
+    terms, slack, scale = _tally({
+        "transport": win.pt(w * w),
+        "viscous_flux": -alpha * win.px(win.dxv * 2.0 * w),
+        "viscous_bulk": -alpha * win.p(dxw * dxw * 2.0),
+        "elastic_flux": -win.px(win.dxeta * 2.0 * w),
+        "elastic_bulk": -win.p(win.dxeta * 2.0 * dxw),
+        "initial": win.p0(w[0] ** 2),
+    })
     return {"slack": slack, "scale": scale, **terms}
 
 

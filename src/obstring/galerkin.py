@@ -266,8 +266,10 @@ class _DormandPrince:
 
 
 def integrate(cfg: SimConfig, n_modes: int) -> FieldSeries:
-    """Integrate the modal system and sample fields on the reference grid.
+    """Integrate the modal system and sample its state on the reference grid.
 
+    The series holds only the state, fields {"eta", "velocity"}; it has
+    no penalty_force, since its smoothed force is not the grid solver's.
     The config is validated as fd_solver.run validates it, and frames are
     stored at its output_stride (plus the final step), so the two solvers
     report the same instants.  Initial data must take the same value at
@@ -343,18 +345,8 @@ def integrate(cfg: SimConfig, n_modes: int) -> FieldSeries:
 
     eta, vel = stored
     eta += offset_h
-    # -(1/eps) cut_eta(eta) cut_vel(v) v, negated as fd_solver negates its
-    # force so that every zero is +0.0; 16 frames at a time keep the
-    # cutoff's temporaries small
-    force = np.empty_like(eta)
-    for rows in (slice(first, first + 16) for first in range(0, frames, 16)):
-        switch = _UNIT_CUTOFF(stored[:, rows] / widths[:, :, None])
-        f = np.multiply.reduce(switch, out=force[rows])
-        f *= vel[rows]
-        np.divide(np.subtract(0.0, f, out=f), physics.epsilon, out=f)
-
     return FieldSeries(
         times=np.minimum(np.arange(frames) * stride, steps) * dt,
         xs=xs,
-        fields={"eta": eta, "velocity": vel, "penalty_force": force},
+        fields={"eta": eta, "velocity": vel},
     )

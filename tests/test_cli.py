@@ -614,7 +614,8 @@ def test_probe_command_writes_report(run_dir, capsys):
 
 def test_contact_free_probe_report_is_strict_json(tmp_path, capsys):
     # a run that never penetrates has no first penetration time: null, not
-    # the NaN that RFC 8259 JSON cannot hold
+    # the NaN that RFC 8259 JSON cannot hold; and a zero term is 0.0, not
+    # the -0.0 of -alpha * 0.0
     cfg = tmp_path / "free.ini"
     cfg.write_text(GOOD_CONFIG.replace("csv,heatmap,snapshots", "npz")
                    .replace("enabled = penetration,contact", "enabled = all"))
@@ -626,8 +627,12 @@ def test_contact_free_probe_report_is_strict_json(tmp_path, capsys):
     def refuse(token):
         raise ValueError(f"probes.json holds {token}")
 
+    def number(text):
+        value = float(text)
+        return refuse(text) if value == 0.0 and np.signbit(value) else value
+
     with open(out / "probes.json") as fh:
-        report = json.load(fh, parse_constant=refuse)
+        report = json.load(fh, parse_constant=refuse, parse_float=number)
     assert report["penetration"]["first_penetration_time"] is None
     assert report["contact"]["first_contact_time"] is None
     assert "dissipation" in report
@@ -955,6 +960,29 @@ def test_probe_all_on_a_run_shorter_than_the_mollifier(tmp_path, capsys):
         report = json.load(fh)
     assert np.isfinite(report["dissipation"]["total"])
     capsys.readouterr()
+
+
+def test_one_interior_node_runs_through_every_command(tmp_path, monkeypatch, capsys):
+    # cells_n = 2: the one interior node falls through the obstacle
+    monkeypatch.setenv("OBSTRING_THREADS", "1")  # keep the sweeps in-process
+    cfg = tmp_path / "edge.ini"
+    cfg.write_text("[grid]\nl = 1.0\nn = 2\n[time]\nT = 0.1\nm = 10\n"
+                   "[physics]\nalpha = 0.01\nepsilon = 0.01\n"
+                   "[init]\nkind = single_mode\namplitude = 0.5\nmode = 1\n"
+                   "offset = 0.6\nv0 = -30\n"
+                   "[output]\nstride = 1\nformats = npz,csv,heatmap,snapshots\n"
+                   "snapshots = 0.0,0.05\noracle_modes = 2\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    assert cli.series_from_run_dir(str(out)).fields["eta"][:, 1].min() < 0.0
+    assert cli.main(["probe", str(out), "--probe", "all"]) == 0
+    with open(out / "probes.json") as fh:
+        json.load(fh, parse_constant=lambda token: pytest.fail(f"probes.json holds {token}"))
+    assert cli.main(["render", str(out)]) == 0
+    for axis, values in (("epsilon", "0.02,0.01"), ("modes", "1,2")):
+        assert cli.main(["sweep", str(cfg), "--axis", axis, "--values", values,
+                         "--out", str(tmp_path / f"sweep_{axis}")]) == 0
+        assert "2/2 ok" in capsys.readouterr().out
 
 
 def test_exit_four_on_probe_contract(tmp_path, capsys):

@@ -169,8 +169,11 @@ def test_extract_contact_two_components():
     assert longest[0, 0] == pytest.approx(0.1)
 
 
-def test_contact_mask_matches_definition(desk_ex1):
-    _, series, _ = desk_ex1
+@pytest.mark.parametrize("run_name", ["desk_ex1", "desk_ex2", "desk_ex2_stiff"])
+def test_contact_mask_matches_definition(run_name, request):
+    # the force is positive only where eta < 0, so {eta <= 0} alone is the
+    # old two-term mask
+    _, series, _ = request.getfixturevalue(run_name)
     report = extract_contact(series)
     eta = series.fields["eta"]
     force = series.fields["penalty_force"]
@@ -178,6 +181,9 @@ def test_contact_mask_matches_definition(desk_ex1):
     expected[:, 0] = False
     expected[:, -1] = False
     assert np.array_equal(report.mask, expected)
+    interior = eta <= 0.0
+    interior[:, [0, -1]] = False
+    assert np.array_equal(report.mask, interior)
     assert report.total_penalty_impulse > 0.0
 
 
