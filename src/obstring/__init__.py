@@ -20,10 +20,11 @@ from .core import (
     evaluate_initial,
     example1_config,
     example2_config,
+    penalty_force,
     single_mode_config,
     validate_config,
 )
-from .fd_solver import penalty_force, run
+from .fd_solver import run
 from .trisolve import ThomasFactorization, assemble_step_matrix
 
 __version__ = "0.1.0"

@@ -17,14 +17,17 @@ Configs are INI-style text with sections [grid], [time], [physics], [init],
 format or probe name included), are rejected with line numbers.  One table,
 _SCHEMA, gives each key's type and the dataclass field it fills; parse_config
 and emit_config both walk it, and a key left out takes that field's default.
+Like the core config types, OutputSettings and ProbeSettings check their
+values when built (no nan or inf, oracle_modes and link_cells >= 0,
+dissipation_omega_cells > 0) and name the key they refuse.
 Every run with any output format (all but formats = none), sweep points
 included, stores its state once, in fields.npz: times, node positions, eta,
-velocity and epsilon.  probe and render read that file only; the penalty
-force is derived from the state on read, bit for bit the force the solver
-stepped with, and the contact mask from extract_contact where something
-draws it (the csv and heatmap formats, and render).  So the npz format
-names the store that every such run writes, and formats = npz alone writes
-nothing else.  The default is npz,heatmap.  Two text exports are opt-in:
+velocity and epsilon.  probe and render read that file only, into a
+FieldSeries that derives the penalty force from the state, bit for bit the
+force the solver stepped with, and the contact mask from extract_contact
+where something draws it (the csv and heatmap formats, and render).  So
+the npz format names the store that every such run writes, and formats =
+npz alone writes nothing else.  The default is npz,heatmap.  Two text exports are opt-in:
 csv writes the stored fields, and snapshots writes one snapshot_t*.csv per
 [output] snapshots instant (the presets list six), each the stored row
 nearest that instant.  They and the energy ledger go through one
@@ -35,11 +38,12 @@ times, the energy ledger's closure (energy_residual_max) and the
 step-to-penalty ratio dt_over_eps; render adds the files it writes to that
 manifest.
 
-Exit codes: 0 success, 2 configuration error (an unreadable fields.npz
-included), 3 numeric blowup, 4 probe-contract violation, 5 output error (a
-file that cannot be written).  OBSTRING_THREADS caps the sweep worker pool
-and the CSV export workers (unset: the CPUs this process may run on); a
-value other than a whole number >= 1 is a configuration error.
+Exit codes: 0 success, 2 configuration error (a fields.npz that cannot be
+read or holds no valid series included), 3 numeric blowup, 4 probe-contract
+violation, 5 output error (a file that cannot be written).  OBSTRING_THREADS
+caps the sweep worker pool and the CSV export workers (unset: the CPUs this
+process may run on); a value other than a whole number >= 1 is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -90,8 +94,7 @@ EXAMPLE2_SNAPSHOTS = (0.0, 0.04, 0.08, 0.16, 0.28, 0.32)
 KNOWN_FORMATS = ("npz", "csv", "heatmap", "snapshots")
 DEFAULT_FORMATS = ("npz", "heatmap")
 FIELD_STORE = "fields.npz"
-# the members of FIELD_STORE: the stored levels' state and the penalty
-# parameter, from which series_from_run_dir derives the penalty force
+# the members of FIELD_STORE: the stored levels' state and epsilon
 STORE_MEMBERS = ("times", "xs", "eta", "velocity", "epsilon")
 FIELD_FILES = (
     ("eta", "eta.csv"),
@@ -114,12 +117,29 @@ BOUNDARY_PROBES = ("stress_jump", "velocity_jump")
 # configuration text format
 
 
+def _check(section: str, settings, *rules: tuple[str, bool, str]) -> None:
+    """Refuse settings that hold a non-finite float or break a rule
+    (key, holds, requirement)."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if any(isinstance(x, float) and not math.isfinite(x)
+               for x in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigurationError(f"{section}.{f.name} must be finite, got {value!r}")
+    for key, holds, need in rules:
+        if not holds:
+            raise ConfigurationError(
+                f"{section}.{key} must be {need}, got {getattr(settings, key)!r}")
+
+
 @dataclass(frozen=True)
 class OutputSettings:
     dir: str | None = None
     formats: tuple[str, ...] = DEFAULT_FORMATS
     snapshots: tuple[float, ...] = ()
     oracle_modes: int = 0
+
+    def __post_init__(self) -> None:
+        _check("output", self, ("oracle_modes", self.oracle_modes >= 0, ">= 0"))
 
 
 @dataclass(frozen=True)
@@ -132,6 +152,10 @@ class ProbeSettings:
     velocity_x0: float = 0.0
     velocity_x1: float = 0.0
     velocity_deltas: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        _check("probes", self, ("link_cells", self.link_cells >= 0, ">= 0"),
+               ("dissipation_omega_cells", self.dissipation_omega_cells > 0.0, "> 0"))
 
 
 @dataclass(frozen=True)
@@ -415,11 +439,12 @@ def _export_csv(jobs: list[tuple], manifest: RunManifest) -> None:
 def series_from_run_dir(run_dir: str) -> FieldSeries:
     """Rebuild a FieldSeries from a stored run's fields.npz, its one field store.
 
-    The penalty force is fd_solver.penalty_force of the stored state, the
-    definition the solver steps with, applied to the whole stack of levels:
-    it comes back bit for bit.  A store that cannot be read, or that lacks
-    a member (stores that kept penalty_force and contact hold no epsilon),
-    is a configuration error.
+    The series derives the penalty force from the stored state and epsilon
+    as the solver's series does, bit for bit.  A store that cannot be read,
+    that lacks a member (stores that kept penalty_force and contact hold no
+    epsilon), or whose members FieldSeries refuses (mismatched shapes,
+    unordered times, an epsilon that is not finite and > 0) is a
+    configuration error.
     """
     path = os.path.join(run_dir, FIELD_STORE)
     if not os.path.exists(path):
@@ -438,10 +463,11 @@ def series_from_run_dir(run_dir: str) -> FieldSeries:
     missing = [name for name in STORE_MEMBERS if name not in state]
     if missing:
         raise ConfigurationError(f"{path} lacks {', '.join(missing)}; {rerun}")
-    eta, velocity = state["eta"], state["velocity"]
-    force = fd_solver.penalty_force(eta, velocity, float(state["epsilon"]))
-    return FieldSeries(times=state["times"], xs=state["xs"],
-                       fields={"eta": eta, "velocity": velocity, "penalty_force": force})
+    times, xs, eta, velocity, epsilon = (state[name] for name in STORE_MEMBERS)
+    try:
+        return FieldSeries(times, xs, {"eta": eta, "velocity": velocity}, float(epsilon))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path} holds no valid run ({exc}); {rerun}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -674,14 +700,14 @@ def _solve_and_write(
     if formats:  # every run with any output writes the field store
         store_npz(FIELD_STORE, times=series.times, xs=series.xs,
                   eta=series.fields["eta"], velocity=series.fields["velocity"],
-                  epsilon=parsed.sim.physics.epsilon)
+                  epsilon=series.epsilon)
     if "csv" in formats or "heatmap" in formats:  # the outputs that draw the mask
-        mask = diagnostics.extract_contact(
-            series, link_cells=parsed.probes.link_cells
-        ).mask
+        mask = diagnostics.extract_contact(series).mask
+    if "csv" in formats or "snapshots" in formats:  # the text exports of FIELD_FILES
+        exported = {**series.fields, "penalty_force": series.penalty_force}
     if "csv" in formats:
         frame_labels = ["t", *("%.17g" % x for x in series.xs)]
-        jobs += [csv_job(fname, frame_labels, [series.times, series.fields[name]])
+        jobs += [csv_job(fname, frame_labels, [series.times, exported[name]])
                  for name, fname in FIELD_FILES]
         jobs.append(csv_job("contact.csv", frame_labels, [series.times, mask],
                             fmt=["%.17g"] + ["%d"] * len(series.xs)))
@@ -692,7 +718,7 @@ def _solve_and_write(
             row = series.index_at_time(wanted)
             jobs.append(csv_job(
                 f"snapshot_t{wanted:.6f}.csv", ["x", *names],
-                [series.xs, *(series.fields[name][row] for name in names)],
+                [series.xs, *(exported[name][row] for name in names)],
             ))
             manifest.snapshots[f"{wanted:.6f}"] = float(series.times[row])
     _export_csv(jobs, manifest)
@@ -842,7 +868,7 @@ def _worker_count(n_jobs: int) -> int:
         if not hasattr(os, "sched_getaffinity"):  # macOS has no affinity call
             return min(n_jobs, os.cpu_count() or 1)
         return min(n_jobs, len(os.sched_getaffinity(0)))
-    if not (cap.strip().isdigit() and int(cap) >= 1):
+    if not (cap.strip().isdecimal() and int(cap) >= 1):
         raise ConfigurationError(
             f"OBSTRING_THREADS = {cap!r} is not a whole number >= 1")
     return min(n_jobs, int(cap))

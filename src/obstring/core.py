@@ -7,7 +7,7 @@ wave equation
     d_tt eta - alpha * d_txx eta - d_xx eta = F,
 
 where ``F`` is a contact force that is approximated by a velocity penalty:
-``F = (1/epsilon) * [eta < 0] * (d_t eta)^-`` (see :mod:`obstring.fd_solver`).
+``F = (1/epsilon) * [eta < 0] * (d_t eta)^-`` (``penalty_force`` below).
 Everything downstream — the finite-difference solver, the spectral oracle and
 the diagnostics — shares the types defined here.  Each config type checks its
 own invariants once, when it is constructed (``dataclasses.replace`` checks
@@ -21,6 +21,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -181,25 +182,55 @@ class SimConfig:
             )
 
 
+def penalty_force(
+    eta: np.ndarray, velocity: np.ndarray, epsilon: float
+) -> np.ndarray:
+    """Velocity-penalty force field F >= 0, zero at the boundary nodes.
+
+    F_j = (1/epsilon) * [eta_j < 0] * max(0, -velocity_j), the paper's
+    (1/eps) chi{eta < 0} (d_t eta)^-, at one time level (shape (nodes,))
+    or at a stack of levels (shape (frames, nodes)), row by row the same
+    bits.  Beside the returned array only the boolean indicator is
+    allocated.
+
+    The indicator is strict (nodes at exactly zero feel no force) and only
+    downward motion is penalized, so the force is repulsive everywhere;
+    every zero in it is +0.0.
+    """
+    # numpy would silently broadcast a length-1 velocity
+    if np.shape(eta) != np.shape(velocity):
+        raise ValueError("displacement and velocity have mismatched shapes")
+    # 0 - v is -v, except that either signed zero gives +0.0 (np.negative
+    # would give -0.0 for +0.0, and np.maximum may keep it)
+    force = np.subtract(0.0, velocity)
+    np.maximum(0.0, force, out=force)
+    force /= epsilon
+    force *= eta < 0.0
+    force[..., 0] = force[..., -1] = 0.0
+    return force
+
+
 @dataclass
 class FieldSeries:
-    """Strided space-time storage of named node fields.
+    """Strided space-time storage of the state and the penalty parameter.
 
-    fields maps names to arrays of shape (stored_steps, nodes), a stack of
-    time levels with one level per row; times is strictly increasing.
-    Every series holds the state, "eta" and "velocity".  The series of
-    fd_solver.run and cli.series_from_run_dir also hold "penalty_force",
-    fd_solver.penalty_force of that state, which gives the same bits on one
-    level or on the whole stack; galerkin.integrate's series does not.
+    fields maps "eta" and "velocity" to arrays of shape (stored_steps,
+    nodes), one time level per row; times is strictly increasing, epsilon
+    > 0, and penalty_force of the whole stack is formed on first read.
     """
 
     times: np.ndarray
     xs: np.ndarray
     fields: dict[str, np.ndarray]
+    epsilon: float
 
     @property
     def dx(self) -> float:
         return float(self.xs[1] - self.xs[0])
+
+    @cached_property
+    def penalty_force(self) -> np.ndarray:
+        return penalty_force(self.fields["eta"], self.fields["velocity"], self.epsilon)
 
     def __post_init__(self) -> None:
         shape = (len(self.times), len(self.xs))
@@ -210,6 +241,8 @@ class FieldSeries:
                 )
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon!r}")
 
     def index_at_time(self, t: float) -> int:
         """Index of the stored step nearest to t."""

@@ -1,13 +1,13 @@
 """Verification probes for penalized-string runs.
 
 The energy ledger books the scheme's own discrete energy step by step (see
-EnergyLedger).  The probes consume stored fields (displacement, the
-velocity each step solves for, penalty force) and produce scalar or tabular
-diagnostics: penetration metrics, contact-set geometry, mollified
-dissipation estimates, and residuals of the weak-form identities the
-solution is expected to satisfy (momentum balance, localized energy decay,
-a renormalization identity for the positive velocity part, and jump
-identities across the contact boundary).
+EnergyLedger).  The probes consume a FieldSeries (displacement, the velocity
+each step solves for, and the penalty force it derives from them) and
+produce scalar or tabular diagnostics: penetration metrics, contact-set
+geometry, mollified dissipation estimates, and residuals of the weak-form
+identities the solution is expected to satisfy (momentum balance, localized
+energy decay, a renormalization identity for the positive velocity part,
+and jump identities across the contact boundary).
 
 Every space-time integral uses one rule: cell sums in x and trapezoidal
 weights over the stored instants in t (time_weights), so probes stay
@@ -108,6 +108,14 @@ class EnergyLedger:
     dissipation (the rest of the left side) and of the penalty work.  Row 0
     holds the initial datum; step 0 -> 1, the kinematic start-up, lies
     outside the identity, so residual() measures closure from row 1.
+
+    The penalty's work has no sign, but with r = dt/epsilon the step's
+    loss at each node, (v^{i+1} - v^i)^2/2 - dt F^i v^{i+1}, is >= 0 for
+    0 <= r <= 2.  Off contact F = 0; at a node in contact (eta^i < 0,
+    b = v^i < 0, F = -b/epsilon) it is a^2/2 + b^2/2 - (1 - r) a b with
+    a = v^{i+1}, which is >= 0 for every a exactly when |1 - r| <= 1.  So
+    for dt <= 2 epsilon K + E cannot rise from row 1 on.  Braking alone maps
+    b to (1 - r) b: for r <= 1 the penalty never reverses a velocity.
     """
 
     def __init__(self, dt: float, dx: float, alpha: float):
@@ -297,7 +305,7 @@ def extract_contact(series: FieldSeries, link_cells: int = 12) -> ContactReport:
 
     any_contact = np.flatnonzero(in_contact)
     first_time = float(times[any_contact[0]]) if len(any_contact) else None
-    impulse = _form(series.fields["penalty_force"], time_weights(times) * series.dx,
+    impulse = _form(series.penalty_force, time_weights(times) * series.dx,
                     np.ones_like(xs))
 
     return ContactReport(
@@ -391,7 +399,7 @@ def dissipation_estimate(series: FieldSeries, kernel: MollifierKernel) -> dict:
     so the density there is the whole-field product bitwise.  It is +0.0
     wherever F is not positive.
     """
-    force = series.fields["penalty_force"]
+    force = series.penalty_force
     on = force > 0.0
     window = (_span(on.any(axis=1), halo=(len(kernel.taps_t) - 1) // 2),
               _span(on.any(axis=0), halo=(len(kernel.taps_x) - 1) // 2))
@@ -500,7 +508,7 @@ class _BumpWindow:
         self.wa, self.wa_t, self.b, self.b_x = w * a[rows], w * a_t[rows], b[cols], b_x[cols]
         self.a0 = a[0] * series.dx if rows.start == 0 else None
         self.v = series.fields["velocity"][rows, cols]
-        self.force = series.fields["penalty_force"][rows, cols]
+        self.force = series.penalty_force[rows, cols]
         self.dxv = np.gradient(self.v, series.dx, axis=1)
         self.dxeta = np.gradient(series.fields["eta"][rows, cols], series.dx, axis=1)
 
@@ -662,7 +670,7 @@ def stress_jump_probe(
     eta = series.fields["eta"][rows, cols]
     v = series.fields["velocity"][rows, cols]
     sigma = np.gradient(eta, dx, axis=1) + alpha * np.gradient(v, dx, axis=1)
-    force = series.fields["penalty_force"][rows, cols]
+    force = series.penalty_force[rows, cols]
 
     w = time_weights(series.times[rows]) * dx
     ones = np.ones(eta.shape[1])

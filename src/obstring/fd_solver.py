@@ -41,40 +41,13 @@ from .core import (
     NumericBlowupError,
     SimConfig,
     evaluate_initial,
+    penalty_force,
     validate_config,
 )
 from .diagnostics import EnergyLedger
 from .trisolve import ThomasFactorization, assemble_step_matrix
 
 log = logging.getLogger(__name__)
-
-
-def penalty_force(
-    eta: np.ndarray, velocity: np.ndarray, epsilon: float
-) -> np.ndarray:
-    """Velocity-penalty force field F >= 0, zero at the boundary nodes.
-
-    F_j = (1/epsilon) * [eta_j < 0] * max(0, -velocity_j), the paper's
-    (1/eps) chi{eta < 0} (d_t eta)^-, at one time level (shape (nodes,))
-    or at a stack of levels (shape (frames, nodes)), row by row the same
-    bits.  Beside the returned array only the boolean indicator is
-    allocated.
-
-    The indicator is strict (nodes at exactly zero feel no force) and only
-    downward motion is penalized, so the force is repulsive everywhere;
-    every zero in it is +0.0.
-    """
-    # numpy would silently broadcast a length-1 velocity
-    if np.shape(eta) != np.shape(velocity):
-        raise ValueError("displacement and velocity have mismatched shapes")
-    # 0 - v is -v, except that either signed zero gives +0.0 (np.negative
-    # would give -0.0 for +0.0, and np.maximum may keep it)
-    force = np.subtract(0.0, velocity)
-    np.maximum(0.0, force, out=force)
-    force /= epsilon
-    force *= eta < 0.0
-    force[..., 0] = force[..., -1] = 0.0
-    return force
 
 
 def scheme_residual(series: FieldSeries, cfg: SimConfig) -> np.ndarray:
@@ -89,7 +62,7 @@ def scheme_residual(series: FieldSeries, cfg: SimConfig) -> np.ndarray:
     if not np.allclose(np.diff(times), dt, rtol=1e-12, atol=0.0):
         raise ValueError("scheme_residual needs stride-1 storage")
     eta = series.fields["eta"]
-    force = series.fields["penalty_force"]
+    force = series.penalty_force
     dx = cfg.grid.dx
     alpha = cfg.physics.alpha
 
@@ -111,7 +84,7 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
 
     The loop walks the time levels i = 0..M carrying (eta^i, v^i), with
     v^0 = v0.  At each level F^i = penalty_force(eta^i, v^i) is evaluated
-    once: it is stored with the level and drives the step i -> i+1.  Step
+    once and drives the step i -> i+1; the series derives it again.  Step
     0 -> 1 is the kinematic start-up v^1 = v0 on the interior and zero at
     the pinned ends (first order, like the scheme); every later step solves
     A (dt v^{i+1}) = F^i + v^i/dt + L eta^i for v^{i+1}.  Either way
@@ -138,7 +111,6 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
     times = np.empty(frames)
     eta = np.empty((frames, eta0.size))
     velocity = np.empty_like(eta)
-    penalty = np.empty_like(eta)
 
     log.info(
         "run: N=%d M=%d dt=%g alpha=%g eps=%g stride=%d",
@@ -153,7 +125,6 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
             times[row] = i * dt
             eta[row] = curr
             velocity[row] = v
-            penalty[row] = force
             row += 1
         if i == steps_m:
             break
@@ -174,5 +145,5 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
         ledger.append_step(nxt, v_next, v, force)
         curr, v = nxt, v_next
 
-    fields = {"eta": eta, "velocity": velocity, "penalty_force": penalty}
-    return FieldSeries(times=times, xs=grid.nodes(), fields=fields), ledger
+    state = {"eta": eta, "velocity": velocity}
+    return FieldSeries(times, grid.nodes(), state, physics.epsilon), ledger

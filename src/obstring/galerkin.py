@@ -268,8 +268,6 @@ class _DormandPrince:
 def integrate(cfg: SimConfig, n_modes: int) -> FieldSeries:
     """Integrate the modal system and sample its state on the reference grid.
 
-    The series holds only the state, fields {"eta", "velocity"}; it has
-    no penalty_force, since its smoothed force is not the grid solver's.
     The config is validated as fd_solver.run validates it, and frames are
     stored at its output_stride (plus the final step), so the two solvers
     report the same instants.  Initial data must take the same value at
@@ -349,4 +347,5 @@ def integrate(cfg: SimConfig, n_modes: int) -> FieldSeries:
         times=np.minimum(np.arange(frames) * stride, steps) * dt,
         xs=xs,
         fields={"eta": eta, "velocity": vel},
+        epsilon=physics.epsilon,
     )

@@ -15,7 +15,7 @@ from obstring.diagnostics import _form, _graph_on_times, mollify, time_weights
 def dissipation_estimate(series, kernel) -> dict:
     """Density force * (-mollified velocity) on every stored cell."""
     v_smooth = mollify(series.fields["velocity"], kernel)
-    density = series.fields["penalty_force"] * (-v_smooth)
+    density = series.penalty_force * (-v_smooth)
     weighted = density * time_weights(series.times)[:, None] * series.dx
     total_abs = float(np.abs(weighted).sum())
     negative = 0.0 - float(weighted[weighted < 0.0].sum())
@@ -38,7 +38,7 @@ def stress_jump_probe(series, cfg, boundary, delta: float) -> dict:
     eta = series.fields["eta"][rows]
     v = series.fields["velocity"][rows]
     sigma = np.gradient(eta, dx, axis=1) + cfg.physics.alpha * np.gradient(v, dx, axis=1)
-    force = series.fields["penalty_force"][rows]
+    force = series.penalty_force[rows]
 
     w = time_weights(series.times[rows]) * dx
     ones = np.ones_like(xs)

@@ -445,6 +445,11 @@ def test_unwritable_csv_exits_five_without_a_traceback(tmp_path, monkeypatch, th
     assert "eta.csv" in lines[-1]
 
 
+def _exported(series):
+    """The fields the csv and snapshots exports write: the state and its force."""
+    return {**series.fields, "penalty_force": series.penalty_force}
+
+
 def test_csv_round_trip_is_bitwise(run_dir):
     out, parsed, _ = run_dir
     series, _ = fd_solver.run(parsed.sim)
@@ -452,7 +457,7 @@ def test_csv_round_trip_is_bitwise(run_dir):
         times, xs, values = _read_field_csv(os.path.join(out, fname))
         assert np.array_equal(times, series.times)
         assert np.array_equal(xs, series.xs)
-        assert np.array_equal(values, series.fields[name])
+        assert np.array_equal(values, _exported(series)[name])
 
 
 def test_npz_round_trip_is_bitwise(npz_run_dir):
@@ -462,9 +467,10 @@ def test_npz_round_trip_is_bitwise(npz_run_dir):
     stored = cli.series_from_run_dir(out)
     assert np.array_equal(stored.times, series.times)
     assert np.array_equal(stored.xs, series.xs)
+    assert stored.epsilon == series.epsilon == parsed.sim.physics.epsilon
     for name in ("eta", "velocity", "penalty_force"):
         # bitwise, signed zeros included: the force is derived on read
-        assert stored.fields[name].tobytes() == series.fields[name].tobytes()
+        assert _exported(stored)[name].tobytes() == _exported(series)[name].tobytes()
     # the store holds the state; the penalty force and mask are derived
     with np.load(os.path.join(out, "fields.npz")) as data:
         assert set(data.files) == {"times", "xs", "eta", "velocity", "epsilon"}
@@ -806,13 +812,15 @@ def test_csv_fields_without_the_store_must_be_rerun(tmp_path, capsys):
 
 
 def _rewrite_store(path: str, drop: tuple[str, ...] = (), **extra) -> None:
-    """Rewrite a fields.npz without the members in drop and with extra ones."""
+    """Rewrite a fields.npz without the members in drop and with extra ones,
+    which replace members of the same name."""
     with np.load(path) as data:
         arrays = {name: data[name] for name in data.files if name not in drop}
-    np.savez(path, **arrays, **extra)
+    np.savez(path, **{**arrays, **extra})
 
 
-@pytest.mark.parametrize("damage", ["truncated", "not-a-zip", "no-eta", "older-store"])
+@pytest.mark.parametrize("damage", ["truncated", "not-a-zip", "no-eta", "older-store",
+                                    "mismatched", "unordered", "zero-epsilon"])
 def test_an_unreadable_store_is_refused_by_name(tmp_path, capsys, damage):
     out = _run_good_config(tmp_path, "npz")
     path = os.path.join(out, "fields.npz")
@@ -823,10 +831,18 @@ def test_an_unreadable_store_is_refused_by_name(tmp_path, capsys, damage):
         Path(path).write_text("t,0,1\n0,0,0\n")
     elif damage == "no-eta":
         _rewrite_store(path, drop=("eta",))
+    elif damage == "mismatched":  # velocity one column short
+        with np.load(path) as data:
+            _rewrite_store(path, velocity=data["velocity"][:, :-1])
+    elif damage == "unordered":
+        with np.load(path) as data:
+            _rewrite_store(path, times=data["times"][::-1])
+    elif damage == "zero-epsilon":
+        _rewrite_store(path, epsilon=0.0)
     else:  # as stores were written before the penalty force was derived on read
         series = cli.series_from_run_dir(out)
         _rewrite_store(path, drop=("epsilon",),
-                       penalty_force=series.fields["penalty_force"],
+                       penalty_force=series.penalty_force,
                        contact=diagnostics.extract_contact(series).mask)
     capsys.readouterr()
     for command in ("probe", "render"):
@@ -836,6 +852,27 @@ def test_an_unreadable_store_is_refused_by_name(tmp_path, capsys, damage):
         assert "fields.npz" in lines[0] and "re-run its config.ini" in lines[0]
     if damage == "older-store":
         assert "lacks epsilon" in lines[0]
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("oracle_modes = 4", "oracle_modes = -3", "output.oracle_modes"),
+    ("snapshots = 0.0,0.033", "snapshots = 0.0,nan", "output.snapshots"),
+    ("[probes]", "[probes]\nlink_cells = -4", "probes.link_cells"),
+    ("[probes]", "[probes]\ndissipation_omega_cells = nan", "probes.dissipation_omega_cells"),
+    ("[probes]", "[probes]\ndissipation_omega_cells = -2", "probes.dissipation_omega_cells"),
+    ("[probes]", "[probes]\ndissipation_omega_cells = 0", "probes.dissipation_omega_cells"),
+    ("[probes]", "[probes]\nstress_delta = inf", "probes.stress_delta"),
+    ("[probes]", "[probes]\nvelocity_deltas = 0.02,-inf", "probes.velocity_deltas"),
+])
+def test_bad_output_and_probe_settings_exit_two_and_write_nothing(
+        tmp_path, capsys, old, new, key):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(GOOD_CONFIG.replace(old, new))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"configuration error: {key} must be")
+    assert not out.exists()
 
 
 def test_render_keeps_the_manifest_true(tmp_path, capsys):
@@ -1008,7 +1045,7 @@ def test_worker_count_honors_environment(monkeypatch):
     monkeypatch.setenv("OBSTRING_THREADS", "2")
     assert cli._worker_count(8) == 2
     assert cli._worker_count(1) == 1
-    for bad in ("not-a-number", "0", "-1"):
+    for bad in ("not-a-number", "0", "-1", "²"):
         monkeypatch.setenv("OBSTRING_THREADS", bad)
         with pytest.raises(ConfigurationError, match=f"OBSTRING_THREADS = '{bad}'"):
             cli._worker_count(1)
@@ -1180,7 +1217,7 @@ def test_presets_write_snapshots_only_when_asked(tmp_path, capsys):
     for wanted, stored in snapshots.items():
         (row,) = np.flatnonzero(series.times == stored)
         expected = np.column_stack([series.xs, *(
-            series.fields[name][row] for name in ("eta", "velocity", "penalty_force"))])
+            _exported(series)[name][row] for name in ("eta", "velocity", "penalty_force"))])
         body = np.loadtxt(again / f"snapshot_t{wanted}.csv", delimiter=",",
                           skiprows=1)
         assert np.array_equal(body, expected)

@@ -1,5 +1,6 @@
 """Configuration types, initial-data evaluation, validation rules, exports."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from obstring.core import (
     example1_config,
     example2_config,
     initial_callables,
+    penalty_force,
     single_mode_config,
     validate_config,
 )
@@ -233,20 +235,37 @@ def test_sim_config_checks_its_stride(stride):
 def test_field_series_validation_and_lookup():
     times = np.array([0.0, 0.1, 0.2])
     xs = np.linspace(0.0, 1.0, 5)
-    fields = {"eta": np.zeros((3, 5))}
-    series = FieldSeries(times=times, xs=xs, fields=fields)
+    fields = {"eta": np.zeros((3, 5)), "velocity": np.zeros((3, 5))}
+    series = FieldSeries(times=times, xs=xs, fields=fields, epsilon=0.5)
     assert series.dx == 0.25
     assert series.index_at_time(0.11) == 1
     assert series.index_at_time(1e9) == 2
 
     with pytest.raises(ValueError, match="shape"):
-        FieldSeries(times=times, xs=xs, fields={"eta": np.zeros((2, 5))})
+        FieldSeries(times=times, xs=xs, fields={"eta": np.zeros((2, 5))}, epsilon=0.5)
     with pytest.raises(ValueError, match="strictly increasing"):
-        FieldSeries(
-            times=np.array([0.0, 0.2, 0.1]), xs=xs, fields={"eta": np.zeros((3, 5))}
-        )
+        FieldSeries(times=np.array([0.0, 0.2, 0.1]), xs=xs,
+                    fields={"eta": np.zeros((3, 5))}, epsilon=0.5)
     with pytest.raises(ValueError, match="strictly increasing"):
         replace(series, times=np.zeros(3))
+    for epsilon in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            replace(series, epsilon=epsilon)
+
+
+def test_field_series_derives_the_penalty_force_once():
+    # penalty_force of the whole stack, formed on first read and kept
+    rng = np.random.default_rng(5)
+    eta, velocity = rng.standard_normal((2, 4, 9))
+    series = FieldSeries(np.arange(4.0), np.linspace(0.0, 1.0, 9),
+                         {"eta": eta, "velocity": velocity}, 0.25)
+    force = series.penalty_force
+    assert force.tobytes() == penalty_force(eta, velocity, 0.25).tobytes()
+    assert force.max() > 0.0
+    assert series.penalty_force is force
+    assert set(series.fields) == {"eta", "velocity"}
+    # one definition, under every name it was ever exported by
+    assert fd_solver.penalty_force is obstring.penalty_force is penalty_force
 
 
 @pytest.mark.parametrize("module", [obstring, diagnostics, galerkin],

@@ -36,15 +36,16 @@ from obstring.fd_solver import run
 import probe_reference
 
 
-def _series(times, xs, eta=None, velocity=None, force=None):
+def _series(times, xs, eta=None, velocity=None, epsilon=1.0):
+    """A series of the given state; its force is positive where eta < 0
+    and velocity < 0, as (-velocity) / epsilon."""
     shape = (len(times), len(xs))
     fields = {
         "eta": np.ones(shape) if eta is None else np.asarray(eta, float),
         "velocity": np.zeros(shape) if velocity is None else np.asarray(velocity, float),
-        "penalty_force": np.zeros(shape) if force is None else np.asarray(force, float),
     }
     return FieldSeries(times=np.asarray(times, float), xs=np.asarray(xs, float),
-                       fields=fields)
+                       fields=fields, epsilon=epsilon)
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +177,7 @@ def test_contact_mask_matches_definition(run_name, request):
     _, series, _ = request.getfixturevalue(run_name)
     report = extract_contact(series)
     eta = series.fields["eta"]
-    force = series.fields["penalty_force"]
+    force = series.penalty_force
     expected = (eta <= 0.0) | (force > 0.0)
     expected[:, 0] = False
     expected[:, -1] = False
@@ -259,9 +260,10 @@ def test_dissipation_negative_fraction_is_plus_zero_without_negative_cells():
     # force on a few cells, velocity downward everywhere: the density is
     # positive where the force is and +0.0 elsewhere, so no cell is negative
     times, xs = np.linspace(0.0, 0.1, 11), np.linspace(0.0, 1.0, 21)
-    force = np.zeros((11, 21))
-    force[3:8, 8:13] = 2.0
-    series = _series(times, xs, velocity=np.full((11, 21), -1.0), force=force)
+    eta = np.ones((11, 21))
+    eta[3:8, 8:13] = -0.01
+    series = _series(times, xs, eta=eta, velocity=np.full((11, 21), -1.0), epsilon=0.5)
+    assert np.array_equal(series.penalty_force, 2.0 * (eta < 0.0))
     est = dissipation_estimate(series, MollifierKernel.build(0.2, 0.01, 0.05))
     assert est["total"] > 0.0
     fraction = est["negative_fraction"]
@@ -272,7 +274,7 @@ def test_dissipation_converges_to_unsmoothed_total(desk_ex1):
     _, series, _ = desk_ex1
     dt = float(np.diff(series.times).min())
     raw = float(
-        (series.fields["penalty_force"] * (-series.fields["velocity"])
+        (series.penalty_force * (-series.fields["velocity"])
          * time_weights(series.times)[:, None] * series.dx).sum()
     )
     gaps = []
@@ -291,7 +293,7 @@ def _assert_matches_whole_field(series, kernel):
     off it, and its sums agree (a zero total may differ in sign)."""
     got = dissipation_estimate(series, kernel)
     ref = probe_reference.dissipation_estimate(series, kernel)
-    on = series.fields["penalty_force"] > 0.0
+    on = series.penalty_force > 0.0
     assert got["density"][on].tobytes() == ref["density"][on].tobytes()
     assert np.array_equal(got["density"], ref["density"])
     assert not np.signbit(got["density"][~on]).any()
@@ -313,16 +315,17 @@ def test_windowed_dissipation_is_the_whole_field_estimate(request, run_name, cel
 @pytest.mark.parametrize("cells", [
     [],                                # no positive cell
     [(0, 7), (6, 30)],                 # frame 0 and an interior cell
-    [(0, 0), (11, 39)],                # first and last frame, both rod ends
+    [(0, 1), (11, 38)],                # first and last frame, next to both rod ends
     [(6, 20)],                         # one cell: the kernel outgrows its window
 ])
 def test_windowed_dissipation_at_the_edges_of_the_field(cells):
     rng = np.random.default_rng(23)
     times, xs = np.linspace(0.0, 0.11, 12), np.linspace(0.0, 1.0, 40)
-    force = np.zeros((12, 40))
-    for cell in cells:
-        force[cell] = rng.uniform(0.5, 2.0)
-    series = _series(times, xs, velocity=rng.standard_normal((12, 40)), force=force)
+    eta, velocity = np.ones((12, 40)), rng.standard_normal((12, 40))
+    for cell in cells:  # a force in (0.5, 2.0) on each chosen cell, none elsewhere
+        eta[cell], velocity[cell] = -0.01, -rng.uniform(0.5, 2.0)
+    series = _series(times, xs, eta=eta, velocity=velocity)
+    assert np.count_nonzero(series.penalty_force) == len(cells)
     dx = float(xs[1] - xs[0])
     for omega in (2.5 * dx, 0.3):  # 0.3 spans more frames and nodes than the field
         est = _assert_matches_whole_field(series, MollifierKernel.build(omega, 0.01, dx))
@@ -379,7 +382,7 @@ def _grid_rule_terms(series, cfg, phi):
         return float(np.sum(row * p[0]) * dx)
 
     v, eta = series.fields["velocity"], series.fields["eta"]
-    force, alpha = series.fields["penalty_force"], cfg.physics.alpha
+    force, alpha = series.penalty_force, cfg.physics.alpha
     w = np.maximum(v, 0.0)
     dxv, dxw, dxeta = (np.gradient(f, dx, axis=1) for f in (v, w, eta))
     return {
@@ -444,6 +447,7 @@ def test_weak_form_probes_read_only_the_support_window(desk_ex2):
         poisoned = FieldSeries(
             times=series.times, xs=series.xs,
             fields={k: np.where(window, f, np.nan) for k, f in series.fields.items()},
+            epsilon=series.epsilon,
         )
         for probe in (weak_momentum_residual, local_energy_residual,
                       renormalized_residual):
@@ -593,8 +597,7 @@ def test_windowed_stress_jump_strips_reaching_both_rod_ends():
     times, xs = np.linspace(0.0, 0.2, 21), np.linspace(0.0, 1.0, 41)
     shape = (21, 41)
     series = _series(times, xs, eta=rng.standard_normal(shape),
-                     velocity=rng.standard_normal(shape),
-                     force=rng.uniform(0.0, 1.0, shape))
+                     velocity=rng.standard_normal(shape), epsilon=0.5)
     cfg = single_mode_config(resolution=40, horizon_T=0.2)
     for graph, delta in (
         (np.array([[0.02, 0.5], [0.17, 0.5]]), 0.5),    # the whole rod

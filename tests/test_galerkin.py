@@ -18,6 +18,7 @@ from obstring.core import (
     Physics,
     SimConfig,
     TimeGrid,
+    penalty_force,
 )
 from obstring.galerkin import (
     SmoothCutoff,
@@ -368,6 +369,11 @@ def test_integrate_matches_rk4_trajectory(offset, v0, contact, steps, refine, st
     phys = Physics(alpha=0.01, epsilon=0.002)
     series = integrate(SimConfig(grid, tgrid, phys, init, output_stride=stride), n_modes)
     assert (series.fields["eta"].min() < 0.0) == contact
+    # the oracle's series derives the grid solver's force from its own state
+    assert series.epsilon == phys.epsilon
+    assert series.penalty_force.tobytes() == penalty_force(
+        series.fields["eta"], series.fields["velocity"], phys.epsilon).tobytes()
+    assert (series.penalty_force.max() > 0.0) == contact
     rows = [*range(0, steps, stride), steps]
     assert np.array_equal(series.times, np.array(rows) * tgrid.dt)
 

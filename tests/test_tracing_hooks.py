@@ -6,25 +6,34 @@ from pathlib import Path
 
 import numpy
 
-from obstring import cli, core, diagnostics, fd_solver, galerkin, trisolve
+from obstring import cli, core, diagnostics, fd_solver, galerkin, penalty_force, trisolve
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_tracer_hook_resolves():
+def _tracing() -> dict:
     # executed from its source text, so nothing is written next to it
     tracing = {"__name__": "perfbench_tracing"}
     exec(compile(TRACING.read_text(), str(TRACING), "exec"), tracing)
+    return tracing
+
+
+def test_every_tracer_hook_resolves():
     modules = (cli, core, diagnostics, fd_solver, galerkin, trisolve)
-    targets = tracing["layer_targets"](modules, with_gradient=True)
+    targets = _tracing()["layer_targets"](modules, with_gradient=True)
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in targets if not callable(getattr(owner, attr, None))]
     assert not missing
 
 
 def _counter(monkeypatch):
-    """(calls, counted): counted(owner, attr) makes calls[attr] count owner.attr."""
+    """(calls, counted): counted(owner, attr) makes calls[attr] count owner.attr.
+
+    Like the benchmark's tracer, it wraps every obstring module that binds
+    the same object: replace_everywhere finds them, and each is patched
+    again through monkeypatch, which restores it."""
     calls = Counter()
+    tracing = _tracing()
 
     def counted(owner, attr):
         inner = getattr(owner, attr)
@@ -33,7 +42,11 @@ def _counter(monkeypatch):
             calls[attr] += 1
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(owner, attr, wrapper)
+        undo = tracing["replace_everywhere"](owner, attr, wrapper)
+        holders = [holder for holder, _, _ in undo]
+        tracing["restore"](undo)
+        for holder in holders:
+            monkeypatch.setattr(holder, attr, wrapper)
 
     return calls, counted
 
@@ -47,10 +60,12 @@ def test_one_run_makes_the_pinned_layer_calls(monkeypatch):
     cfg = core.example1_config(resolution=100)  # M = 30 steps through contact
     series, ledger = fd_solver.run(cfg)
     steps_m = cfg.time.steps_m
-    assert series.fields["penalty_force"].max() > 0.0
     assert calls == {"penalty_force": steps_m + 1, "append_step": steps_m,
                      "solve": steps_m - 1}
+    assert series.penalty_force.max() > 0.0
     assert len(ledger) == steps_m + 1
+    monkeypatch.undo()
+    assert fd_solver.penalty_force is core.penalty_force is penalty_force
 
 
 def test_one_drop_extracts_contact_once_for_its_heatmaps(monkeypatch, tmp_path):
