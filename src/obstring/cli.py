@@ -19,7 +19,9 @@ _SCHEMA, gives each key's type and the dataclass field it fills; parse_config
 and emit_config both walk it, and a key left out takes that field's default.
 Like the core config types, OutputSettings and ProbeSettings check their
 values when built (no nan or inf, oracle_modes and link_cells >= 0,
-dissipation_omega_cells > 0) and name the key they refuse.
+dissipation_omega_cells and every velocity_deltas entry > 0) and name the
+key they refuse.  A run with oracle_modes > 0 whose initial displacement
+differs at the two ends is refused before it solves or writes anything.
 Every run with any output format (all but formats = none), sweep points
 included, stores its state once, in fields.npz: times, node positions, eta,
 velocity and epsilon.  probe and render read that file only, into a
@@ -155,7 +157,8 @@ class ProbeSettings:
 
     def __post_init__(self) -> None:
         _check("probes", self, ("link_cells", self.link_cells >= 0, ">= 0"),
-               ("dissipation_omega_cells", self.dissipation_omega_cells > 0.0, "> 0"))
+               ("dissipation_omega_cells", self.dissipation_omega_cells > 0.0, "> 0"),
+               ("velocity_deltas", all(d > 0.0 for d in self.velocity_deltas), "all > 0"))
 
 
 @dataclass(frozen=True)
@@ -668,6 +671,8 @@ def _solve_and_write(
 ) -> tuple[RunManifest, FieldSeries, diagnostics.EnergyLedger]:
     """execute_run, also handing back the solved series and energy ledger."""
     _worker_count(1)  # a malformed OBSTRING_THREADS fails before the solve
+    if parsed.output.oracle_modes > 0:  # and so does an oracle that cannot run
+        galerkin._pinned_offset(parsed.sim)
     os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(solver="fd", out_dir=out_dir, config_text=emit_config(parsed))
 

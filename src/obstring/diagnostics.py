@@ -7,7 +7,10 @@ produce scalar or tabular diagnostics: penetration metrics, contact-set
 geometry, mollified dissipation estimates, and residuals of the weak-form
 identities the solution is expected to satisfy (momentum balance, localized
 energy decay, a renormalization identity for the positive velocity part,
-and jump identities across the contact boundary).
+and jump identities across the contact boundary).  extract_contact forms
+only the contact set {eta <= 0} and its first instant; the report forms
+the penalty impulse and the contact boundary graphs on first read, so a
+caller that draws only the mask derives no force and links no edge.
 
 Every space-time integral uses one rule: cell sums in x and trapezoidal
 weights over the stored instants in t (time_weights), so probes stay
@@ -31,6 +34,7 @@ and every value it forms on that set is the whole-field one bitwise:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -215,24 +219,95 @@ def penetration_metrics(series: FieldSeries) -> dict[str, float | None]:
 
 @dataclass
 class ContactReport:
-    """Contact-set geometry extracted from stored frames.
+    """Contact-set geometry of a stored series.
+
+    extract_contact forms mask and first_contact_time; every other value is
+    formed from the kept series on first read and cached, so a caller that
+    reads only the mask never derives the penalty force or links an edge.
+    The linking pass reads mask when it runs, so a caller that writes to the
+    mask writes to a copy.
 
     mask
         Boolean (frames x nodes) array; a node is in contact when its
         displacement is <= 0, which covers every node where the penalty
         force is positive (its indicator is eta < 0).  Boundary nodes are
         exempt (they are pinned, not in contact).
-    boundary_graphs
-        Polylines (k, 2) of (time, x) tracing the left/right edges of
-        contact components through time, longest-lived first.
+    first_contact_time
+        The first stored instant with a node in contact, or None.
+    total_penalty_impulse
+        II[F], the penalty force integrated over the stored frames.
+    components_per_time, boundary_graphs, graph_sides
+        One pass links the edges of contact components frame to frame, each
+        to the nearest edge of the same side within link_cells grid cells,
+        and drops chains shorter than MIN_CHAIN_FRAMES frames.  It gives the
+        component count of each frame, and the polylines (k, 2) of
+        (time, x) tracing the kept chains, longest-lived first, with the
+        side ("left" or "right") each traces.
     """
 
     mask: np.ndarray
-    components_per_time: np.ndarray
     first_contact_time: float | None
-    total_penalty_impulse: float
-    boundary_graphs: list[np.ndarray] = field(default_factory=list)
-    graph_sides: list[str] = field(default_factory=list)
+    series: FieldSeries = field(repr=False, compare=False)
+    link_cells: int = field(default=12, repr=False, compare=False)
+
+    @functools.cached_property
+    def total_penalty_impulse(self) -> float:
+        series = self.series
+        return _form(series.penalty_force, time_weights(series.times) * series.dx,
+                     np.ones_like(series.xs))
+
+    @functools.cached_property
+    def _links(self) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
+        """(components_per_time, boundary_graphs, graph_sides), one pass."""
+        mask, xs, times = self.mask, self.series.xs, self.series.times
+        in_contact = mask.any(axis=1)
+        tol = self.link_cells * self.series.dx
+        chains: list[tuple[str, list]] = []  # (side, points), in creation order
+        live: dict[str, list[list]] = {"left": [], "right": []}
+        components = np.zeros(len(times), dtype=int)
+
+        for s in range(len(times)):
+            if not in_contact[s]:  # no edge to link: every chain ends here
+                live = {"left": [], "right": []}
+                continue
+            t = float(times[s])
+            runs = _mask_runs(mask[s])
+            components[s] = len(runs)
+            for side, pos in (("left", 0), ("right", 1)):
+                edges = [float(xs[r[pos]]) for r in runs]
+                taken = [False] * len(edges)
+                linked = []
+                for pts in live[side]:
+                    best, best_d = -1, tol
+                    for k, x in enumerate(edges):
+                        d = abs(x - pts[-1][1])
+                        if not taken[k] and d <= best_d:
+                            best, best_d = k, d
+                    if best >= 0:
+                        taken[best] = True
+                        pts.append((t, edges[best]))
+                        linked.append(pts)
+                for k, x in enumerate(edges):
+                    if not taken[k]:
+                        chains.append((side, [(t, x)]))
+                        linked.append(chains[-1][1])
+                live[side] = linked
+
+        kept = [c for c in chains if len(c[1]) >= MIN_CHAIN_FRAMES]
+        kept.sort(key=lambda c: len(c[1]), reverse=True)
+        return components, [np.array(pts) for _, pts in kept], [side for side, _ in kept]
+
+    @property
+    def components_per_time(self) -> np.ndarray:
+        return self._links[0]
+
+    @property
+    def boundary_graphs(self) -> list[np.ndarray]:
+        return self._links[1]
+
+    @property
+    def graph_sides(self) -> list[str]:
+        return self._links[2]
 
     @property
     def max_components(self) -> int:
@@ -255,67 +330,17 @@ MIN_CHAIN_FRAMES = 2
 
 
 def extract_contact(series: FieldSeries, link_cells: int = 12) -> ContactReport:
-    """Locate the contact set and trace its component edges through time.
+    """Locate the contact set of series and its first instant.
 
-    Edges of contact components are linked frame-to-frame to the nearest
-    edge of the same side within link_cells grid cells; chains shorter
-    than MIN_CHAIN_FRAMES frames are dropped.
+    The report keeps series and link_cells, from which it forms the penalty
+    impulse and links the component edges on first read (see ContactReport).
     """
-    xs = series.xs
-    times = series.times
     mask = series.fields["eta"] <= 0.0
     mask[:, 0] = False
     mask[:, -1] = False
-
-    in_contact = mask.any(axis=1)
-    tol = link_cells * series.dx
-    chains: list[tuple[str, list]] = []  # (side, points), in creation order
-    live: dict[str, list[list]] = {"left": [], "right": []}
-    components = np.zeros(len(times), dtype=int)
-
-    for s in range(len(times)):
-        if not in_contact[s]:  # no edge to link: every chain ends here
-            live = {"left": [], "right": []}
-            continue
-        t = float(times[s])
-        runs = _mask_runs(mask[s])
-        components[s] = len(runs)
-        for side, pos in (("left", 0), ("right", 1)):
-            edges = [float(xs[r[pos]]) for r in runs]
-            taken = [False] * len(edges)
-            linked = []
-            for pts in live[side]:
-                best, best_d = -1, tol
-                for k, x in enumerate(edges):
-                    d = abs(x - pts[-1][1])
-                    if not taken[k] and d <= best_d:
-                        best, best_d = k, d
-                if best >= 0:
-                    taken[best] = True
-                    pts.append((t, edges[best]))
-                    linked.append(pts)
-            for k, x in enumerate(edges):
-                if not taken[k]:
-                    chains.append((side, [(t, x)]))
-                    linked.append(chains[-1][1])
-            live[side] = linked
-
-    kept = [c for c in chains if len(c[1]) >= MIN_CHAIN_FRAMES]
-    kept.sort(key=lambda c: len(c[1]), reverse=True)
-
-    any_contact = np.flatnonzero(in_contact)
-    first_time = float(times[any_contact[0]]) if len(any_contact) else None
-    impulse = _form(series.penalty_force, time_weights(times) * series.dx,
-                    np.ones_like(xs))
-
-    return ContactReport(
-        mask=mask,
-        components_per_time=components,
-        first_contact_time=first_time,
-        total_penalty_impulse=impulse,
-        boundary_graphs=[np.array(pts) for _, pts in kept],
-        graph_sides=[side for side, _ in kept],
-    )
+    any_contact = np.flatnonzero(mask.any(axis=1))
+    first_time = float(series.times[any_contact[0]]) if len(any_contact) else None
+    return ContactReport(mask, first_time, series, link_cells)
 
 
 # ---------------------------------------------------------------------------

@@ -265,13 +265,29 @@ class _DormandPrince:
         return y
 
 
+def _pinned_offset(cfg: SimConfig) -> float:
+    """The value h that the initial displacement takes at both ends.
+
+    The sine expansion cannot represent unequal pinned ends, so ends that
+    differ are a ConfigurationError; a run that asks for the oracle checks
+    this before it solves or writes anything.
+    """
+    eta_fn, _ = initial_callables(cfg.init, cfg.grid)
+    ends = np.asarray(eta_fn(np.array([0.0, cfg.grid.length_l])), dtype=float)
+    scale = max(1.0, abs(ends[0]))
+    if abs(ends[1] - ends[0]) > 1e-12 * scale:
+        raise ConfigurationError(f"boundary values differ ({ends[0]:g} vs {ends[1]:g}); "
+                                 "the spectral solver needs equal pinned ends")
+    return float(ends[0])
+
+
 def integrate(cfg: SimConfig, n_modes: int) -> FieldSeries:
     """Integrate the modal system and sample its state on the reference grid.
 
     The config is validated as fd_solver.run validates it, and frames are
     stored at its output_stride (plus the final step), so the two solvers
     report the same instants.  Initial data must take the same value at
-    both ends (the expansion cannot represent unequal pinned boundaries).
+    both ends (see _pinned_offset).
     The penalty integral uses 4*n_modes midpoints and a velocity cutoff of
     width 1/n_modes, in one pass per evaluation (see _modal_accel).  A
     reporting step dt whose start certifies sum_k sqrt(q_k^2 + qdot_k^2 /
@@ -290,13 +306,8 @@ def integrate(cfg: SimConfig, n_modes: int) -> FieldSeries:
     grid, time, physics = cfg.grid, cfg.time, cfg.physics
 
     l = grid.length_l
+    offset_h = _pinned_offset(cfg)
     eta_fn, v_fn = initial_callables(cfg.init, grid)
-    ends = np.asarray(eta_fn(np.array([0.0, l])), dtype=float)
-    scale = max(1.0, abs(ends[0]))
-    if abs(ends[1] - ends[0]) > 1e-12 * scale:
-        raise ConfigurationError(f"boundary values differ ({ends[0]:g} vs {ends[1]:g}); "
-                                 "the spectral solver needs equal pinned ends")
-    offset_h = float(ends[0])
 
     quad_nodes = 4 * n_modes
     xq = _midpoints(quad_nodes, l)

@@ -863,6 +863,8 @@ def test_an_unreadable_store_is_refused_by_name(tmp_path, capsys, damage):
     ("[probes]", "[probes]\ndissipation_omega_cells = 0", "probes.dissipation_omega_cells"),
     ("[probes]", "[probes]\nstress_delta = inf", "probes.stress_delta"),
     ("[probes]", "[probes]\nvelocity_deltas = 0.02,-inf", "probes.velocity_deltas"),
+    ("[probes]", "[probes]\nvelocity_deltas = 0.02,-0.01", "probes.velocity_deltas"),
+    ("[probes]", "[probes]\nvelocity_deltas = 0", "probes.velocity_deltas"),
 ])
 def test_bad_output_and_probe_settings_exit_two_and_write_nothing(
         tmp_path, capsys, old, new, key):
@@ -873,6 +875,21 @@ def test_bad_output_and_probe_settings_exit_two_and_write_nothing(
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"configuration error: {key} must be")
     assert not out.exists()
+
+
+def test_an_oracle_that_cannot_run_is_refused_before_the_solve(
+        tmp_path, capsys, monkeypatch):
+    # example2 starts at 0 on the left end and 1 on the right, which no sine
+    # expansion pins
+    cfg = tmp_path / "ramp.ini"
+    cfg.write_text(GOOD_CONFIG.replace("kind = single_mode", "kind = example2"))
+    solves = []
+    monkeypatch.setattr(fd_solver, "run", lambda *args: solves.append(args))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "boundary values differ (0 vs 1)" in lines[0]
+    assert not out.exists() and not solves
 
 
 def test_render_keeps_the_manifest_true(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from obstring import diagnostics
 from obstring.core import (
     FieldSeries,
     Grid1D,
@@ -168,6 +169,38 @@ def test_extract_contact_two_components():
     longest = report.boundary_graphs[0]
     assert longest.shape == (4, 2)  # the first dip lives four frames
     assert longest[0, 0] == pytest.approx(0.1)
+
+
+def _fresh(series):
+    """A new series of the same state, with nothing derived from it yet."""
+    return FieldSeries(times=series.times, xs=series.xs, fields=dict(series.fields),
+                       epsilon=series.epsilon)
+
+
+@pytest.mark.parametrize("run_name", ["desk_ex1", "desk_ex2"])
+def test_reading_the_mask_forms_nothing_else(run_name, request, monkeypatch):
+    _, stored, _ = request.getfixturevalue(run_name)
+    runs = []
+    mask_runs = diagnostics._mask_runs
+    monkeypatch.setattr(diagnostics, "_mask_runs",
+                        lambda row: runs.append(row) or mask_runs(row))
+    series = _fresh(stored)
+    report = extract_contact(series)
+    assert report.mask.any() and report.first_contact_time is not None
+    assert "penalty_force" not in vars(series)
+    assert runs == []
+    # the values formed on read do not depend on the order they are read in
+    names = ("total_penalty_impulse", "components_per_time", "boundary_graphs",
+             "graph_sides")
+    first, second = extract_contact(_fresh(stored)), extract_contact(_fresh(stored))
+    a = {name: getattr(first, name) for name in names}
+    b = {name: getattr(second, name) for name in reversed(names)}
+    assert runs and a["total_penalty_impulse"] > 0.0
+    assert a["total_penalty_impulse"].hex() == b["total_penalty_impulse"].hex()
+    assert a["components_per_time"].tobytes() == b["components_per_time"].tobytes()
+    assert [g.tobytes() for g in a["boundary_graphs"]] == [
+        g.tobytes() for g in b["boundary_graphs"]]
+    assert a["boundary_graphs"] and a["graph_sides"] == b["graph_sides"]
 
 
 @pytest.mark.parametrize("run_name", ["desk_ex1", "desk_ex2", "desk_ex2_stiff"])

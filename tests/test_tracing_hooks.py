@@ -70,18 +70,21 @@ def test_one_run_makes_the_pinned_layer_calls(monkeypatch):
 
 def test_one_drop_extracts_contact_once_for_its_heatmaps(monkeypatch, tmp_path):
     # the benchmark's drop operation: example1 with default formats, whose
-    # heatmap draws the contact mask; a store-only run draws nothing
+    # heatmap draws the contact mask; a store-only run draws nothing.  Only
+    # the solver's loop forms a penalty force: the mask needs none.
     calls, counted = _counter(monkeypatch)
     counted(diagnostics, "extract_contact")
+    counted(fd_solver, "penalty_force")
     out = tmp_path / "drop"
     argv = ["example1", "--out", str(out), "--resolution", "100", "--epsilon", "0.002"]
     assert cli.main(argv) == 0
-    assert calls == {"extract_contact": 1}
     text = (out / "config.ini").read_text()
+    steps_m = cli.parse_config(text).sim.time.steps_m
+    assert calls == {"extract_contact": 1, "penalty_force": steps_m + 1}
     assert "formats = npz,heatmap\n" in text
     parsed = cli.parse_config(text.replace("formats = npz,heatmap\n", "formats = npz\n"))
     cli.execute_run(parsed, str(tmp_path / "store_only"))
-    assert calls == {"extract_contact": 1}
+    assert calls == {"extract_contact": 1, "penalty_force": 2 * (steps_m + 1)}
 
 
 # the benchmark's ramp_probe run at its tiny size: example2 at 1/1000 with
