@@ -35,17 +35,20 @@ csv writes the stored fields, and snapshots writes one snapshot_t*.csv per
 nearest that instant.  They and the energy ledger go through one
 np.savetxt writer with 17 significant digits; a run's tables are dealt
 among forked export workers, which write the bytes one process would.  Then come PNG/SVG
-heatmaps and a manifest.json with sha256 checksums, per-phase wall-clock
-times, the energy ledger's closure (energy_residual_max) and the
-step-to-penalty ratio dt_over_eps; render adds the files it writes to that
-manifest.
+heatmaps (each PNG deflated at zlib level 3, which the SVG embeds) and a
+manifest.json with sha256 checksums, per-phase wall-clock times, the energy
+ledger's closure (energy_residual_max) and the step-to-penalty ratio
+dt_over_eps; render adds the files it writes to that manifest.  When a run
+draws heatmaps, one thread takes fields.npz's checksum while they render,
+so the render phase includes the wait for it; the thread starts after the
+export workers are joined and ends before the oracle phase.
 
 Exit codes: 0 success, 2 configuration error (a fields.npz that cannot be
 read or holds no valid series included), 3 numeric blowup, 4 probe-contract
 violation, 5 output error (a file that cannot be written).  OBSTRING_THREADS
-caps the sweep worker pool and the CSV export workers (unset: the CPUs this
-process may run on); a value other than a whole number >= 1 is a
-configuration error.
+caps the sweep worker pool, the CSV export workers and the checksum thread
+(unset: the CPUs this process may run on; at 1 every checksum is taken
+inline); a value other than a whole number >= 1 is a configuration error.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ import warnings
 import zipfile
 import zlib
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -493,10 +496,10 @@ def _palette_rgb(matrix: np.ndarray, palette: str) -> np.ndarray:
     if palette == "diverging":
         vmax = float(np.abs(matrix).max()) or 1.0
         t = np.clip(matrix / vmax, -1.0, 1.0)
-        mag = np.abs(t)
-        out[..., 0] = np.where(t >= 0, 255, (255 * (1.0 - mag)).astype(np.uint8))
-        out[..., 1] = (255 * (1.0 - mag)).astype(np.uint8)
-        out[..., 2] = np.where(t <= 0, 255, (255 * (1.0 - mag)).astype(np.uint8))
+        grey = (255 * (1.0 - np.abs(t))).astype(np.uint8)
+        out[..., 0] = np.where(t >= 0, 255, grey)
+        out[..., 1] = grey
+        out[..., 2] = np.where(t <= 0, 255, grey)
         return out
     if palette == "sequential":
         lo, hi = float(matrix.min()), float(matrix.max())
@@ -525,7 +528,9 @@ def _png_bytes(rgb: np.ndarray) -> bytes:
     return (
         b"\x89PNG\r\n\x1a\n"
         + chunk(b"IHDR", header)
-        + chunk(b"IDAT", zlib.compress(raw, 6))
+        # level 3, zlib's slowest level that still deflates by its fast
+        # method: less than half level 6's time, files about 40 % larger
+        + chunk(b"IDAT", zlib.compress(raw, 3))
         + chunk(b"IEND", b"")
     )
 
@@ -688,10 +693,15 @@ def _solve_and_write(
                 fmt: str | list[str] = "%.17g") -> tuple:
         return os.path.join(out_dir, fname), labels, columns, fmt
 
-    def store_npz(fname: str, **arrays: np.ndarray) -> None:
+    def store_npz(fname: str, **arrays: np.ndarray) -> str:
         path = os.path.join(out_dir, fname)
         np.savez(path, **arrays)
-        manifest.add_file(path)
+        return path
+
+    # the field store's checksum runs on one thread while the heatmaps
+    # render; it starts after _export_csv has joined its forked children
+    # and ends before the oracle phase, so no fork meets a second thread
+    hash_beside_render = "heatmap" in formats and _worker_count(2) > 1
 
     t0 = _time.perf_counter()
     cfg_path = os.path.join(out_dir, "config.ini")
@@ -703,9 +713,11 @@ def _solve_and_write(
     jobs = [csv_job("energy.csv", list(ledger_cols), list(ledger_cols.values()))]
 
     if formats:  # every run with any output writes the field store
-        store_npz(FIELD_STORE, times=series.times, xs=series.xs,
-                  eta=series.fields["eta"], velocity=series.fields["velocity"],
-                  epsilon=series.epsilon)
+        store = store_npz(FIELD_STORE, times=series.times, xs=series.xs,
+                          eta=series.fields["eta"], velocity=series.fields["velocity"],
+                          epsilon=series.epsilon)
+        if not hash_beside_render:
+            manifest.add_file(store)
     if "csv" in formats or "heatmap" in formats:  # the outputs that draw the mask
         mask = diagnostics.extract_contact(series).mask
     if "csv" in formats or "snapshots" in formats:  # the text exports of FIELD_FILES
@@ -731,7 +743,14 @@ def _solve_and_write(
 
     if "heatmap" in formats:
         t0 = _time.perf_counter()
-        for path in _render_heatmaps(out_dir, series, mask):
+        if hash_beside_render:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                store_entry = pool.submit(_file_entry, store)
+                paths = _render_heatmaps(out_dir, series, mask)
+            manifest.files[FIELD_STORE] = store_entry.result()
+        else:
+            paths = _render_heatmaps(out_dir, series, mask)
+        for path in paths:
             manifest.add_file(path)
         manifest.phases["render"] = _time.perf_counter() - t0
 
@@ -739,8 +758,8 @@ def _solve_and_write(
         t0 = _time.perf_counter()
         oracle = galerkin.integrate(parsed.sim, parsed.output.oracle_modes)
         if formats:
-            store_npz("oracle_eta.npz", times=oracle.times, xs=oracle.xs,
-                      eta=oracle.fields["eta"])
+            manifest.add_file(store_npz("oracle_eta.npz", times=oracle.times,
+                                        xs=oracle.xs, eta=oracle.fields["eta"]))
         if "csv" in formats:
             _export_csv([csv_job("oracle_eta.csv", ["t", *oracle.xs],
                                  [oracle.times, oracle.fields["eta"]])], manifest)

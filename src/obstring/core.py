@@ -183,26 +183,30 @@ class SimConfig:
 
 
 def penalty_force(
-    eta: np.ndarray, velocity: np.ndarray, epsilon: float
+    eta: np.ndarray, velocity: np.ndarray, epsilon: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Velocity-penalty force field F >= 0, zero at the boundary nodes.
 
     F_j = (1/epsilon) * [eta_j < 0] * max(0, -velocity_j), the paper's
     (1/eps) chi{eta < 0} (d_t eta)^-, at one time level (shape (nodes,))
     or at a stack of levels (shape (frames, nodes)), row by row the same
-    bits.  Beside the returned array only the boolean indicator is
-    allocated.
+    bits.  The force goes into out when it is given (a float64 array of
+    eta's shape that shares no memory with eta), and is returned; beside
+    it only the boolean indicator is allocated.
 
     The indicator is strict (nodes at exactly zero feel no force) and only
     downward motion is penalized, so the force is repulsive everywhere;
     every zero in it is +0.0.
     """
-    # numpy would silently broadcast a length-1 velocity
+    # numpy would silently broadcast a length-1 velocity, or into a larger out
     if np.shape(eta) != np.shape(velocity):
         raise ValueError("displacement and velocity have mismatched shapes")
+    if out is not None and out.shape != np.shape(eta):
+        raise ValueError("out does not have the displacement's shape")
     # 0 - v is -v, except that either signed zero gives +0.0 (np.negative
     # would give -0.0 for +0.0, and np.maximum may keep it)
-    force = np.subtract(0.0, velocity)
+    force = np.subtract(0.0, velocity, out=out)
     np.maximum(0.0, force, out=force)
     force /= epsilon
     force *= eta < 0.0

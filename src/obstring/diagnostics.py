@@ -120,12 +120,17 @@ class EnergyLedger:
     a = v^{i+1}, which is >= 0 for every a exactly when |1 - r| <= 1.  So
     for dt <= 2 epsilon K + E cannot rise from row 1 on.  Braking alone maps
     b to (1 - r) b: for r <= 1 the penalty never reverses a velocity.
+
+    append_step forms its three differences (the velocity jump and the two
+    slopes) in scratch arrays that the ledger allocates on its first step
+    and reuses while the node count stays, so a step allocates no array.
     """
 
     def __init__(self, dt: float, dx: float, alpha: float):
         self.dt = dt
         self.dx = dx
         self.alpha = alpha
+        self._scratch: tuple[np.ndarray, ...] = ()  # jump, slope, slope_v
         self.times: list[float] = []
         self.kinetic: list[float] = []
         self.elastic: list[float] = []
@@ -151,8 +156,13 @@ class EnergyLedger:
     ) -> None:
         """Account for one step from velocity v to (eta_new, v_new) under force."""
         dt, dx = self.dt, self.dx
-        jump = v_new - v
-        slope, slope_v = np.diff(eta_new), np.diff(v_new)
+        nodes = len(v)
+        if not self._scratch or len(self._scratch[0]) != nodes:
+            self._scratch = (np.empty(nodes), np.empty(nodes - 1), np.empty(nodes - 1))
+        jump, slope, slope_v = self._scratch
+        np.subtract(v_new, v, out=jump)
+        np.subtract(eta_new[1:], eta_new[:-1], out=slope)  # np.diff, in place
+        np.subtract(v_new[1:], v_new[:-1], out=slope_v)
         dv_sq = float(slope_v @ slope_v) / dx  # ||Dv||^2
         self.times.append(self.times[-1] + dt)
         self.kinetic.append(0.5 * float(v_new @ v_new) * dx)
@@ -217,7 +227,7 @@ def penetration_metrics(series: FieldSeries) -> dict[str, float | None]:
     }
 
 
-@dataclass
+@dataclass(eq=False)
 class ContactReport:
     """Contact-set geometry of a stored series.
 
@@ -225,7 +235,8 @@ class ContactReport:
     formed from the kept series on first read and cached, so a caller that
     reads only the mask never derives the penalty force or links an edge.
     The linking pass reads mask when it runs, so a caller that writes to the
-    mask writes to a copy.
+    mask writes to a copy.  A report equals only itself (comparing masks
+    elementwise has no single truth value).
 
     mask
         Boolean (frames x nodes) array; a node is in contact when its
@@ -247,8 +258,8 @@ class ContactReport:
 
     mask: np.ndarray
     first_contact_time: float | None
-    series: FieldSeries = field(repr=False, compare=False)
-    link_cells: int = field(default=12, repr=False, compare=False)
+    series: FieldSeries = field(repr=False)
+    link_cells: int = field(default=12, repr=False)
 
     @functools.cached_property
     def total_penalty_impulse(self) -> float:

@@ -92,6 +92,13 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
     new level's velocity feeds its stored row, its force, the ledger and the
     next right-hand side.
 
+    The loop steps on buffers allocated before it: two rolling (eta, v)
+    levels, whose velocity ends stay +0.0, the force, and the right-hand
+    side and Laplacian, each formed in place by the operations, in the
+    order, of the plain expressions above, so every stored bit is theirs.
+    A step still makes one penalty_force call, one solve (whose result is
+    a new array) and one append_step.
+
     Fields are stored every output_stride steps plus step 0 and the final
     step, into arrays preallocated for 1 + ceil(M / stride) frames; the
     energy ledger gets one append_step per time step regardless of the
@@ -117,10 +124,20 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
         grid.cells_n, steps_m, dt, physics.alpha, physics.epsilon, stride,
     )
 
+    # level i+1 goes into the pair that level i does not hold; eta0 is free
+    # once stored and opened into the ledger, v0 (whose ends need not be 0)
+    # is never written
+    eta_levels = (eta0, np.empty_like(eta0))
+    v_levels = (np.zeros_like(v0), np.zeros_like(v0))
+    force = np.empty_like(eta0)
+    rhs, lap = np.empty(eta0.size - 2), np.empty(eta0.size - 2)
+    finite = np.empty(eta0.size, dtype=bool)
+    dx2 = dx**2
+
     curr, v = eta0, v0
     row = 0
     for i in range(steps_m + 1):
-        force = penalty_force(curr, v, physics.epsilon)
+        penalty_force(curr, v, physics.epsilon, out=force)
         if i % stride == 0 or i == steps_m:
             times[row] = i * dt
             eta[row] = curr
@@ -129,18 +146,22 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
         if i == steps_m:
             break
 
-        v_next = np.zeros_like(curr)
+        nxt, v_next = eta_levels[(i + 1) % 2], v_levels[i % 2]
         if i == 0:
             v_next[1:-1] = v0[1:-1]
         else:
-            rhs = (
-                force[1:-1]
-                + v[1:-1] / dt
-                + (curr[2:] - 2.0 * curr[1:-1] + curr[:-2]) / dx**2
-            )
+            # force + v/dt + (curr[2:] - 2 curr + curr[:-2]) / dx^2
+            np.multiply(2.0, curr[1:-1], out=lap)
+            np.subtract(curr[2:], lap, out=lap)
+            lap += curr[:-2]
+            lap /= dx2
+            np.divide(v[1:-1], dt, out=rhs)
+            np.add(force[1:-1], rhs, out=rhs)
+            rhs += lap
             np.divide(factorization.solve(rhs), dt, out=v_next[1:-1])
-        nxt = curr + dt * v_next
-        if not np.all(np.isfinite(nxt)):
+        np.multiply(dt, v_next, out=nxt)
+        np.add(curr, nxt, out=nxt)
+        if not np.isfinite(nxt, out=finite).all():
             raise NumericBlowupError(i + 1)
         ledger.append_step(nxt, v_next, v, force)
         curr, v = nxt, v_next

@@ -203,6 +203,17 @@ def test_reading_the_mask_forms_nothing_else(run_name, request, monkeypatch):
     assert a["boundary_graphs"] and a["graph_sides"] == b["graph_sides"]
 
 
+def test_contact_reports_compare_by_identity(desk_ex1):
+    # a dataclass __eq__ would compare the masks, and their elementwise
+    # comparison has no truth value
+    _, series, _ = desk_ex1
+    report = extract_contact(series)
+    other = extract_contact(series)
+    assert report == report
+    assert report != other and not report == other
+    assert report.mask.tobytes() == other.mask.tobytes()
+
+
 @pytest.mark.parametrize("run_name", ["desk_ex1", "desk_ex2", "desk_ex2_stiff"])
 def test_contact_mask_matches_definition(run_name, request):
     # the force is positive only where eta < 0, so {eta <= 0} alone is the

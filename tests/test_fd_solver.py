@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loop_reference
 from dense_oracle import Tridiagonal, thomas_sweep
 from obstring.core import (
     Grid1D,
@@ -81,6 +82,23 @@ def test_penalty_on_a_stack_of_levels_is_bitwise_row_by_row():
     reference = np.where(eta < 0.0, np.maximum(0.0, -velocity) / 0.003, 0.0)
     reference[:, [0, -1]] = 0.0
     assert np.array_equal(stack, reference)
+
+
+def test_penalty_into_a_buffer_is_the_allocating_call():
+    rng = np.random.default_rng(11)
+    eta = rng.normal(size=(5, 8))
+    velocity = rng.normal(size=(5, 8))
+    velocity[0, 2], velocity[1, 3], eta[2, 4] = -0.0, 0.0, -0.0
+    velocity[2, 4] = -1.0
+    for e, v in ((eta[1], velocity[1]), (eta, velocity)):  # one level, a stack
+        buf = np.full(e.shape, np.nan)
+        force = penalty_force(e, v, 0.004, out=buf)
+        assert force is buf
+        assert buf.tobytes() == penalty_force(e, v, 0.004).tobytes()
+        assert not np.signbit(buf).any()  # every zero is +0.0
+    assert (buf > 0.0).any()
+    with pytest.raises(ValueError):  # numpy would broadcast into it
+        penalty_force(eta[0], velocity[0], 0.004, out=np.empty((2, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +323,61 @@ def test_every_valid_config_keeps_the_discrete_energy_theorem(
     if kind == "mirrored":
         eta = series.fields["eta"]
         assert np.abs(eta - eta[:, ::-1]).max() <= 4e-12 * np.abs(eta).max()
+
+
+def _assert_reference_loop_bits(cfg: SimConfig, series, ledger) -> None:
+    """series and ledger, run's result for cfg, hold the reference loop's bits."""
+    ref_series, ref_ledger = loop_reference.run(cfg)
+    assert series.times.tobytes() == ref_series.times.tobytes()
+    for name in ("eta", "velocity"):  # tobytes compares signbits too
+        assert series.fields[name].tobytes() == ref_series.fields[name].tobytes()
+    ref_columns = ref_ledger.as_columns()
+    columns = ledger.as_columns()
+    assert list(columns) == list(ref_columns) and len(columns) == 6
+    for name, column in columns.items():
+        assert column.tobytes() == ref_columns[name].tobytes(), name
+
+
+@pytest.mark.parametrize("run_name", ["desk_ex1", "desk_ex2"])
+def test_preset_runs_keep_the_reference_loop_bits(run_name, request):
+    cfg, series, ledger = request.getfixturevalue(run_name)
+    assert series.penalty_force.max() > 0.0
+    _assert_reference_loop_bits(cfg, series, ledger)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    cells_n=st.integers(2, 600),
+    steps_m=st.integers(1, 120),
+    stride=st.integers(0, 7),
+    horizon=_log_uniform(1e-2, 1.0),
+    alpha=st.one_of(st.just(0.0), _log_uniform(1e-4, 10.0)),
+    ratio=st.floats(1e-3, 2.0),  # dt / eps
+    reach=_log_uniform(0.3, 30.0),  # how far the string falls in T, in heights
+    kind=st.sampled_from(["tabulated", "single_mode"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_valid_config_keeps_the_reference_loop_bits(
+    cells_n, steps_m, stride, horizon, alpha, ratio, reach, kind, seed
+):
+    # run steps on rolling buffers; the reference allocates every level anew
+    rng = np.random.default_rng(seed)
+    speed = reach / horizon
+    if kind == "single_mode":
+        amplitude = rng.uniform(0.0, 1.0)
+        init = InitialData("single_mode", amplitude=amplitude,
+                           mode=int(rng.integers(1, 6)),
+                           offset=amplitude + rng.uniform(0.01, 1.0), v0=-speed)
+    else:
+        eta0 = rng.uniform(0.05, 1.0, cells_n + 1)
+        eta0[[0, -1]] = rng.uniform(0.0, 1.0, 2)
+        v0 = -speed * rng.uniform(-0.3, 1.0, cells_n + 1)
+        init = InitialData("tabulated", eta0_table=tuple(eta0), v0_table=tuple(v0))
+    dt = horizon / steps_m
+    cfg = SimConfig(Grid1D(1.0, cells_n), TimeGrid(horizon, steps_m),
+                    Physics(alpha, dt / ratio), init, output_stride=stride)
+    series, ledger = run(cfg)
+    _assert_reference_loop_bits(cfg, series, ledger)
 
 
 def _extended_precision_eta(cfg: SimConfig) -> np.ndarray:
