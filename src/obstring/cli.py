@@ -38,17 +38,14 @@ among forked export workers, which write the bytes one process would.  Then come
 heatmaps (each PNG deflated at zlib level 3, which the SVG embeds) and a
 manifest.json with sha256 checksums, per-phase wall-clock times, the energy
 ledger's closure (energy_residual_max) and the step-to-penalty ratio
-dt_over_eps; render adds the files it writes to that manifest.  When a run
-draws heatmaps, one thread takes fields.npz's checksum while they render,
-so the render phase includes the wait for it; the thread starts after the
-export workers are joined and ends before the oracle phase.
+dt_over_eps; render adds the files it writes to that manifest.
 
 Exit codes: 0 success, 2 configuration error (a fields.npz that cannot be
 read or holds no valid series included), 3 numeric blowup, 4 probe-contract
 violation, 5 output error (a file that cannot be written).  OBSTRING_THREADS
-caps the sweep worker pool, the CSV export workers and the checksum thread
-(unset: the CPUs this process may run on; at 1 every checksum is taken
-inline); a value other than a whole number >= 1 is a configuration error.
+caps the sweep worker pool and the CSV export workers (unset: the CPUs this
+process may run on); a value other than a whole number >= 1 is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ import warnings
 import zipfile
 import zlib
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -514,7 +511,8 @@ def _palette_rgb(matrix: np.ndarray, palette: str) -> np.ndarray:
 
 def _png_bytes(rgb: np.ndarray) -> bytes:
     height, width, _ = rgb.shape
-    raw = b"".join(b"\x00" + rgb[r].tobytes() for r in range(height))
+    # each scanline starts with filter type 0 (none)
+    raw = np.pad(rgb.reshape(height, -1), ((0, 0), (1, 0))).tobytes()
 
     def chunk(tag: bytes, data: bytes) -> bytes:
         block = tag + data
@@ -693,15 +691,10 @@ def _solve_and_write(
                 fmt: str | list[str] = "%.17g") -> tuple:
         return os.path.join(out_dir, fname), labels, columns, fmt
 
-    def store_npz(fname: str, **arrays: np.ndarray) -> str:
+    def store_npz(fname: str, **arrays: np.ndarray) -> None:
         path = os.path.join(out_dir, fname)
         np.savez(path, **arrays)
-        return path
-
-    # the field store's checksum runs on one thread while the heatmaps
-    # render; it starts after _export_csv has joined its forked children
-    # and ends before the oracle phase, so no fork meets a second thread
-    hash_beside_render = "heatmap" in formats and _worker_count(2) > 1
+        manifest.add_file(path)
 
     t0 = _time.perf_counter()
     cfg_path = os.path.join(out_dir, "config.ini")
@@ -713,11 +706,9 @@ def _solve_and_write(
     jobs = [csv_job("energy.csv", list(ledger_cols), list(ledger_cols.values()))]
 
     if formats:  # every run with any output writes the field store
-        store = store_npz(FIELD_STORE, times=series.times, xs=series.xs,
-                          eta=series.fields["eta"], velocity=series.fields["velocity"],
-                          epsilon=series.epsilon)
-        if not hash_beside_render:
-            manifest.add_file(store)
+        store_npz(FIELD_STORE, times=series.times, xs=series.xs,
+                  eta=series.fields["eta"], velocity=series.fields["velocity"],
+                  epsilon=series.epsilon)
     if "csv" in formats or "heatmap" in formats:  # the outputs that draw the mask
         mask = diagnostics.extract_contact(series).mask
     if "csv" in formats or "snapshots" in formats:  # the text exports of FIELD_FILES
@@ -743,14 +734,7 @@ def _solve_and_write(
 
     if "heatmap" in formats:
         t0 = _time.perf_counter()
-        if hash_beside_render:
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                store_entry = pool.submit(_file_entry, store)
-                paths = _render_heatmaps(out_dir, series, mask)
-            manifest.files[FIELD_STORE] = store_entry.result()
-        else:
-            paths = _render_heatmaps(out_dir, series, mask)
-        for path in paths:
+        for path in _render_heatmaps(out_dir, series, mask):
             manifest.add_file(path)
         manifest.phases["render"] = _time.perf_counter() - t0
 
@@ -758,8 +742,8 @@ def _solve_and_write(
         t0 = _time.perf_counter()
         oracle = galerkin.integrate(parsed.sim, parsed.output.oracle_modes)
         if formats:
-            manifest.add_file(store_npz("oracle_eta.npz", times=oracle.times,
-                                        xs=oracle.xs, eta=oracle.fields["eta"]))
+            store_npz("oracle_eta.npz", times=oracle.times, xs=oracle.xs,
+                      eta=oracle.fields["eta"])
         if "csv" in formats:
             _export_csv([csv_job("oracle_eta.csv", ["t", *oracle.xs],
                                  [oracle.times, oracle.fields["eta"]])], manifest)

@@ -122,15 +122,16 @@ class EnergyLedger:
     b to (1 - r) b: for r <= 1 the penalty never reverses a velocity.
 
     append_step forms its three differences (the velocity jump and the two
-    slopes) in scratch arrays that the ledger allocates on its first step
-    and reuses while the node count stays, so a step allocates no array.
+    slopes) in scratch arrays sized for the grid's nodes when the ledger is
+    made, so a step allocates no array.
     """
 
-    def __init__(self, dt: float, dx: float, alpha: float):
+    def __init__(self, dt: float, dx: float, alpha: float, nodes: int):
         self.dt = dt
         self.dx = dx
         self.alpha = alpha
-        self._scratch: tuple[np.ndarray, ...] = ()  # jump, slope, slope_v
+        # jump, slope, slope_v
+        self._scratch = (np.empty(nodes), np.empty(nodes - 1), np.empty(nodes - 1))
         self.times: list[float] = []
         self.kinetic: list[float] = []
         self.elastic: list[float] = []
@@ -140,7 +141,7 @@ class EnergyLedger:
 
     @classmethod
     def open(cls, eta0: np.ndarray, v0: np.ndarray, cfg: SimConfig) -> "EnergyLedger":
-        ledger = cls(cfg.time.dt, cfg.grid.dx, cfg.physics.alpha)
+        ledger = cls(cfg.time.dt, cfg.grid.dx, cfg.physics.alpha, eta0.size)
         slope = np.diff(eta0)
         ledger.times.append(0.0)
         ledger.kinetic.append(0.5 * float(v0 @ v0) * ledger.dx)
@@ -156,9 +157,6 @@ class EnergyLedger:
     ) -> None:
         """Account for one step from velocity v to (eta_new, v_new) under force."""
         dt, dx = self.dt, self.dx
-        nodes = len(v)
-        if not self._scratch or len(self._scratch[0]) != nodes:
-            self._scratch = (np.empty(nodes), np.empty(nodes - 1), np.empty(nodes - 1))
         jump, slope, slope_v = self._scratch
         np.subtract(v_new, v, out=jump)
         np.subtract(eta_new[1:], eta_new[:-1], out=slope)  # np.diff, in place

@@ -415,44 +415,6 @@ def test_export_workers_write_the_same_bytes(tmp_path, monkeypatch):
     assert hashes["1"] == hashes["2"]
 
 
-def test_the_checksum_thread_leaves_the_manifest_files_as_they_were(tmp_path, monkeypatch):
-    # fields.npz is hashed on a thread while the heatmaps render, or inline
-    # at OBSTRING_THREADS=1; unset, the cap is the CPUs this process may use
-    pools = []
-    pool_type = cli.ThreadPoolExecutor
-    monkeypatch.setattr(cli, "ThreadPoolExecutor",
-                        lambda *args, **kwargs: pools.append(1) or pool_type(*args, **kwargs))
-    files = {}
-    for threads in ("1", None):
-        if threads is None:
-            monkeypatch.delenv("OBSTRING_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("OBSTRING_THREADS", threads)
-        run_root = tmp_path / f"threads{threads}"
-        run_root.mkdir()
-        monkeypatch.chdir(run_root)  # config.ini records the out path: "run" in both
-        assert cli.main(["example1", "--out", "run", "--resolution", "200"]) == 0
-        with open(os.path.join("run", "manifest.json")) as fh:
-            files[threads] = json.load(fh)["files"]
-        if threads == "1":
-            assert pools == []
-    assert {"fields.npz", "eta.png", "contact.svg"} <= set(files["1"])
-    assert files["1"] == files[None]
-    assert len(pools) == (cli._worker_count(2) > 1)
-
-
-def test_a_run_without_heatmaps_starts_no_thread(tmp_path, monkeypatch):
-    # nothing renders beside the checksum, so it is taken inline
-    def refuse(*args, **kwargs):
-        raise AssertionError("a thread pool was made")
-
-    monkeypatch.setenv("OBSTRING_THREADS", "2")
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", refuse)
-    parsed = cli.parse_config(GOOD_CONFIG.replace("csv,heatmap,snapshots", "npz"))
-    manifest = cli.execute_run(parsed, str(tmp_path / "run"))
-    assert "fields.npz" in manifest.files and "oracle_eta.npz" in manifest.files
-
-
 @pytest.mark.parametrize("blocked", ["velocity.csv", "eta.csv"],
                          ids=["own-share", "child-share"])
 def test_unwritable_csv_fails_the_run_by_name(tmp_path, monkeypatch, blocked):
