@@ -18,10 +18,10 @@ format or probe name included), are rejected with line numbers.  One table,
 _SCHEMA, gives each key's type and the dataclass field it fills; parse_config
 and emit_config both walk it, and a key left out takes that field's default.
 Like the core config types, OutputSettings and ProbeSettings check their
-values when built (no nan or inf, oracle_modes and link_cells >= 0,
-dissipation_omega_cells and every velocity_deltas entry > 0) and name the
-key they refuse.  A run with oracle_modes > 0 whose initial displacement
-differs at the two ends is refused before it solves or writes anything.
+values through core.check when built (no nan or inf, oracle_modes and
+link_cells >= 0, dissipation_omega_cells and each velocity_deltas > 0).
+A run with oracle_modes > 0 whose initial displacement differs at the
+two ends is refused before it solves or writes anything.
 Every run with any output format (all but formats = none), sweep points
 included, stores its state once, in fields.npz: times, node positions, eta,
 velocity and epsilon.  probe and render read that file only, into a
@@ -83,6 +83,7 @@ from .core import (
     ProbeContractError,
     SimConfig,
     TimeGrid,
+    check,
     example1_config,
     example2_config,
     validate_config,
@@ -119,20 +120,6 @@ BOUNDARY_PROBES = ("stress_jump", "velocity_jump")
 # configuration text format
 
 
-def _check(section: str, settings, *rules: tuple[str, bool, str]) -> None:
-    """Refuse settings that hold a non-finite float or break a rule
-    (key, holds, requirement)."""
-    for f in fields(settings):
-        value = getattr(settings, f.name)
-        if any(isinstance(x, float) and not math.isfinite(x)
-               for x in (value if isinstance(value, tuple) else (value,))):
-            raise ConfigurationError(f"{section}.{f.name} must be finite, got {value!r}")
-    for key, holds, need in rules:
-        if not holds:
-            raise ConfigurationError(
-                f"{section}.{key} must be {need}, got {getattr(settings, key)!r}")
-
-
 @dataclass(frozen=True)
 class OutputSettings:
     dir: str | None = None
@@ -141,7 +128,7 @@ class OutputSettings:
     oracle_modes: int = 0
 
     def __post_init__(self) -> None:
-        _check("output", self, ("oracle_modes", self.oracle_modes >= 0, ">= 0"))
+        check("output", self, ("oracle_modes", self.oracle_modes >= 0, ">= 0"))
 
 
 @dataclass(frozen=True)
@@ -156,9 +143,9 @@ class ProbeSettings:
     velocity_deltas: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        _check("probes", self, ("link_cells", self.link_cells >= 0, ">= 0"),
-               ("dissipation_omega_cells", self.dissipation_omega_cells > 0.0, "> 0"),
-               ("velocity_deltas", all(d > 0.0 for d in self.velocity_deltas), "all > 0"))
+        check("probes", self, ("link_cells", self.link_cells >= 0, ">= 0"),
+              ("dissipation_omega_cells", self.dissipation_omega_cells > 0.0, "> 0"),
+              ("velocity_deltas", all(d > 0.0 for d in self.velocity_deltas), "all > 0"))
 
 
 @dataclass(frozen=True)
@@ -445,8 +432,9 @@ def series_from_run_dir(run_dir: str) -> FieldSeries:
     The series derives the penalty force from the stored state and epsilon
     as the solver's series does, bit for bit.  A store that cannot be read,
     that lacks a member (stores that kept penalty_force and contact hold no
-    epsilon), or whose members FieldSeries refuses (mismatched shapes,
-    unordered times, an epsilon that is not finite and > 0) is a
+    epsilon), whose members FieldSeries refuses (mismatched shapes, fewer
+    than two instants or nodes, unordered times or xs, an epsilon that is
+    not finite and > 0), or whose eta or velocity is not finite is a
     configuration error.
     """
     path = os.path.join(run_dir, FIELD_STORE)
@@ -468,9 +456,13 @@ def series_from_run_dir(run_dir: str) -> FieldSeries:
         raise ConfigurationError(f"{path} lacks {', '.join(missing)}; {rerun}")
     times, xs, eta, velocity, epsilon = (state[name] for name in STORE_MEMBERS)
     try:
-        return FieldSeries(times, xs, {"eta": eta, "velocity": velocity}, float(epsilon))
+        series = FieldSeries(times, xs, {"eta": eta, "velocity": velocity}, float(epsilon))
+        for name, mat in series.fields.items():
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{name} is not finite")
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path} holds no valid run ({exc}); {rerun}") from exc
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -946,6 +938,8 @@ def run_sweep(parsed: ParsedConfig, axis: str, sweep_values: list[float],
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
     if len(sweep_values) < 2:
         raise ConfigurationError("a sweep needs at least two values")
+    if not all(map(math.isfinite, sweep_values)):
+        raise ConfigurationError(f"sweep values must be finite, got {sweep_values}")
     workers = _worker_count(len(sweep_values))
     ordered = sorted(sweep_values, reverse=True)
     os.makedirs(out_dir, exist_ok=True)

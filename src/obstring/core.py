@@ -11,7 +11,8 @@ where ``F`` is a contact force that is approximated by a velocity penalty:
 Everything downstream — the finite-difference solver, the spectral oracle and
 the diagnostics — shares the types defined here.  Each config type checks its
 own invariants once, when it is constructed (``dataclasses.replace`` checks
-again), so a Grid1D, TimeGrid, Physics or InitialData that exists is valid;
+again), through the one ``check`` that the CLI's settings use too, so a
+Grid1D, TimeGrid, Physics, InitialData or SimConfig that exists is valid;
 ``validate_config`` adds only the checks that span parts: the node tables
 against the grid, and one nonnegativity screen of the initial displacement
 for every kind other than the two presets.  All config types are immutable
@@ -20,7 +21,8 @@ and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -48,6 +50,21 @@ class ProbeContractError(ValueError):
     """A diagnostic probe was invoked outside its contract."""
 
 
+def check(section: str, settings, *rules: tuple[str, bool, str]) -> None:
+    """Refuse settings that hold a non-finite float, alone or at entry k of
+    a tuple, or that break a rule (key, holds, requirement)."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        for k, x in enumerate(value if isinstance(value, tuple) else (value,)):
+            if isinstance(x, float) and not math.isfinite(x):
+                at = f" at entry {k}" if isinstance(value, tuple) else ""
+                raise ConfigurationError(f"{section}.{f.name} must be finite, got {x!r}{at}")
+    for key, holds, need in rules:
+        if not holds:
+            raise ConfigurationError(
+                f"{section}.{key} must be {need}, got {getattr(settings, key)!r}")
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform spatial grid: nodes x_j = j*dx, j = 0..cells_n."""
@@ -64,14 +81,9 @@ class Grid1D:
         return np.linspace(0.0, self.length_l, self.cells_n + 1)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.cells_n, int) and self.cells_n >= 2):
-            raise ConfigurationError(
-                f"grid.cells_n must be an integer >= 2, got {self.cells_n!r}"
-            )
-        if not (np.isfinite(self.length_l) and self.length_l > 0):
-            raise ConfigurationError(
-                f"grid.length_l must be positive and finite, got {self.length_l!r}"
-            )
+        check("grid", self, ("cells_n", isinstance(self.cells_n, int) and self.cells_n >= 2,
+                             "an integer >= 2"),
+              ("length_l", self.length_l > 0, "> 0"))
 
 
 @dataclass(frozen=True)
@@ -86,14 +98,9 @@ class TimeGrid:
         return self.horizon_T / self.steps_m
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.steps_m, int) and self.steps_m >= 1):
-            raise ConfigurationError(
-                f"time.steps_m must be an integer >= 1, got {self.steps_m!r}"
-            )
-        if not (np.isfinite(self.horizon_T) and self.horizon_T > 0):
-            raise ConfigurationError(
-                f"time.horizon_T must be positive and finite, got {self.horizon_T!r}"
-            )
+        check("time", self, ("steps_m", isinstance(self.steps_m, int) and self.steps_m >= 1,
+                             "an integer >= 1"),
+              ("horizon_T", self.horizon_T > 0, "> 0"))
 
 
 @dataclass(frozen=True)
@@ -104,14 +111,8 @@ class Physics:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.alpha) and self.alpha >= 0):
-            raise ConfigurationError(
-                f"physics.alpha must be >= 0, got {self.alpha!r}"
-            )
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigurationError(
-                f"physics.epsilon must be > 0, got {self.epsilon!r}"
-            )
+        check("physics", self, ("alpha", self.alpha >= 0, ">= 0"),
+              ("epsilon", self.epsilon > 0, "> 0"))
 
 
 @dataclass(frozen=True)
@@ -124,11 +125,11 @@ class InitialData:
     kind = "single_mode" eta0 = offset + amplitude*sin(mode*pi*x/l), v0 const
     kind = "tabulated"   explicit node tables (length cells_n + 1)
 
-    The kind, the single_mode parameters and the presence and finiteness of
-    both tables are checked at construction.  The table lengths, which need
-    the grid, are checked by evaluate_initial, and so is the one
-    nonnegativity screen that every kind except the two presets must pass.  The presets are
-    evaluated verbatim, including Example 2's sign-changing sine plateau.
+    Finite floats and table entries, the kind, the single_mode mode and
+    both tables of kind tabulated are checked at construction;
+    evaluate_initial checks the table lengths, which need the grid, and the
+    nonnegativity screen that every kind but the two presets must pass.
+    The presets are evaluated verbatim, with Example 2's sign-changing plateau.
     """
 
     kind: str
@@ -140,28 +141,14 @@ class InitialData:
     v0_table: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in INIT_KINDS:
-            raise ConfigurationError(
-                f"init.kind must be one of {INIT_KINDS}, got {self.kind!r}"
-            )
-        if self.kind == "single_mode":
-            if not (isinstance(self.mode, int) and self.mode >= 1):
-                raise ConfigurationError(
-                    f"init.mode must be an integer >= 1, got {self.mode!r}"
-                )
-            for name in ("amplitude", "offset", "v0"):
-                if not np.isfinite(getattr(self, name)):
-                    raise ConfigurationError(f"init.{name} must be finite")
-        if self.kind == "tabulated":
-            for name, table in (("eta0", self.eta0_table), ("v0", self.v0_table)):
-                if table is None:
-                    raise ConfigurationError(f"init.{name} table is required")
-                bad = np.flatnonzero(~np.isfinite(table))
-                if bad.size:
-                    raise ConfigurationError(
-                        f"init.{name} table must be finite, got {table[bad[0]]} "
-                        f"at node {bad[0]}"
-                    )
+        single, tabulated = self.kind == "single_mode", self.kind == "tabulated"
+        check("init", self, ("kind", self.kind in INIT_KINDS, f"one of {INIT_KINDS}"),
+              ("mode", not single or (isinstance(self.mode, int) and self.mode >= 1),
+               "an integer >= 1"),
+              ("eta0_table", not tabulated or self.eta0_table is not None,
+               "given for kind = tabulated"),
+              ("v0_table", not tabulated or self.v0_table is not None,
+               "given for kind = tabulated"))
 
 
 @dataclass(frozen=True)
@@ -175,11 +162,8 @@ class SimConfig:
     output_stride: int = 0  # 0 = auto: max(1, steps_m // 300)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.output_stride, int) and self.output_stride >= 0):
-            raise ConfigurationError(
-                f"output_stride must be an integer >= 0 (0 = auto), "
-                f"got {self.output_stride!r}"
-            )
+        check("output", self, ("output_stride", isinstance(self.output_stride, int)
+                               and self.output_stride >= 0, "an integer >= 0 (0 = auto)"))
 
 
 def penalty_force(
@@ -219,8 +203,9 @@ class FieldSeries:
     """Strided space-time storage of the state and the penalty parameter.
 
     fields maps "eta" and "velocity" to arrays of shape (stored_steps,
-    nodes), one time level per row; times is strictly increasing, epsilon
-    > 0, and penalty_force of the whole stack is formed on first read.
+    nodes), one time level per row; times and xs each hold at least two
+    strictly increasing values, epsilon > 0, and penalty_force of the
+    whole stack is formed on first read.
     """
 
     times: np.ndarray
@@ -243,8 +228,10 @@ class FieldSeries:
                 raise ValueError(
                     f"field {name!r} has shape {mat.shape}, expected {shape}"
                 )
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        for name, axis in (("times", self.times), ("xs", self.xs)):
+            if len(axis) < 2 or not np.all(np.diff(axis) > 0):
+                raise ValueError(f"{name} must be at least two strictly increasing "
+                                 f"values, got {len(axis)}")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be > 0, got {self.epsilon!r}")
 
@@ -370,6 +357,16 @@ def validate_config(cfg: SimConfig) -> SimConfig:
 
     stride = cfg.output_stride or max(1, cfg.time.steps_m // 300)
     return replace(cfg, output_stride=stride)
+
+
+def stored_levels(cfg: SimConfig) -> np.ndarray:
+    """The time levels a run stores: every output_stride-th and the last.
+
+    cfg is one that validate_config returned, so its stride is resolved;
+    both solvers store these levels, at times stored_levels(cfg) * dt.
+    """
+    stride, steps = cfg.output_stride, cfg.time.steps_m
+    return np.minimum(np.arange(1 + math.ceil(steps / stride)) * stride, steps)
 
 
 def example1_config(

@@ -32,7 +32,6 @@ frame.
 from __future__ import annotations
 
 import logging
-import math
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .core import (
     SimConfig,
     evaluate_initial,
     penalty_force,
+    stored_levels,
     validate_config,
 )
 from .diagnostics import EnergyLedger
@@ -99,8 +99,8 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
     A step still makes one penalty_force call, one solve (whose result is
     a new array) and one append_step.
 
-    Fields are stored every output_stride steps plus step 0 and the final
-    step, into arrays preallocated for 1 + ceil(M / stride) frames; the
+    Fields are stored at core.stored_levels (every output_stride steps
+    plus the final step), into arrays preallocated for them; the
     energy ledger gets one append_step per time step regardless of the
     stride, and its residual() closes to rounding.  A non-finite frame
     aborts with the offending step index.
@@ -108,20 +108,19 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
     cfg = validate_config(cfg)
     grid, tgrid, physics = cfg.grid, cfg.time, cfg.physics
     dt, dx = tgrid.dt, grid.dx
-    steps_m, stride = tgrid.steps_m, cfg.output_stride
+    steps_m = tgrid.steps_m
     eta0, v0 = evaluate_initial(cfg.init, grid)
 
     factorization = ThomasFactorization(*assemble_step_matrix(grid, tgrid, physics))
     ledger = EnergyLedger.open(eta0, v0, cfg)
 
-    frames = 1 + math.ceil(steps_m / stride)
-    times = np.empty(frames)
-    eta = np.empty((frames, eta0.size))
+    levels = stored_levels(cfg)
+    eta = np.empty((levels.size, eta0.size))
     velocity = np.empty_like(eta)
 
     log.info(
         "run: N=%d M=%d dt=%g alpha=%g eps=%g stride=%d",
-        grid.cells_n, steps_m, dt, physics.alpha, physics.epsilon, stride,
+        grid.cells_n, steps_m, dt, physics.alpha, physics.epsilon, cfg.output_stride,
     )
 
     # level i+1 goes into the pair that level i does not hold; eta0 is free
@@ -138,8 +137,7 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
     row = 0
     for i in range(steps_m + 1):
         penalty_force(curr, v, physics.epsilon, out=force)
-        if i % stride == 0 or i == steps_m:
-            times[row] = i * dt
+        if i == levels[row]:
             eta[row] = curr
             velocity[row] = v
             row += 1
@@ -167,4 +165,4 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
         curr, v = nxt, v_next
 
     state = {"eta": eta, "velocity": velocity}
-    return FieldSeries(times, grid.nodes(), state, physics.epsilon), ledger
+    return FieldSeries(levels * dt, grid.nodes(), state, physics.epsilon), ledger

@@ -47,6 +47,7 @@ from .core import (
     NumericBlowupError,
     SimConfig,
     initial_callables,
+    stored_levels,
     validate_config,
 )
 
@@ -333,12 +334,11 @@ def integrate(cfg: SimConfig, n_modes: int) -> FieldSeries:
 
     xs = grid.nodes()
     shapes_x = _mode_matrix(n_modes, l, xs)
-    stride, steps = cfg.output_stride, time.steps_m
-    frames = 1 + math.ceil(steps / stride)
-    stored = np.empty((2, frames, xs.size))  # eta - h and v
+    levels = stored_levels(cfg)
+    stored = np.empty((2, levels.size, xs.size))  # eta - h and v
     stored[:, 0] = y.reshape(2, n_modes) @ shapes_x
-    free_steps = 0
-    for i in range(steps):
+    row, free_steps = 1, 0
+    for i in range(time.steps_m):
         if _free_amplitude_bound(*y.reshape(2, n_modes), root_lam).sum() <= offset_h:
             y = np.add.reduce(flow * y.reshape(2, n_modes), axis=1).reshape(-1)
             stepper.k1 = None
@@ -347,15 +347,16 @@ def integrate(cfg: SimConfig, n_modes: int) -> FieldSeries:
             y = stepper.advance(y, dt, i + 1)
         if not np.isfinite(y).all():
             raise NumericBlowupError(i + 1)
-        if (i + 1) % stride == 0 or (i + 1) == steps:
-            stored[:, math.ceil((i + 1) / stride)] = y.reshape(2, n_modes) @ shapes_x
+        if i + 1 == levels[row]:
+            stored[:, row] = y.reshape(2, n_modes) @ shapes_x
+            row += 1
     log.info("integrate: %d exact free steps, %d accepted and %d rejected "
              "adaptive steps", free_steps, stepper.accepted, stepper.rejected)
 
     eta, vel = stored
     eta += offset_h
     return FieldSeries(
-        times=np.minimum(np.arange(frames) * stride, steps) * dt,
+        times=levels * dt,
         xs=xs,
         fields={"eta": eta, "velocity": vel},
         epsilon=physics.epsilon,

@@ -300,7 +300,8 @@ def test_non_finite_table_exits_two(tabulated_dir, capsys, table, value):
     column[5] = value
     np.savetxt(path, column)
     assert cli.main(["run", "tab.ini", "--out", str(tabulated_dir / "out")]) == 2
-    assert f"init.{table} table must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"init.{table}_table must be finite, got {value} at entry 5" in err
 
 
 def test_tabulated_run_probe_render(tabulated_dir, capsys):
@@ -820,7 +821,8 @@ def _rewrite_store(path: str, drop: tuple[str, ...] = (), **extra) -> None:
 
 
 @pytest.mark.parametrize("damage", ["truncated", "not-a-zip", "no-eta", "older-store",
-                                    "mismatched", "unordered", "zero-epsilon"])
+                                    "mismatched", "unordered", "zero-epsilon",
+                                    "one-frame", "one-node", "reversed-xs", "nan-eta"])
 def test_an_unreadable_store_is_refused_by_name(tmp_path, capsys, damage):
     out = _run_good_config(tmp_path, "npz")
     path = os.path.join(out, "fields.npz")
@@ -839,6 +841,22 @@ def test_an_unreadable_store_is_refused_by_name(tmp_path, capsys, damage):
             _rewrite_store(path, times=data["times"][::-1])
     elif damage == "zero-epsilon":
         _rewrite_store(path, epsilon=0.0)
+    elif damage == "one-frame":
+        with np.load(path) as data:
+            _rewrite_store(path, **{name: data[name][:1]
+                                    for name in ("times", "eta", "velocity")})
+    elif damage == "one-node":
+        with np.load(path) as data:
+            _rewrite_store(path, xs=data["xs"][:1], eta=data["eta"][:, :1],
+                           velocity=data["velocity"][:, :1])
+    elif damage == "reversed-xs":
+        with np.load(path) as data:
+            _rewrite_store(path, xs=data["xs"][::-1])
+    elif damage == "nan-eta":
+        with np.load(path) as data:
+            eta = data["eta"].copy()
+        eta[3, 10] = np.nan
+        _rewrite_store(path, eta=eta)
     else:  # as stores were written before the penalty force was derived on read
         series = cli.series_from_run_dir(out)
         _rewrite_store(path, drop=("epsilon",),
@@ -855,6 +873,9 @@ def test_an_unreadable_store_is_refused_by_name(tmp_path, capsys, damage):
 
 
 @pytest.mark.parametrize("old, new, key", [
+    ("n = 50", "n = 1", "grid.cells_n"),
+    ("T = 0.1", "T = inf", "time.horizon_T"),
+    ("epsilon = 0.01", "epsilon = 0", "physics.epsilon"),
     ("oracle_modes = 4", "oracle_modes = -3", "output.oracle_modes"),
     ("snapshots = 0.0,0.033", "snapshots = 0.0,nan", "output.snapshots"),
     ("[probes]", "[probes]\nlink_cells = -4", "probes.link_cells"),
@@ -1184,14 +1205,17 @@ def test_sweep_needs_two_values(tmp_path, capsys):
 def test_sweep_rejects_malformed_values(tmp_path, capsys):
     cfg = tmp_path / "sweep.ini"
     cfg.write_text(GOOD_CONFIG)
-    code = cli.main([
-        "sweep", str(cfg), "--axis", "epsilon", "--values", "0.1,abc",
-        "--out", str(tmp_path / "s"),
-    ])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "configuration error: bad --values" in err and "abc" in err
-    assert not os.path.exists(tmp_path / "s")
+    for values, message, bad in (("0.1,abc", "bad --values", "abc"),
+                                 ("0.1,nan", "sweep values must be finite", "nan"),
+                                 ("inf,0.1", "sweep values must be finite", "inf")):
+        code = cli.main([
+            "sweep", str(cfg), "--axis", "epsilon", "--values", values,
+            "--out", str(tmp_path / "s"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {message}" in err and bad in err
+        assert not os.path.exists(tmp_path / "s")
 
 
 def test_example_subcommand_smoke(tmp_path, capsys):

@@ -1,13 +1,14 @@
 """Configuration types, initial-data evaluation, validation rules, exports."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import obstring
 from obstring import diagnostics, fd_solver, galerkin
+from obstring.cli import OutputSettings, ProbeSettings
 from obstring.core import (
     ConfigurationError,
     FieldSeries,
@@ -22,6 +23,7 @@ from obstring.core import (
     initial_callables,
     penalty_force,
     single_mode_config,
+    stored_levels,
     validate_config,
 )
 
@@ -169,7 +171,7 @@ def test_bad_single_mode_parameters_rejected(params):
 
 
 def test_tabulated_requires_both_tables():
-    with pytest.raises(ConfigurationError, match="v0 table is required"):
+    with pytest.raises(ConfigurationError, match="init.v0_table must be given"):
         InitialData("tabulated", eta0_table=(1.0,) * 11)
 
 
@@ -230,6 +232,45 @@ def test_sim_config_checks_its_stride(stride):
     # None is not the auto stride (0 is); nothing but an int gets through
     with pytest.raises(ConfigurationError, match="output_stride"):
         replace(single_mode_config(resolution=100), output_stride=stride)
+
+
+# (section, settings): one valid instance of every settings type
+SETTINGS = [
+    ("grid", Grid1D(1.0, 10)),
+    ("time", TimeGrid(0.1, 10)),
+    ("physics", Physics(1.0, 0.01)),
+    ("init", InitialData("example1")),
+    ("init", InitialData("tabulated", eta0_table=(1.0,) * 3, v0_table=(0.0,) * 3)),
+    ("output", single_mode_config(resolution=10)),  # SimConfig: no float fields
+    ("output", OutputSettings()),
+    ("probes", ProbeSettings()),
+]
+
+
+@pytest.mark.parametrize("section, settings, name", [
+    pytest.param(section, settings, f.name,
+                 id=f"{section}.{f.name}-{getattr(settings, 'kind', '')}".rstrip("-"))
+    for section, settings in SETTINGS for f in fields(settings)
+    if isinstance(getattr(settings, f.name), (float, tuple))
+])
+def test_every_settings_field_refuses_nan_by_name(section, settings, name):
+    value = getattr(settings, name)
+    bad = math.nan if isinstance(value, float) else (*value, math.nan)
+    with pytest.raises(ConfigurationError, match=rf"^{section}\.{name} must be finite"):
+        replace(settings, **{name: bad})
+
+
+@pytest.mark.parametrize("stride", range(1, 8))
+def test_grid_and_oracle_store_the_same_levels(stride):
+    # M = 10: strides 3, 4, 6 and 7 do not divide it, and level M is stored
+    cfg = SimConfig(Grid1D(1.0, 10), TimeGrid(0.1, 10), Physics(1.0, 0.01),
+                    InitialData("single_mode", amplitude=0.2, offset=1.0),
+                    output_stride=stride)
+    levels = stored_levels(validate_config(cfg))
+    assert levels.tolist() == [*range(0, 10, stride), 10]
+    times = fd_solver.run(cfg)[0].times
+    assert np.array_equal(times, galerkin.integrate(cfg, 2).times)
+    assert np.array_equal(times, levels * cfg.time.dt)
 
 
 def test_field_series_validation_and_lookup():
