@@ -33,9 +33,9 @@ npz alone writes nothing else.  The default is npz,heatmap.  Two text exports ar
 csv writes the stored fields, and snapshots writes one snapshot_t*.csv per
 [output] snapshots instant (the presets list six), each the stored row
 nearest that instant.  They and the energy ledger go through one
-np.savetxt writer with 17 significant digits; a run's tables are dealt
-among forked export workers, which write the bytes one process would.  Then come PNG/SVG
-heatmaps (each PNG deflated at zlib level 3, which the SVG embeds) and a
+np.savetxt writer with 17 significant digits, in a process pool when a run
+writes several tables.  Then come PNG/SVG heatmaps (each PNG deflated at
+zlib level 3, which the SVG links by file name) and a
 manifest.json with sha256 checksums, per-phase wall-clock times, the energy
 ledger's closure (energy_residual_max) and the step-to-penalty ratio
 dt_over_eps; render adds the files it writes to that manifest.
@@ -43,21 +43,18 @@ dt_over_eps; render adds the files it writes to that manifest.
 Exit codes: 0 success, 2 configuration error (a fields.npz that cannot be
 read or holds no valid series included), 3 numeric blowup, 4 probe-contract
 violation, 5 output error (a file that cannot be written).  OBSTRING_THREADS
-caps the sweep worker pool and the CSV export workers (unset: the CPUs this
-process may run on); a value other than a whole number >= 1 is a
-configuration error.
+caps that pool, which sweep points share (unset: the CPUs this process may
+run on); a value other than a whole number >= 1 is a configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import base64
 import functools
 import hashlib
 import json
 import logging
 import math
-import multiprocessing
 import os
 import platform
 import struct
@@ -258,8 +255,10 @@ def parse_config(text: str) -> ParsedConfig:
     """Parse INI-style configuration text into run settings.
 
     Unknown sections or keys, repeated keys, and type errors are rejected
-    with the offending line number.  A key left out takes its dataclass
-    field's default; [physics].alpha, whose field has none, defaults to 1.
+    with the offending line number, and a value the settings types refuse
+    by its INI key ([grid].n, not grid.cells_n).  A key left out takes its
+    dataclass field's default; [physics].alpha, whose field has none,
+    defaults to 1.
     """
     values: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
     section = None
@@ -318,19 +317,28 @@ def parse_config(text: str) -> ParsedConfig:
                     f"[{section}].{key} is read only when kind = tabulated"
                 )
 
-    sim = SimConfig(
-        grid=Grid1D(**kwargs[Grid1D]),
-        time=TimeGrid(**kwargs[TimeGrid]),
-        physics=Physics(**kwargs[Physics]),
-        init=InitialData(**kwargs[InitialData]),
-        **kwargs[SimConfig],
-    )
-    return ParsedConfig(
-        sim=sim,
-        output=OutputSettings(**kwargs[OutputSettings]),
-        probes=ProbeSettings(**kwargs[ProbeSettings]),
-        table_files=table_files,
-    )
+    try:
+        sim = SimConfig(
+            grid=Grid1D(**kwargs[Grid1D]),
+            time=TimeGrid(**kwargs[TimeGrid]),
+            physics=Physics(**kwargs[Physics]),
+            init=InitialData(**kwargs[InitialData]),
+            **kwargs[SimConfig],
+        )
+        return ParsedConfig(
+            sim=sim,
+            output=OutputSettings(**kwargs[OutputSettings]),
+            probes=ProbeSettings(**kwargs[ProbeSettings]),
+            table_files=table_files,
+        )
+    except ConfigurationError as exc:  # core.check names section.field; name the key
+        for section, keys in _SCHEMA.items():
+            for key, (_, _, name) in keys.items():
+                prefix = f"{section}.{name} "
+                if str(exc).startswith(prefix):
+                    raise ConfigurationError(
+                        f"[{section}].{key} {str(exc)[len(prefix):]}") from exc
+        raise
 
 
 def emit_config(parsed: ParsedConfig) -> str:
@@ -379,51 +387,12 @@ def _write_csv(path: str, labels: list, columns: list,
                header=header, comments="")
 
 
-def _write_share(share: list[tuple]) -> None:
-    for path, labels, columns, fmt in share:
-        _write_csv(path, labels, columns, fmt)
-
-
-def _export_worker(share: list[tuple]) -> None:
-    """A forked export worker: a file it cannot write ends it with one
-    stderr line and exit code 1, and the parent names the share."""
-    try:
-        _write_share(share)
-    except OSError as exc:
-        sys.exit(f"output error: {exc}")
-
-
 def _export_csv(jobs: list[tuple], manifest: RunManifest) -> None:
-    """Write (path, labels, columns, fmt) jobs and add each file to manifest.
-
-    Formatting 17-digit text is CPU-bound, so the jobs are dealt round-robin,
-    in order, into _worker_count(len(jobs)) shares.  This process writes the
-    first share and hashes its files while forked children write the others:
-    a forked child inherits the columns without pickling them.  One share
-    forks nothing.
-    """
-    workers = _worker_count(len(jobs))
-    shares = [jobs[k::workers] for k in range(workers)]
-    children = [
-        multiprocessing.get_context("fork").Process(target=_export_worker, args=(share,))
-        for share in shares[1:]
-    ]
-    try:
-        for child in children:
-            child.start()
-        _write_share(shares[0])
-        for path, *_ in shares[0]:
-            manifest.add_file(path)
-    finally:
-        for child in children:
-            if child.pid is not None:
-                child.join()
-    for child, share in zip(children, shares[1:]):
-        if child.exitcode != 0:
-            raise OSError(f"CSV export worker exited with code {child.exitcode}; "
-                          f"not written: {', '.join(path for path, *_ in share)}")
-        for path, *_ in share:
-            manifest.add_file(path)
+    """Write (path, labels, columns, fmt) jobs, through _starmap since 17-digit
+    text is CPU-bound, and add each file to manifest."""
+    _starmap(_write_csv, jobs)
+    for path, *_ in jobs:
+        manifest.add_file(path)
 
 
 def series_from_run_dir(run_dir: str) -> FieldSeries:
@@ -536,8 +505,9 @@ def render_heatmap(
     """Write a (time x node) field as heatmap.png and heatmap.svg.
 
     Time runs horizontally, x vertically with x = 0 at the bottom.  The
-    PNG is the raster; the SVG embeds the same PNG bytes and adds axis
-    labels and tick marks.  Non-finite values are a hard error.
+    PNG is the raster; the SVG links it by file name, so it shows only
+    beside that PNG, and adds axis labels and tick marks.  Non-finite
+    values are a hard error.
     """
     matrix = np.asarray(matrix)
     if not np.all(np.isfinite(matrix)):
@@ -553,7 +523,6 @@ def render_heatmap(
     with open(png_path, "wb") as fh:
         fh.write(png)
 
-    png64 = base64.b64encode(png).decode("ascii")
     margin_l, margin_b, margin_t = 64, 46, 28
     w_px, h_px = width + margin_l + 20, height + margin_b + margin_t
     tick_fmt = "%.3g"
@@ -564,7 +533,7 @@ def render_heatmap(
         f'viewBox="0 0 {w_px} {h_px}">',
         f'<text x="{margin_l}" y="18" font-size="13" font-family="sans-serif">{title}</text>',
         f'<image x="{margin_l}" y="{margin_t}" width="{width}" height="{height}" '
-        f'preserveAspectRatio="none" href="data:image/png;base64,{png64}"/>',
+        f'preserveAspectRatio="none" href="{os.path.basename(png_path)}"/>',
         f'<rect x="{margin_l}" y="{margin_t}" width="{width}" height="{height}" '
         'fill="none" stroke="black" stroke-width="1"/>',
     ]
@@ -816,8 +785,8 @@ def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
         omega = settings.dissipation_omega_cells * series.dx
         dt_stored = float(np.min(np.diff(series.times)))
         kernel = diagnostics.MollifierKernel.build(
-            max(omega, 2.0 * max(dt_stored, series.dx)), dt_stored, series.dx
-        )
+            max(omega, 2.0 * max(dt_stored, series.dx)), dt_stored, series.dx,
+            series.fields["velocity"].shape)
         est = diagnostics.dissipation_estimate(series, kernel)
         results["dissipation"] = {
             k: v for k, v in est.items() if k != "density"
@@ -857,7 +826,7 @@ def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# sweep orchestration
+# process pool and sweep orchestration
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -874,9 +843,19 @@ def _worker_count(n_jobs: int) -> int:
     return min(n_jobs, int(cap))
 
 
-def _sweep_one(payload: tuple[str, float, str, str]) -> dict:
+def _starmap(fn, calls: list[tuple]) -> list:
+    """[fn(*args) for args in calls], run here when _worker_count(len(calls))
+    <= 1, else by a pool of that many processes; the arguments go by pickle
+    (any start method works) and an exception fn raises is raised here."""
+    workers = _worker_count(len(calls))
+    if workers <= 1:
+        return [fn(*args) for args in calls]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*calls)))
+
+
+def _sweep_one(axis: str, value: float, config_text: str, out_dir: str) -> dict:
     """Worker: run one sweep point; never raises (failures are recorded)."""
-    axis, value, config_text, out_dir = payload
     started = _time.perf_counter()
     try:
         parsed = parse_config(config_text)
@@ -940,20 +919,15 @@ def run_sweep(parsed: ParsedConfig, axis: str, sweep_values: list[float],
         raise ConfigurationError("a sweep needs at least two values")
     if not all(map(math.isfinite, sweep_values)):
         raise ConfigurationError(f"sweep values must be finite, got {sweep_values}")
-    workers = _worker_count(len(sweep_values))
+    _worker_count(1)  # a malformed OBSTRING_THREADS fails before anything is written
     ordered = sorted(sweep_values, reverse=True)
     os.makedirs(out_dir, exist_ok=True)
     config_text = emit_config(parsed)
 
-    payloads = [
+    rows = _starmap(_sweep_one, [
         (axis, v, config_text, os.path.join(out_dir, f"run_{i:02d}"))
         for i, v in enumerate(ordered)
-    ]
-    if workers == 1:
-        rows = [_sweep_one(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_one, payloads))
+    ])
 
     # pairwise final-frame differences on the coarsest common grid
     ok = [r for r in rows if r["status"] == "ok"]

@@ -364,7 +364,10 @@ class MollifierKernel:
     that discrete convolution approximates the unit-mass integral
     (weights already include the cell size).  Fields are extended by
     zero outside their domain, which is the intended behavior for
-    quantities supported in the interior.
+    quantities supported in the interior.  So on an axis of count samples
+    no tap beyond count - 1 samples from the centre can touch the field:
+    the kernel is built for a field's (frames, nodes) shape and keeps only
+    the taps that can, normalized over the taps kept.
     """
 
     omega: float
@@ -372,8 +375,8 @@ class MollifierKernel:
     taps_x: np.ndarray
 
     @staticmethod
-    def _axis_taps(omega: float, delta: float) -> np.ndarray:
-        radius = int(math.ceil(omega / delta)) - 1
+    def _axis_taps(omega: float, delta: float, count: int) -> np.ndarray:
+        radius = int(math.ceil(min(omega / delta, count))) - 1
         offsets = np.arange(-radius, radius + 1) * delta
         s = offsets / omega
         weights = np.exp(-1.0 / (1.0 - s * s))
@@ -381,7 +384,8 @@ class MollifierKernel:
         return weights * delta
 
     @classmethod
-    def build(cls, omega: float, dt: float, dx: float) -> "MollifierKernel":
+    def build(cls, omega: float, dt: float, dx: float,
+              shape: tuple[int, int]) -> "MollifierKernel":
         if omega < 2.0 * max(dt, dx):
             raise ProbeContractError(
                 f"mollifier width {omega:g} below twice the grid spacing "
@@ -389,8 +393,8 @@ class MollifierKernel:
             )
         return cls(
             omega=omega,
-            taps_t=cls._axis_taps(omega, dt),
-            taps_x=cls._axis_taps(omega, dx),
+            taps_t=cls._axis_taps(omega, dt, shape[0]),
+            taps_x=cls._axis_taps(omega, dx, shape[1]),
         )
 
 

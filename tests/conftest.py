@@ -1,6 +1,9 @@
 """Shared fixtures: cached reference runs and the acceptance summary hook."""
 
+import math
+
 import pytest
+from hypothesis import strategies as st
 
 from obstring import core, fd_solver
 
@@ -21,6 +24,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance summary")
     for _, line in sorted(_ACCEPTANCE_LINES):
         terminalreporter.write_line(line)
+
+
+def log_uniform(low: float, high: float):
+    """Floats spread evenly in log10 between low and high."""
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ import pytest
 from conftest import record_acceptance
 from dense_oracle import Tridiagonal, dense_solve
 from flat_drop import flat_drop_eta
+from scheme_residual import scheme_residual
 from obstring import diagnostics, fd_solver, galerkin
 from obstring.core import example1_config, example2_config, single_mode_config, validate_config
 from obstring.trisolve import ThomasFactorization
@@ -112,7 +113,7 @@ def test_tridiagonal_solver_matches_dense_reference():
 def test_stored_frames_satisfy_step_equation(desk_ex1):
     cfg, series, _ = desk_ex1
     t0 = time.perf_counter()
-    residual = fd_solver.scheme_residual(series, cfg)
+    residual = scheme_residual(series, cfg)
     wall = time.perf_counter() - t0
     bound = 1e-9 * (1.0 / cfg.time.dt**2) * float(np.max(np.abs(series.fields["eta"])))
     worst = float(np.max(np.abs(residual)))
@@ -412,7 +413,8 @@ def test_smoothed_dissipation_negative_mass_shrinks(desk_ex1):
     dt = float(np.min(np.diff(series.times)))
     fractions = []
     for cells in (8, 4, 2):
-        kernel = diagnostics.MollifierKernel.build(cells * dx, dt, dx)
+        kernel = diagnostics.MollifierKernel.build(cells * dx, dt, dx,
+                                                   series.penalty_force.shape)
         fractions.append(
             diagnostics.dissipation_estimate(series, kernel)["negative_fraction"]
         )

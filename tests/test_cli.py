@@ -1,6 +1,5 @@
 """Config text, run artifacts, probes, sweeps, rendering, and exit codes."""
 
-import base64
 import dataclasses
 import json
 import multiprocessing
@@ -8,13 +7,17 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import obstring
+from conftest import log_uniform
 from obstring import cli, diagnostics, fd_solver
 from obstring.core import (
     ConfigurationError,
@@ -301,7 +304,7 @@ def test_non_finite_table_exits_two(tabulated_dir, capsys, table, value):
     np.savetxt(path, column)
     assert cli.main(["run", "tab.ini", "--out", str(tabulated_dir / "out")]) == 2
     err = capsys.readouterr().err
-    assert f"init.{table}_table must be finite, got {value} at entry 5" in err
+    assert f"[init].{table}_file must be finite, got {value} at entry 5" in err
 
 
 def test_tabulated_run_probe_render(tabulated_dir, capsys):
@@ -326,8 +329,10 @@ def _read_field_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _svg_raster(svg: Path) -> bytes:
-    """The PNG bytes a heatmap SVG embeds as base64."""
-    return base64.b64decode(svg.read_text().split("base64,")[1].split('"')[0])
+    """The bytes of the PNG a heatmap SVG links, which must be its sibling."""
+    href = svg.read_text().split('<image ')[1].split('href="')[1].split('"')[0]
+    assert href == svg.with_suffix(".png").name
+    return (svg.parent / href).read_bytes()
 
 
 def test_run_writes_expected_files(run_dir):
@@ -347,7 +352,7 @@ def test_run_writes_expected_files(run_dir):
     for name in ("eta", "velocity", "contact"):
         png = Path(out, f"{name}.png").read_bytes()
         assert png.startswith(b"\x89PNG\r\n\x1a\n")
-        # the SVG embeds exactly the bytes of the .png beside it
+        # the SVG links the .png beside it
         assert _svg_raster(Path(out, f"{name}.svg")) == png
 
 
@@ -394,15 +399,17 @@ def test_manifest_checksums_match(run_dir, npz_run_dir):
 def test_export_workers_write_the_same_bytes(tmp_path, monkeypatch):
     cfg = tmp_path / "good.ini"
     cfg.write_text(GOOD_CONFIG)
-    # "start" sits in the stdout buffer when the export forks: a child that
-    # flushed it again would print it twice
-    script = ("import sys; from obstring import cli; print('start'); "
-              "sys.exit(cli.main(sys.argv[1:]))")
+    # "start" sits in the stdout buffer when the export pool forks: a child
+    # that flushed it again would print it twice
+    script = ("import multiprocessing, sys; from obstring import cli; "
+              "method = sys.argv.pop(1); "
+              "method and multiprocessing.set_start_method(method); "
+              "print('start'); sys.exit(cli.main(sys.argv[1:]))")
     hashes = {}
-    for threads in ("1", "2"):
+    for threads, method in (("1", ""), ("2", ""), ("2", "spawn")):
         monkeypatch.setenv("OBSTRING_THREADS", threads)
-        out = tmp_path / f"threads{threads}"
-        done = _fresh_python("-c", script, "run", str(cfg), "--out", str(out))
+        out = tmp_path / f"threads{threads}{method}"
+        done = _fresh_python("-c", script, method, "run", str(cfg), "--out", str(out))
         assert done.returncode == 0, done.stderr
         with open(out / "manifest.json") as fh:
             files = json.load(fh)["files"]
@@ -412,14 +419,14 @@ def test_export_workers_write_the_same_bytes(tmp_path, monkeypatch):
             name for name in os.listdir(out) if name.endswith(".csv"))
         assert {"oracle_eta.csv", "snapshot_t0.000000.csv",
                 "snapshot_t0.033000.csv"} <= set(files)
-        hashes[threads] = {name: entry["sha256"] for name, entry in files.items()}
-    assert hashes["1"] == hashes["2"]
+        hashes[out.name] = {name: entry["sha256"] for name, entry in files.items()}
+    assert hashes["threads1"] == hashes["threads2"] == hashes["threads2spawn"]
 
 
 @pytest.mark.parametrize("blocked", ["velocity.csv", "eta.csv"],
                          ids=["own-share", "child-share"])
 def test_unwritable_csv_fails_the_run_by_name(tmp_path, monkeypatch, blocked):
-    # two shares: energy, velocity, contact, ... here and eta, penalty, ... in a child
+    # two pool workers write the tables, eta.csv and velocity.csv among them
     monkeypatch.setenv("OBSTRING_THREADS", "2")
     out = tmp_path / "run"
     (out / blocked).mkdir(parents=True)
@@ -430,8 +437,8 @@ def test_unwritable_csv_fails_the_run_by_name(tmp_path, monkeypatch, blocked):
 
 @pytest.mark.parametrize("threads", ["1", "2"], ids=["own-share", "child-share"])
 def test_unwritable_csv_exits_five_without_a_traceback(tmp_path, monkeypatch, threads):
-    # a fresh interpreter, because a forked export child's stderr bypasses
-    # capsys; at two workers eta.csv is in the child's share
+    # a fresh interpreter, because a pool worker's stderr bypasses capsys; at
+    # two workers a pool worker writes eta.csv and its error comes back here
     monkeypatch.setenv("OBSTRING_THREADS", threads)
     cfg = tmp_path / "run.ini"
     cfg.write_text(GOOD_CONFIG)
@@ -441,9 +448,8 @@ def test_unwritable_csv_exits_five_without_a_traceback(tmp_path, monkeypatch, th
     assert done.returncode == 5
     assert "Traceback" not in done.stderr
     lines = done.stderr.splitlines()
-    assert len(lines) == int(threads)  # the child's line, then the run's
-    assert all(line.startswith("output error:") for line in lines)
-    assert "eta.csv" in lines[-1]
+    assert len(lines) == 1
+    assert lines[0].startswith("output error:") and "eta.csv" in lines[0]
 
 
 def _exported(series):
@@ -872,29 +878,39 @@ def test_an_unreadable_store_is_refused_by_name(tmp_path, capsys, damage):
         assert "lacks epsilon" in lines[0]
 
 
-@pytest.mark.parametrize("old, new, key", [
-    ("n = 50", "n = 1", "grid.cells_n"),
-    ("T = 0.1", "T = inf", "time.horizon_T"),
-    ("epsilon = 0.01", "epsilon = 0", "physics.epsilon"),
-    ("oracle_modes = 4", "oracle_modes = -3", "output.oracle_modes"),
-    ("snapshots = 0.0,0.033", "snapshots = 0.0,nan", "output.snapshots"),
-    ("[probes]", "[probes]\nlink_cells = -4", "probes.link_cells"),
-    ("[probes]", "[probes]\ndissipation_omega_cells = nan", "probes.dissipation_omega_cells"),
-    ("[probes]", "[probes]\ndissipation_omega_cells = -2", "probes.dissipation_omega_cells"),
-    ("[probes]", "[probes]\ndissipation_omega_cells = 0", "probes.dissipation_omega_cells"),
-    ("[probes]", "[probes]\nstress_delta = inf", "probes.stress_delta"),
-    ("[probes]", "[probes]\nvelocity_deltas = 0.02,-inf", "probes.velocity_deltas"),
-    ("[probes]", "[probes]\nvelocity_deltas = 0.02,-0.01", "probes.velocity_deltas"),
-    ("[probes]", "[probes]\nvelocity_deltas = 0", "probes.velocity_deltas"),
+@pytest.mark.parametrize("old, new, field, key", [
+    ("n = 50", "n = 1", "grid.cells_n", "[grid].n"),
+    ("T = 0.1", "T = inf", "time.horizon_T", "[time].T"),
+    ("epsilon = 0.01", "epsilon = 0", "physics.epsilon", "[physics].epsilon"),
+    ("oracle_modes = 4", "oracle_modes = -3", "output.oracle_modes",
+     "[output].oracle_modes"),
+    ("snapshots = 0.0,0.033", "snapshots = 0.0,nan", "output.snapshots",
+     "[output].snapshots"),
+    ("[probes]", "[probes]\nlink_cells = -4", "probes.link_cells", "[probes].link_cells"),
+    ("[probes]", "[probes]\ndissipation_omega_cells = nan",
+     "probes.dissipation_omega_cells", "[probes].dissipation_omega_cells"),
+    ("[probes]", "[probes]\ndissipation_omega_cells = -2",
+     "probes.dissipation_omega_cells", "[probes].dissipation_omega_cells"),
+    ("[probes]", "[probes]\ndissipation_omega_cells = 0",
+     "probes.dissipation_omega_cells", "[probes].dissipation_omega_cells"),
+    ("[probes]", "[probes]\nstress_delta = inf", "probes.stress_delta",
+     "[probes].stress_delta"),
+    ("[probes]", "[probes]\nvelocity_deltas = 0.02,-inf", "probes.velocity_deltas",
+     "[probes].velocity_deltas"),
+    ("[probes]", "[probes]\nvelocity_deltas = 0.02,-0.01", "probes.velocity_deltas",
+     "[probes].velocity_deltas"),
+    ("[probes]", "[probes]\nvelocity_deltas = 0", "probes.velocity_deltas",
+     "[probes].velocity_deltas"),
 ])
 def test_bad_output_and_probe_settings_exit_two_and_write_nothing(
-        tmp_path, capsys, old, new, key):
+        tmp_path, capsys, old, new, field, key):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(GOOD_CONFIG.replace(old, new))
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"configuration error: {key} must be")
+    assert field not in lines[0]  # the INI key, not the settings field
     assert not out.exists()
 
 
@@ -1034,6 +1050,21 @@ def test_probe_all_on_a_run_shorter_than_the_mollifier(tmp_path, capsys):
     with open(out / "probes.json") as fh:
         report = json.load(fh)
     assert np.isfinite(report["dissipation"]["total"])
+    capsys.readouterr()
+
+
+def test_probe_a_run_whose_time_step_is_far_below_its_cell(tmp_path, capsys):
+    # dt = 1e-11 against dx = 0.25: the mollifier's time axis would hold 2e11
+    # taps if it kept those that cannot reach the 101 stored frames
+    cfg = tmp_path / "tiny_dt.ini"
+    cfg.write_text("[grid]\nl = 1\nn = 4\n[time]\nT = 1e-9\nm = 100\n"
+                   "[physics]\nepsilon = 0.01\n[init]\nkind = example1\n"
+                   "[output]\nformats = npz\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["probe", str(out)]) == 0
+    with open(out / "probes.json") as fh:
+        assert np.isfinite(json.load(fh)["dissipation"]["total"])
     capsys.readouterr()
 
 
@@ -1262,3 +1293,51 @@ def test_presets_write_snapshots_only_when_asked(tmp_path, capsys):
         body = np.loadtxt(again / f"snapshot_t{wanted}.csv", delimiter=",",
                           skiprows=1)
         assert np.array_equal(body, expected)
+
+
+# ---------------------------------------------------------------------------
+# fuzz over config text
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    cells_n=st.integers(2, 50),
+    steps_m=st.integers(1, 40),
+    length=log_uniform(1e-6, 1e6),
+    horizon=log_uniform(1e-9, 10.0),
+    alpha=st.one_of(st.just(0.0), log_uniform(1e-12, 1e8)),
+    epsilon=log_uniform(1e-300, 1e300),
+    init=st.one_of(
+        st.sampled_from(["kind = example1", "kind = example2"]),
+        st.builds("kind = single_mode\namplitude = {}\noffset = {}\nv0 = {}".format,
+                  st.floats(0.0, 1.0), st.floats(-1.0, 2.0),
+                  st.one_of(st.floats(-100.0, 0.0), log_uniform(1e-3, 1e6).map(abs)))),
+    formats=st.sampled_from(["none", "npz", "csv", "heatmap", "snapshots",
+                             "npz,csv,heatmap,snapshots"]),
+    probes=st.fixed_dictionaries({
+        "link_cells": st.integers(0, 10**6),
+        "dissipation_omega_cells": log_uniform(1e-3, 1e6),
+        "stress_delta": st.one_of(st.just(0.0), log_uniform(1e-9, 1e3)),
+        "velocity_t1": st.one_of(st.just(-1.0), log_uniform(1e-12, 1e3)),
+        "velocity_x0": st.floats(-1.0, 2.0),
+        "velocity_x1": st.floats(-1.0, 2.0),
+        "velocity_deltas": st.lists(log_uniform(1e-9, 1e3), max_size=3).map(
+            lambda deltas: ",".join(map(repr, deltas))),
+    }),
+)
+def test_no_config_ends_in_a_traceback(tmp_path_factory, cells_n, steps_m, length,
+                                       horizon, alpha, epsilon, init, formats, probes):
+    # oracle_modes stays 0: a stiff config can keep the oracle's substeps going
+    work = tmp_path_factory.mktemp("fuzz")
+    cfg = work / "fuzz.ini"
+    cfg.write_text(
+        f"[grid]\nl = {length!r}\nn = {cells_n}\n[time]\nT = {horizon!r}\nm = {steps_m}\n"
+        f"[physics]\nalpha = {alpha!r}\nepsilon = {epsilon!r}\n[init]\n{init}\n"
+        f"[output]\nformats = {formats}\nsnapshots = 0,{horizon / 2!r}\n[probes]\n"
+        + "".join(f"{key} = {value}\n" for key, value in probes.items()))
+    out = str(work / "out")
+    with warnings.catch_warnings():  # the property is the exit code
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for argv in (["run", str(cfg), "--out", out], ["probe", out],
+                     ["probe", out, "--probe", "all"], ["render", out]):
+            assert cli.main(argv) in (0, 2, 3, 4, 5), argv

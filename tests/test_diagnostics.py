@@ -238,13 +238,13 @@ def test_contact_mask_matches_definition(run_name, request):
 
 def test_mollifier_width_contract():
     with pytest.raises(ProbeContractError):
-        MollifierKernel.build(0.015, dt=0.01, dx=0.01)
-    MollifierKernel.build(0.02, dt=0.01, dx=0.01)
+        MollifierKernel.build(0.015, dt=0.01, dx=0.01, shape=(10, 10))
+    MollifierKernel.build(0.02, dt=0.01, dx=0.01, shape=(10, 10))
 
 
 def test_mollify_preserves_constants_in_the_interior():
-    kernel = MollifierKernel.build(0.05, dt=0.01, dx=0.01)
     field = np.ones((40, 60))
+    kernel = MollifierKernel.build(0.05, dt=0.01, dx=0.01, shape=field.shape)
     smooth = mollify(field, kernel)
     r_t = (len(kernel.taps_t) - 1) // 2
     r_x = (len(kernel.taps_x) - 1) // 2
@@ -255,8 +255,8 @@ def test_mollify_preserves_constants_in_the_interior():
 
 
 def test_mollify_preserves_mass():
-    kernel = MollifierKernel.build(0.04, dt=0.01, dx=0.01)
     field = np.zeros((30, 30))
+    kernel = MollifierKernel.build(0.04, dt=0.01, dx=0.01, shape=field.shape)
     field[15, 15] = 3.0
     smooth = mollify(field, kernel)
     assert smooth.sum() == pytest.approx(3.0, rel=1e-12)
@@ -264,8 +264,8 @@ def test_mollify_preserves_mass():
 
 
 def test_mollify_stripe_support():
-    kernel = MollifierKernel.build(0.03, dt=0.01, dx=0.01)
     field = np.zeros((9, 40))
+    kernel = MollifierKernel.build(0.03, dt=0.01, dx=0.01, shape=field.shape)
     field[:, 20] = 1.0
     smooth = mollify(field, kernel)
     r_x = (len(kernel.taps_x) - 1) // 2
@@ -274,7 +274,8 @@ def test_mollify_stripe_support():
 
 
 def test_mollify_field_shorter_than_kernel():
-    kernel = MollifierKernel.build(0.09, dt=0.01, dx=0.01)  # 17 taps per axis
+    # 17 taps per axis, built for a 30 x 30 field and applied to a 5-row window
+    kernel = MollifierKernel.build(0.09, dt=0.01, dx=0.01, shape=(30, 30))
     field = np.random.default_rng(0).standard_normal((5, 30))
     smooth = mollify(field, kernel)
 
@@ -289,11 +290,26 @@ def test_mollify_field_shorter_than_kernel():
     assert np.allclose(smooth, expected, rtol=0.0, atol=8 * np.finfo(float).eps)
 
 
+def test_mollifier_keeps_only_the_taps_that_can_touch_the_field():
+    # 0.3 / 0.01: 59 taps an axis wherever the field holds 30 samples or more
+    full = MollifierKernel.build(0.3, 0.01, 0.01, shape=(30, 30))
+    assert len(full.taps_t) == len(full.taps_x) == 59
+    roomy = MollifierKernel.build(0.3, 0.01, 0.01, shape=(10**9, 10**9))
+    assert np.array_equal(roomy.taps_t, full.taps_t)
+    clipped = MollifierKernel.build(0.3, 0.01, 0.01, shape=(12, 40))
+    assert len(clipped.taps_t) == 23 and np.array_equal(clipped.taps_x, full.taps_x)
+    assert clipped.taps_t.sum() == pytest.approx(1.0, rel=1e-15)
+    # dt far below dx: 2e11 time taps unclipped, 201 on 101 frames
+    tiny_dt = MollifierKernel.build(1.0, 1e-11, 0.25, shape=(101, 5))
+    assert len(tiny_dt.taps_t) == 201 and len(tiny_dt.taps_x) == 7
+    assert tiny_dt.taps_t.sum() == pytest.approx(1.0, rel=1e-15)
+
+
 def test_dissipation_trivial_without_contact(flat_run):
     _, series, _ = flat_run
     kernel = MollifierKernel.build(
-        4 * series.dx, float(np.diff(series.times).min()), series.dx
-    )
+        4 * series.dx, float(np.diff(series.times).min()), series.dx,
+        series.penalty_force.shape)
     est = dissipation_estimate(series, kernel)
     assert est["total"] == 0.0
     assert est["negative_fraction"] == 0.0
@@ -308,7 +324,7 @@ def test_dissipation_negative_fraction_is_plus_zero_without_negative_cells():
     eta[3:8, 8:13] = -0.01
     series = _series(times, xs, eta=eta, velocity=np.full((11, 21), -1.0), epsilon=0.5)
     assert np.array_equal(series.penalty_force, 2.0 * (eta < 0.0))
-    est = dissipation_estimate(series, MollifierKernel.build(0.2, 0.01, 0.05))
+    est = dissipation_estimate(series, MollifierKernel.build(0.2, 0.01, 0.05, eta.shape))
     assert est["total"] > 0.0
     fraction = est["negative_fraction"]
     assert fraction == 0.0 and math.copysign(1.0, fraction) == 1.0
@@ -323,7 +339,8 @@ def test_dissipation_converges_to_unsmoothed_total(desk_ex1):
     )
     gaps = []
     for cells in (8, 4, 2):
-        kernel = MollifierKernel.build(cells * series.dx, dt, series.dx)
+        kernel = MollifierKernel.build(cells * series.dx, dt, series.dx,
+                                       series.penalty_force.shape)
         est = dissipation_estimate(series, kernel)
         assert 0.0 <= est["negative_fraction"] <= 1.0
         assert est["total"] > 0.0
@@ -352,7 +369,8 @@ def test_windowed_dissipation_is_the_whole_field_estimate(request, run_name, cel
     _, series, _ = request.getfixturevalue(run_name)
     dt = float(np.diff(series.times).min())
     est = _assert_matches_whole_field(
-        series, MollifierKernel.build(cells * series.dx, dt, series.dx))
+        series, MollifierKernel.build(cells * series.dx, dt, series.dx,
+                                      series.penalty_force.shape))
     assert est["total"] > 0.0
 
 
@@ -372,7 +390,8 @@ def test_windowed_dissipation_at_the_edges_of_the_field(cells):
     assert np.count_nonzero(series.penalty_force) == len(cells)
     dx = float(xs[1] - xs[0])
     for omega in (2.5 * dx, 0.3):  # 0.3 spans more frames and nodes than the field
-        est = _assert_matches_whole_field(series, MollifierKernel.build(omega, 0.01, dx))
+        est = _assert_matches_whole_field(
+            series, MollifierKernel.build(omega, 0.01, dx, eta.shape))
         assert (est["total"] != 0.0) == bool(cells)
 
 

@@ -1,6 +1,5 @@
 """Finite-difference stepping: penalty force, start-up, stepping, and runs."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loop_reference
+from conftest import log_uniform
 from dense_oracle import Tridiagonal, thomas_sweep
+from scheme_residual import scheme_residual
 from obstring.core import (
     Grid1D,
     InitialData,
@@ -22,7 +23,7 @@ from obstring.core import (
     single_mode_config,
     validate_config,
 )
-from obstring.fd_solver import penalty_force, run, scheme_residual
+from obstring.fd_solver import penalty_force, run
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +257,15 @@ def test_stored_levels_advance_by_their_velocity(desk_ex1):
     assert np.all(eta[:, 0] == eta[0, 0]) and np.all(eta[:, -1] == eta[0, -1])
 
 
-def _log_uniform(low: float, high: float):
-    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     cells_n=st.integers(2, 600),
     steps_m=st.integers(1, 200),
-    length=_log_uniform(1e-2, 1e2),
-    horizon=_log_uniform(1e-2, 1e2),
-    alpha=st.one_of(st.just(0.0), _log_uniform(1e-4, 10.0)),
+    length=log_uniform(1e-2, 1e2),
+    horizon=log_uniform(1e-2, 1e2),
+    alpha=st.one_of(st.just(0.0), log_uniform(1e-4, 10.0)),
     ratio=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(1e-3, 2.0)),  # dt / eps
-    reach=_log_uniform(0.3, 30.0),  # how far the string falls in T, in units of its height
+    reach=log_uniform(0.3, 30.0),  # how far the string falls in T, in units of its height
     kind=st.sampled_from(["tabulated", "mirrored", "single_mode"]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -350,10 +347,10 @@ def test_preset_runs_keep_the_reference_loop_bits(run_name, request):
     cells_n=st.integers(2, 600),
     steps_m=st.integers(1, 120),
     stride=st.integers(0, 7),
-    horizon=_log_uniform(1e-2, 1.0),
-    alpha=st.one_of(st.just(0.0), _log_uniform(1e-4, 10.0)),
+    horizon=log_uniform(1e-2, 1.0),
+    alpha=st.one_of(st.just(0.0), log_uniform(1e-4, 10.0)),
     ratio=st.floats(1e-3, 2.0),  # dt / eps
-    reach=_log_uniform(0.3, 30.0),  # how far the string falls in T, in heights
+    reach=log_uniform(0.3, 30.0),  # how far the string falls in T, in heights
     kind=st.sampled_from(["tabulated", "single_mode"]),
     seed=st.integers(0, 2**32 - 1),
 )
