@@ -50,6 +50,7 @@ run on); a value other than a whole number >= 1 is a configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -230,6 +231,27 @@ _TEXT = {
 }
 
 
+# core.check's section.field -> the name a user wrote: the config key, or
+# the preset command's flag
+_KEY_NAMES = {f"{section}.{name}": f"[{section}].{key}"
+              for section, keys in _SCHEMA.items()
+              for key, (_, _, name) in keys.items()}
+_FLAG_NAMES = {"physics.epsilon": "--epsilon", "grid.cells_n": "--resolution",
+               "output.output_stride": "--stride"}
+
+
+@contextlib.contextmanager
+def _naming(names: dict[str, str]):
+    """Re-raise a core.check refusal of section.field under its entry in names."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        field_name, _, rest = str(exc).partition(" ")
+        if field_name not in names:
+            raise
+        raise ConfigurationError(f"{names[field_name]} {rest}") from exc
+
+
 def _read_column_file(path: str) -> tuple[float, ...]:
     try:
         with warnings.catch_warnings():
@@ -317,7 +339,7 @@ def parse_config(text: str) -> ParsedConfig:
                     f"[{section}].{key} is read only when kind = tabulated"
                 )
 
-    try:
+    with _naming(_KEY_NAMES):
         sim = SimConfig(
             grid=Grid1D(**kwargs[Grid1D]),
             time=TimeGrid(**kwargs[TimeGrid]),
@@ -331,14 +353,6 @@ def parse_config(text: str) -> ParsedConfig:
             probes=ProbeSettings(**kwargs[ProbeSettings]),
             table_files=table_files,
         )
-    except ConfigurationError as exc:  # core.check names section.field; name the key
-        for section, keys in _SCHEMA.items():
-            for key, (_, _, name) in keys.items():
-                prefix = f"{section}.{name} "
-                if str(exc).startswith(prefix):
-                    raise ConfigurationError(
-                        f"[{section}].{key} {str(exc)[len(prefix):]}") from exc
-        raise
 
 
 def emit_config(parsed: ParsedConfig) -> str:
@@ -373,18 +387,14 @@ def emit_config(parsed: ParsedConfig) -> str:
 # field store and CSV exports
 
 
-def _write_csv(path: str, labels: list, columns: list,
+def _write_csv(path: str, labels: list[str], columns: list,
                fmt: str | list[str] = "%.17g") -> None:
-    """Write columns side by side under one header line of labels.
+    """Write columns side by side under one header line of text labels.
 
-    Numeric labels (a field's node positions after its "t") are printed
-    with fmt like the body, so "%.17g" re-reads bitwise and "%d" writes a
-    0/1 mask.  fmt may also be a list of one format per output column,
-    with every label given as text.
+    fmt is one format for every output column or a list of one per column.
     """
-    header = ",".join(lab if isinstance(lab, str) else fmt % lab for lab in labels)
     np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",",
-               header=header, comments="")
+               header=",".join(labels), comments="")
 
 
 def _export_csv(jobs: list[tuple], manifest: RunManifest) -> None:
@@ -663,8 +673,7 @@ def _solve_and_write(
         fh.write(manifest.config_text)
     manifest.add_file(cfg_path)
 
-    ledger_cols = ledger.as_columns()
-    jobs = [csv_job("energy.csv", list(ledger_cols), list(ledger_cols.values()))]
+    jobs = [csv_job("energy.csv", list(ledger.COLUMNS), [ledger.rows])]
 
     if formats:  # every run with any output writes the field store
         store_npz(FIELD_STORE, times=series.times, xs=series.xs,
@@ -706,7 +715,8 @@ def _solve_and_write(
             store_npz("oracle_eta.npz", times=oracle.times, xs=oracle.xs,
                       eta=oracle.fields["eta"])
         if "csv" in formats:
-            _export_csv([csv_job("oracle_eta.csv", ["t", *oracle.xs],
+            oracle_labels = ["t", *("%.17g" % x for x in oracle.xs)]
+            _export_csv([csv_job("oracle_eta.csv", oracle_labels,
                                  [oracle.times, oracle.fields["eta"]])], manifest)
         manifest.phases["oracle"] = _time.perf_counter() - t0
 
@@ -719,10 +729,12 @@ def _solve_and_write(
 
 
 def _unset_keys(probe: str, settings: ProbeSettings) -> list[str]:
-    """The [probes] keys a boundary probe needs that settings leave unset."""
+    """The [probes] keys a boundary probe needs that settings leave unset
+    (velocity_t1 < 0 and velocity_x1 <= 0, their defaults, bound no window)."""
     if probe == "stress_jump":
         return [] if settings.stress_delta > 0.0 else ["stress_delta"]
     return ([] if settings.velocity_t1 >= 0.0 else ["velocity_t1"]) + (
+        [] if settings.velocity_x1 > 0.0 else ["velocity_x1"]) + (
         [] if settings.velocity_deltas else ["velocity_deltas"])
 
 
@@ -887,7 +899,7 @@ def _sweep_one(axis: str, value: float, config_text: str, out_dir: str) -> dict:
                 output=replace(parsed.output, formats=("npz",), snapshots=()),
             )
             _, series, ledger = _solve_and_write(trimmed, out_dir)
-            energy_final = ledger.kinetic[-1] + ledger.elastic[-1]
+            energy_final = float(ledger.rows[-1, 1] + ledger.rows[-1, 2])
 
         pen = diagnostics.penetration_metrics(series)
         return {
@@ -976,14 +988,15 @@ def _load_config_file(path: str) -> ParsedConfig:
 
 def _preset_parsed(which: str, resolution: int, epsilon: float,
                    out_dir: str | None, stride: int) -> ParsedConfig:
-    if which == "example1":
-        sim = example1_config(resolution=resolution, epsilon=epsilon)
-        snaps = EXAMPLE1_SNAPSHOTS
-    else:
-        sim = example2_config(resolution=resolution, epsilon=epsilon)
-        snaps = EXAMPLE2_SNAPSHOTS
-    if stride:
-        sim = replace(sim, output_stride=stride)
+    with _naming(_FLAG_NAMES):
+        if which == "example1":
+            sim = example1_config(resolution=resolution, epsilon=epsilon)
+            snaps = EXAMPLE1_SNAPSHOTS
+        else:
+            sim = example2_config(resolution=resolution, epsilon=epsilon)
+            snaps = EXAMPLE2_SNAPSHOTS
+        if stride:
+            sim = replace(sim, output_stride=stride)
     return ParsedConfig(
         sim=sim,
         output=OutputSettings(dir=out_dir, snapshots=snaps),

@@ -107,11 +107,13 @@ class EnergyLedger:
         E^{i+1} - E^i + ||v^{i+1} - v^i||^2/2
             + (dt^2/2 + alpha*dt) * ||D v^{i+1}||^2  =  dt * <F^i, v^{i+1}>.
 
-    Row i records kinetic and elastic energy at time i*dt and running sums
-    of the viscous term alpha*dt*||Dv||^2, of the scheme's numerical
-    dissipation (the rest of the left side) and of the penalty work.  Row 0
-    holds the initial datum; step 0 -> 1, the kinematic start-up, lies
-    outside the identity, so residual() measures closure from row 1.
+    Row i of rows, one (steps_m + 1) x 6 array under COLUMNS, records time
+    i*dt (the rule of FieldSeries.times), kinetic and elastic energy, and
+    running sums of the viscous term alpha*dt*||Dv||^2, of the scheme's
+    numerical dissipation (the rest of the left side) and of the penalty
+    work.  Row 0 holds the initial datum; step 0 -> 1, the kinematic
+    start-up, lies outside the identity, so residual() measures closure
+    from row 1.
 
     The penalty's work has no sign, but with r = dt/epsilon the step's
     loss at each node, (v^{i+1} - v^i)^2/2 - dt F^i v^{i+1}, is >= 0 for
@@ -126,75 +128,51 @@ class EnergyLedger:
     made, so a step allocates no array.
     """
 
-    def __init__(self, dt: float, dx: float, alpha: float, nodes: int):
-        self.dt = dt
-        self.dx = dx
-        self.alpha = alpha
-        # jump, slope, slope_v
-        self._scratch = (np.empty(nodes), np.empty(nodes - 1), np.empty(nodes - 1))
-        self.times: list[float] = []
-        self.kinetic: list[float] = []
-        self.elastic: list[float] = []
-        self.visc_cum: list[float] = []
-        self.num_cum: list[float] = []
-        self.work_cum: list[float] = []
+    COLUMNS = ("time", "kinetic", "elastic", "visc_cum", "num_cum", "work_cum")
 
-    @classmethod
-    def open(cls, eta0: np.ndarray, v0: np.ndarray, cfg: SimConfig) -> "EnergyLedger":
-        ledger = cls(cfg.time.dt, cfg.grid.dx, cfg.physics.alpha, eta0.size)
+    def __init__(self, eta0: np.ndarray, v0: np.ndarray, cfg: SimConfig):
+        self.dt, self.dx, self.alpha = cfg.time.dt, cfg.grid.dx, cfg.physics.alpha
+        # jump, slope, slope_v
+        self._scratch = (np.empty(eta0.size), np.empty(eta0.size - 1),
+                         np.empty(eta0.size - 1))
+        levels = cfg.time.steps_m + 1
+        self.rows = np.zeros((levels, len(self.COLUMNS)))
+        self.rows[:, 0] = np.arange(levels) * self.dt
         slope = np.diff(eta0)
-        ledger.times.append(0.0)
-        ledger.kinetic.append(0.5 * float(v0 @ v0) * ledger.dx)
-        ledger.elastic.append(0.5 * float(slope @ slope) / ledger.dx)
-        ledger.visc_cum.append(0.0)
-        ledger.num_cum.append(0.0)
-        ledger.work_cum.append(0.0)
-        return ledger
+        self.rows[0, 1] = 0.5 * float(v0 @ v0) * self.dx
+        self.rows[0, 2] = 0.5 * float(slope @ slope) / self.dx
+        self._level = 0
 
     def append_step(
         self, eta_new: np.ndarray, v_new: np.ndarray, v: np.ndarray,
         force: np.ndarray,
     ) -> None:
         """Account for one step from velocity v to (eta_new, v_new) under force."""
-        dt, dx = self.dt, self.dx
+        dt, dx, rows = self.dt, self.dx, self.rows
         jump, slope, slope_v = self._scratch
         np.subtract(v_new, v, out=jump)
         np.subtract(eta_new[1:], eta_new[:-1], out=slope)  # np.diff, in place
         np.subtract(v_new[1:], v_new[:-1], out=slope_v)
         dv_sq = float(slope_v @ slope_v) / dx  # ||Dv||^2
-        self.times.append(self.times[-1] + dt)
-        self.kinetic.append(0.5 * float(v_new @ v_new) * dx)
-        self.elastic.append(0.5 * float(slope @ slope) / dx)
-        self.visc_cum.append(self.visc_cum[-1] + self.alpha * dt * dv_sq)
-        self.num_cum.append(
-            self.num_cum[-1] + 0.5 * float(jump @ jump) * dx + 0.5 * dt * dt * dv_sq
-        )
-        self.work_cum.append(self.work_cum[-1] + dt * float(force @ v_new) * dx)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def total_energy(self) -> np.ndarray:
-        return np.asarray(self.kinetic) + np.asarray(self.elastic)
+        self._level = i = self._level + 1
+        rows[i, 1] = 0.5 * float(v_new @ v_new) * dx
+        rows[i, 2] = 0.5 * float(slope @ slope) / dx
+        rows[i, 3] = rows[i - 1, 3] + self.alpha * dt * dv_sq
+        rows[i, 4] = (rows[i - 1, 4] + 0.5 * float(jump @ jump) * dx
+                      + 0.5 * dt * dt * dv_sq)
+        rows[i, 5] = rows[i - 1, 5] + dt * float(force @ v_new) * dx
 
     def residual(self) -> np.ndarray:
         """Drift of K + E + visc_cum + num_cum - work_cum from its row-1 value.
 
         One entry per row from row 1 on; zero up to rounding.
         """
-        budget = (self.total_energy() + np.asarray(self.visc_cum)
-                  + np.asarray(self.num_cum) - np.asarray(self.work_cum))
+        _, kinetic, elastic, visc_cum, num_cum, work_cum = self.rows.T
+        budget = kinetic + elastic + visc_cum + num_cum - work_cum
         return budget[1:] - budget[1:2]
 
     def as_columns(self) -> dict[str, np.ndarray]:
-        return {
-            "time": np.asarray(self.times),
-            "kinetic": np.asarray(self.kinetic),
-            "elastic": np.asarray(self.elastic),
-            "visc_cum": np.asarray(self.visc_cum),
-            "num_cum": np.asarray(self.num_cum),
-            "work_cum": np.asarray(self.work_cum),
-        }
+        return dict(zip(self.COLUMNS, self.rows.T))
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
     eta0, v0 = evaluate_initial(cfg.init, grid)
 
     factorization = ThomasFactorization(*assemble_step_matrix(grid, tgrid, physics))
-    ledger = EnergyLedger.open(eta0, v0, cfg)
+    ledger = EnergyLedger(eta0, v0, cfg)
 
     levels = stored_levels(cfg)
     eta = np.empty((levels.size, eta0.size))
@@ -95,7 +95,7 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
     )
 
     # level i+1 goes into the pair that level i does not hold; eta0 is free
-    # once stored and opened into the ledger, v0 (whose ends need not be 0)
+    # once stored and booked in the ledger, v0 (whose ends need not be 0)
     # is never written
     eta_levels = (eta0, np.empty_like(eta0))
     v_levels = (np.zeros_like(v0), np.zeros_like(v0))

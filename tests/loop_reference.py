@@ -31,7 +31,7 @@ def run(cfg):
     eta0, v0 = evaluate_initial(cfg.init, grid)
 
     factorization = ThomasFactorization(*assemble_step_matrix(grid, tgrid, physics))
-    ledger = EnergyLedger.open(eta0, v0, cfg)
+    ledger = EnergyLedger(eta0, v0, cfg)
 
     frames = 1 + math.ceil(steps_m / stride)
     times = np.empty(frames)
@@ -63,24 +63,26 @@ def run(cfg):
         nxt = curr + dt * v_next
         if not np.all(np.isfinite(nxt)):
             raise NumericBlowupError(i + 1)
-        _append_step(ledger, nxt, v_next, v, force)
+        _append_step(ledger, i + 1, nxt, v_next, v, force)
         curr, v = nxt, v_next
 
     state = {"eta": eta, "velocity": velocity}
     return FieldSeries(times, grid.nodes(), state, physics.epsilon), ledger
 
 
-def _append_step(ledger, eta_new, v_new, v, force):
-    """EnergyLedger.append_step with a new array for each difference."""
-    dt, dx = ledger.dt, ledger.dx
+def _append_step(ledger, level, eta_new, v_new, v, force):
+    """EnergyLedger.append_step into row level, with a new array for each
+    difference and the row written whole."""
+    dt, dx, rows = ledger.dt, ledger.dx, ledger.rows
     jump = v_new - v
     slope, slope_v = np.diff(eta_new), np.diff(v_new)
     dv_sq = float(slope_v @ slope_v) / dx  # ||Dv||^2
-    ledger.times.append(ledger.times[-1] + dt)
-    ledger.kinetic.append(0.5 * float(v_new @ v_new) * dx)
-    ledger.elastic.append(0.5 * float(slope @ slope) / dx)
-    ledger.visc_cum.append(ledger.visc_cum[-1] + ledger.alpha * dt * dv_sq)
-    ledger.num_cum.append(
-        ledger.num_cum[-1] + 0.5 * float(jump @ jump) * dx + 0.5 * dt * dt * dv_sq
+    prev = rows[level - 1]
+    rows[level] = (
+        level * dt,
+        0.5 * float(v_new @ v_new) * dx,
+        0.5 * float(slope @ slope) / dx,
+        prev[3] + ledger.alpha * dt * dv_sq,
+        prev[4] + 0.5 * float(jump @ jump) * dx + 0.5 * dt * dt * dv_sq,
+        prev[5] + dt * float(force @ v_new) * dx,
     )
-    ledger.work_cum.append(ledger.work_cum[-1] + dt * float(force @ v_new) * dx)

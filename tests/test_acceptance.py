@@ -159,7 +159,7 @@ def test_flat_drop_converges_to_exact_inelastic_solution():
         series, ledger = fd_solver.run(cfg)
         error = series.fields["eta"] - flat_drop_eta(series.times, series.xs, h, speed)
         rms.append(float(np.sqrt(np.mean(error * error, axis=1)).max()))
-        deficit.append(speed * h - (ledger.kinetic[-1] + ledger.elastic[-1]))
+        deficit.append(speed * h - (ledger.rows[-1, 1] + ledger.rows[-1, 2]))
     ratios = [coarse / fine for coarse, fine in zip(rms, rms[1:])]
 
     passed = (rms[0] <= 8e-3 and min(ratios) >= 1.35
@@ -244,7 +244,7 @@ def test_energy_decays_and_contact_work_is_nonpositive(paper_ex1, paper_ex2):
 
 def test_ledger_closes_at_reference_resolution(paper_ex1, paper_ex2):
     for _, _, ledger, _ in (paper_ex1, paper_ex2):
-        e0 = ledger.total_energy()[0]
+        e0 = ledger.rows[0, 1] + ledger.rows[0, 2]
         assert np.abs(ledger.residual()).max() <= 1e-11 * e0
 
 

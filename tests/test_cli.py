@@ -360,16 +360,18 @@ def test_energy_csv_holds_the_ledger(run_dir):
     out, parsed, _ = run_dir
     path = os.path.join(out, "energy.csv")
     with open(path) as fh:
-        assert fh.readline() == "time,kinetic,elastic,visc_cum,num_cum,work_cum\n"
+        header = fh.readline()
+    assert header == "time,kinetic,elastic,visc_cum,num_cum,work_cum\n"
+    assert header.rstrip("\n").split(",") == list(diagnostics.EnergyLedger.COLUMNS)
     table = np.loadtxt(path, delimiter=",", skiprows=1)
     _, ledger = fd_solver.run(parsed.sim)
     # readers take kinetic and elastic by position
-    assert np.array_equal(table[:, 1], ledger.kinetic)
-    assert np.array_equal(table[:, 2], ledger.elastic)
+    assert np.array_equal(table[:, 1], ledger.as_columns()["kinetic"])
+    assert np.array_equal(table[:, 2], ledger.as_columns()["elastic"])
     with open(os.path.join(out, "manifest.json")) as fh:
         closure = json.load(fh)["energy_residual_max"]
     assert closure == np.abs(ledger.residual()).max()
-    assert closure <= 1e-11 * ledger.total_energy()[0]
+    assert closure <= 1e-11 * (ledger.rows[0, 1] + ledger.rows[0, 2])
 
 
 def test_manifest_records_dt_over_eps(run_dir):
@@ -520,17 +522,18 @@ _FIELD = np.array([[-0.0, 1e-300, 3.0], [0.1, -2.5, 1.0 / 3.0]])
     "labels,columns,fmt,expected",
     [
         (  # a field: stored frames x nodes under "t" and the node positions
-            ["t", *_XS], [_TIMES, _FIELD], "%.17g",
+            ["t", *("%.17g" % x for x in _XS)], [_TIMES, _FIELD], "%.17g",
             "t,0,0.5,1\n"
             "0,-0,1e-300,3\n"
             "0.5,0.10000000000000001,-2.5,0.33333333333333331\n",
         ),
-        (  # the contact mask
-            ["t", *_XS], [_TIMES, np.array([[False, True, True], [True, False, False]])],
-            "%d",
-            "t,0,0,1\n"
+        (  # the contact mask: 17-digit times, 0/1 cells
+            ["t", "0", "0.5", "1"],
+            [_TIMES, np.array([[False, True, True], [True, False, False]])],
+            ["%.17g", "%d", "%d", "%d"],
+            "t,0,0.5,1\n"
             "0,0,1,1\n"
-            "0,1,0,0\n",
+            "0.5,1,0,0\n",
         ),
         (  # an energy ledger
             ["time", "kinetic", "residual"],
@@ -758,6 +761,19 @@ def test_probe_names_a_boundary_probe(boundary_run_dir, run_dir, capsys, name, k
     assert f"probe {name} needs [probes] {key}" in capsys.readouterr().err
 
 
+def test_velocity_jump_without_an_interval_is_left_out(tmp_path, capsys):
+    # velocity_x1 at its default 0 bounds no interval, like an unset t1
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(BOUNDARY_CONFIG.replace("velocity_x0 = 0.3\n", "")
+                   .replace("velocity_x1 = 0.4\n", ""))
+    out = str(tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--out", out]) == 0
+    assert "velocity_jump" not in _probe_report(out)
+    capsys.readouterr()
+    assert cli.main(["probe", out, "--probe", "velocity_jump"]) == 2
+    assert "probe velocity_jump needs [probes] velocity_x1\n" in capsys.readouterr().err
+
+
 def test_named_stress_jump_without_an_interior_boundary_says_why(tmp_path, capsys):
     # GOOD_CONFIG never reaches the obstacle (offset 1, amplitude 0.4), so
     # the run has no contact boundary at all
@@ -911,6 +927,20 @@ def test_bad_output_and_probe_settings_exit_two_and_write_nothing(
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"configuration error: {key} must be")
     assert field not in lines[0]  # the INI key, not the settings field
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--epsilon", "0", "physics.epsilon"),
+    ("--resolution", "1", "grid.cells_n"),
+    ("--stride", "-2", "output.output_stride"),
+])
+def test_bad_preset_flags_are_named(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "out"
+    assert cli.main(["example1", flag, value, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"configuration error: {flag} must be")
+    assert field not in lines[0]  # the flag, not the settings field
     assert not out.exists()
 
 

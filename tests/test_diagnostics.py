@@ -15,6 +15,7 @@ from obstring.core import (
     SimConfig,
     TimeGrid,
     single_mode_config,
+    stored_levels,
     validate_config,
 )
 from obstring.diagnostics import (
@@ -84,22 +85,23 @@ def test_ledger_hand_case():
     )
     eta0 = np.zeros(3)
     v0 = np.array([0.0, 1.0, 0.0])
-    ledger = EnergyLedger.open(eta0, v0, cfg)
-    assert ledger.kinetic[0] == pytest.approx(0.25)  # 0.5 * 1 * dx
-    assert ledger.elastic[0] == 0.0
+    ledger = EnergyLedger(eta0, v0, cfg)
+    cols = ledger.as_columns()  # views of ledger.rows, so they see each step
+    assert cols["kinetic"][0] == pytest.approx(0.25)  # 0.5 * 1 * dx
+    assert cols["elastic"][0] == 0.0
 
     eta1 = np.array([0.0, 0.1, 0.0])
     ledger.append_step(eta1, (eta1 - eta0) / 0.1, v0, np.zeros(3))
     # v_new = (0,1,0) = v0; forward slopes of eta: (0.2, -0.2)
-    assert ledger.kinetic[1] == pytest.approx(0.25)
-    assert ledger.elastic[1] == pytest.approx(0.5 * (0.04 + 0.04) * 0.5)
+    assert cols["kinetic"][1] == pytest.approx(0.25)
+    assert cols["elastic"][1] == pytest.approx(0.5 * (0.04 + 0.04) * 0.5)
     # forward slopes of v: (2, -2), so ||Dv||^2 = 8 * 0.5 = 4 -> visc = 1 * 0.1 * 4
-    assert ledger.visc_cum[1] == pytest.approx(0.4)
+    assert cols["visc_cum"][1] == pytest.approx(0.4)
     # v did not change, so only (dt^2/2) * ||Dv||^2 = 0.005 * 4 is numerical
-    assert ledger.num_cum[1] == pytest.approx(0.02)
-    assert ledger.work_cum[1] == 0.0
-    assert list(ledger.as_columns()) == ["time", "kinetic", "elastic", "visc_cum",
-                                         "num_cum", "work_cum"]
+    assert cols["num_cum"][1] == pytest.approx(0.02)
+    assert cols["work_cum"][1] == 0.0
+    assert cols["time"].tolist() == [0.0, 0.1]
+    assert list(cols) == ["time", "kinetic", "elastic", "visc_cum", "num_cum", "work_cum"]
 
 
 def test_ledger_invariants_on_stored_run(desk_ex1):
@@ -109,15 +111,23 @@ def test_ledger_invariants_on_stored_run(desk_ex1):
     assert np.all(cols["elastic"] >= 0.0)
     assert np.all(np.diff(cols["visc_cum"]) >= 0.0)
     assert np.all(np.diff(cols["num_cum"]) >= 0.0)
-    assert len(ledger.residual()) == len(ledger) - 1 and ledger.residual()[0] == 0.0
+    assert len(ledger.residual()) == len(ledger.rows) - 1 and ledger.residual()[0] == 0.0
     # the drop hits the obstacle, so the penalty extracts energy
     assert cols["work_cum"][-1] < 0.0
+
+
+def test_ledger_rows_carry_the_stored_frames_times(desk_ex1):
+    # both record level i at i*dt, so energy.csv and fields.npz agree bitwise
+    cfg, series, ledger = desk_ex1
+    times = ledger.as_columns()["time"][stored_levels(cfg)]
+    assert times.size == series.times.size == 301
+    assert times.tobytes() == series.times.tobytes()
 
 
 @pytest.mark.parametrize("fixture", ["desk_ex1", "desk_ex2"])
 def test_ledger_closes_the_discrete_identity(fixture, request):
     _, _, ledger = request.getfixturevalue(fixture)
-    e0 = ledger.total_energy()[0]
+    e0 = ledger.rows[0, 1] + ledger.rows[0, 2]
     assert np.abs(ledger.residual()).max() <= 1e-11 * e0
 
 

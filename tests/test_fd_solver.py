@@ -134,7 +134,7 @@ def test_first_step_reference_drop_value():
     cfg = replace(cfg, time=TimeGrid(dt, 1))
     series, ledger = run(cfg)
     eta = series.fields["eta"]
-    assert eta.shape == (2, 5001) and len(ledger) == 2
+    assert eta.shape == (2, 5001) and len(ledger.rows) == 2
     j = 250  # x = 0.05, a crest of sin^2(10 pi x)
     assert abs(eta[0, j] - 1.5) < 1e-12
     assert abs(eta[1, j] - 1.49) < 1e-12
@@ -181,7 +181,7 @@ def test_one_interior_node(steps_m, v0):
     cfg = _tabulated(eta0, np.array([0.0, v0, 0.0]), horizon_T=0.2, steps_m=steps_m)
     series, ledger = run(cfg)
     eta, force = series.fields["eta"], series.penalty_force
-    assert eta.shape == (steps_m + 1, 3) and len(ledger) == steps_m + 1
+    assert eta.shape == (steps_m + 1, 3) and len(ledger.rows) == steps_m + 1
     assert all(series.fields[k].shape == eta.shape for k in series.fields)
     assert np.all(eta[:, 0] == 0.0) and np.all(eta[:, -1] == 0.0)
     assert eta[1, 1] == 0.3 + cfg.time.dt * v0
@@ -202,7 +202,7 @@ def test_run_constant_datum_gives_constant_series():
     assert np.allclose(series.fields["eta"], 2.0, rtol=0.0, atol=1e-12)
     assert np.allclose(series.fields["velocity"], 0.0, atol=1e-12)
     assert np.all(series.penalty_force == 0.0)
-    assert np.allclose(ledger.total_energy(), 0.0, atol=1e-20)
+    assert np.allclose(ledger.rows[:, 1] + ledger.rows[:, 2], 0.0, atol=1e-20)
 
 
 def test_run_stores_requested_stride_and_endpoints():
@@ -210,7 +210,7 @@ def test_run_stores_requested_stride_and_endpoints():
     series, ledger = run(cfg)
     # steps 0 and 7 plus the forced final step 10 (dt = 0.01)
     assert np.allclose(series.times, [0.0, 0.07, 0.1], atol=1e-15)
-    assert len(ledger) == 11  # ledger keeps every step regardless of stride
+    assert len(ledger.rows) == 11  # ledger keeps every step regardless of stride
 
 
 def test_scheme_residual_vanishes_without_contact():
@@ -309,7 +309,7 @@ def test_every_valid_config_keeps_the_discrete_energy_theorem(
     ulp = np.finfo(float).eps
     assert np.all(loss[on] >= -8.0 * ulp * (after * after + before * before)[on])
 
-    total = ledger.total_energy()
+    total = ledger.rows[:, 1] + ledger.rows[:, 2]
     assert np.all(np.diff(total[1:]) <= 1e-14 * total.max())
 
     largest = max(np.abs(column).max() for name, column in ledger.as_columns().items()

@@ -63,7 +63,7 @@ def test_one_run_makes_the_pinned_layer_calls(monkeypatch):
     assert calls == {"penalty_force": steps_m + 1, "append_step": steps_m,
                      "solve": steps_m - 1}
     assert series.penalty_force.max() > 0.0
-    assert len(ledger) == steps_m + 1
+    assert len(ledger.rows) == steps_m + 1
     monkeypatch.undo()
     assert fd_solver.penalty_force is core.penalty_force is penalty_force
 
