@@ -19,9 +19,9 @@ _SCHEMA, gives each key's type and the dataclass field it fills; parse_config
 and emit_config both walk it, and a key left out takes that field's default.
 Like the core config types, OutputSettings and ProbeSettings check their
 values through core.check when built (no nan or inf, oracle_modes and
-link_cells >= 0, dissipation_omega_cells and each velocity_deltas > 0).
-A run with oracle_modes > 0 whose initial displacement differs at the
-two ends is refused before it solves or writes anything.
+link_cells >= 0, dissipation_omega_cells and each velocity_deltas > 0,
+0 <= velocity_x0 < velocity_x1 once velocity_x1 > 0); ParsedConfig checks
+the rules across parts, so a refused run, sweep or preset creates nothing.
 Every run with any output format (all but formats = none), sweep points
 included, stores its state once, in fields.npz: times, node positions, eta,
 velocity and epsilon.  probe and render read that file only, into a
@@ -84,7 +84,6 @@ from .core import (
     check,
     example1_config,
     example2_config,
-    validate_config,
 )
 
 log = logging.getLogger(__name__)
@@ -143,16 +142,36 @@ class ProbeSettings:
     def __post_init__(self) -> None:
         check("probes", self, ("link_cells", self.link_cells >= 0, ">= 0"),
               ("dissipation_omega_cells", self.dissipation_omega_cells > 0.0, "> 0"),
-              ("velocity_deltas", all(d > 0.0 for d in self.velocity_deltas), "all > 0"))
+              ("velocity_deltas", all(d > 0.0 for d in self.velocity_deltas), "all > 0"),
+              ("velocity_x0", self.velocity_x1 <= 0.0 or 0.0 <= self.velocity_x0 < self.velocity_x1,
+               f"in [0, [probes].velocity_x1 = {self.velocity_x1!r})"))
 
 
 @dataclass(frozen=True)
 class ParsedConfig:
+    """A run's settings, checked across their parts when built."""
+
     sim: SimConfig
     output: OutputSettings = OutputSettings()
     probes: ProbeSettings = ProbeSettings()
     # absolute (eta0_file, v0_file) of kind = tabulated, re-emitted verbatim
     table_files: tuple[str, str] | None = None
+
+    def __post_init__(self) -> None:
+        sim, probes = self.sim, self.probes
+        if sim.init.kind == "tabulated" and self.table_files is None:
+            raise ConfigurationError("tabulated initial data needs its table files")
+        if self.output.oracle_modes > 0:
+            galerkin._pinned_offset(sim)
+        t1, reach = probes.velocity_t1, max(probes.velocity_deltas, default=0.0)
+        check("probes", probes,
+              ("velocity_x1", probes.velocity_x1 <= sim.grid.length_l,
+               f"<= [grid].l = {sim.grid.length_l!r}"),
+              # the velocity_jump window inside the stored run, with the probe's slack
+              ("velocity_t1", t1 < 0.0 or not reach or -1e-12 <= t1 - reach
+               and t1 + reach <= sim.time.steps_m * sim.time.dt + 1e-12,
+               f"at least max [probes].velocity_deltas = {reach!r} from 0 and from "
+               f"[time].T = {sim.time.horizon_T!r}"))
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -362,8 +381,6 @@ def emit_config(parsed: ParsedConfig) -> str:
     (no [output].dir, and the table files of a kind other than tabulated).
     """
     sim = parsed.sim
-    if sim.init.kind == "tabulated" and parsed.table_files is None:
-        raise ConfigurationError("tabulated initial data needs its table files")
     objects = {
         Grid1D: sim.grid, TimeGrid: sim.time, Physics: sim.physics,
         InitialData: sim.init, SimConfig: sim,
@@ -606,6 +623,21 @@ def _file_entry(path: str) -> dict:
     return {"sha256": _sha256(path), "bytes": os.path.getsize(path)}
 
 
+def _read_manifest(run_dir: str, key: str, kind: type) -> dict:
+    """run_dir's manifest.json, refused unless it is JSON whose key holds a kind."""
+    path = os.path.join(run_dir, "manifest.json")
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigurationError(f"no manifest.json under {run_dir}") from exc
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ConfigurationError(f"cannot read {path} ({exc})") from exc
+    if not (isinstance(manifest, dict) and isinstance(manifest.get(key), kind)):
+        raise ConfigurationError(f"{path} is no run manifest: it lacks {key}")
+    return manifest
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=float)
@@ -645,8 +677,6 @@ def _solve_and_write(
 ) -> tuple[RunManifest, FieldSeries, diagnostics.EnergyLedger]:
     """execute_run, also handing back the solved series and energy ledger."""
     _worker_count(1)  # a malformed OBSTRING_THREADS fails before the solve
-    if parsed.output.oracle_modes > 0:  # and so does an oracle that cannot run
-        galerkin._pinned_offset(parsed.sim)
     os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(solver="fd", out_dir=out_dir, config_text=emit_config(parsed))
 
@@ -749,14 +779,8 @@ def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
     are all set (stress_jump only where such a boundary exists).
     """
     chosen = _NAMED_PROBES(",".join(names)) if names else None
-    manifest_path = os.path.join(run_dir, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise ConfigurationError(f"no manifest.json under {run_dir}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    parsed = parse_config(manifest["config_text"])
-    sim = validate_config(parsed.sim)
-    settings = parsed.probes
+    parsed = parse_config(_read_manifest(run_dir, "config_text", str)["config_text"])
+    sim, settings = parsed.sim, parsed.probes
     if chosen is None:
         enabled = settings.enabled + tuple(
             probe for probe in BOUNDARY_PROBES if not _unset_keys(probe, settings))
@@ -866,25 +890,18 @@ def _starmap(fn, calls: list[tuple]) -> list:
         return list(pool.map(fn, *zip(*calls)))
 
 
-def _sweep_one(axis: str, value: float, config_text: str, out_dir: str) -> dict:
+def _sweep_one(axis: str, value: float, parsed: ParsedConfig, out_dir: str) -> dict:
     """Worker: run one sweep point; never raises (failures are recorded)."""
     started = _time.perf_counter()
     try:
-        parsed = parse_config(config_text)
         sim = parsed.sim
         if axis == "epsilon":
             sim = replace(sim, physics=Physics(sim.physics.alpha, float(value)))
         elif axis == "dt_dx":
-            delta = float(value)
-            if not delta > 0.0:
+            if not value > 0.0:
                 raise ConfigurationError(f"dt_dx value {value:g} must be positive")
-            n = int(round(sim.grid.length_l / delta))
-            m = int(round(sim.time.horizon_T / delta))
-            sim = replace(
-                sim,
-                grid=Grid1D(sim.grid.length_l, n),
-                time=TimeGrid(sim.time.horizon_T, m),
-            )
+            sim = replace(sim, grid=replace(sim.grid, cells_n=round(sim.grid.length_l / value)),
+                          time=replace(sim.time, steps_m=round(sim.time.horizon_T / value)))
 
         if axis == "modes":
             if not (float(value).is_integer() and value >= 1):
@@ -893,11 +910,8 @@ def _sweep_one(axis: str, value: float, config_text: str, out_dir: str) -> dict:
             series = galerkin.integrate(sim, int(value))
             energy_final = math.nan
         else:
-            trimmed = replace(
-                parsed,
-                sim=sim,
-                output=replace(parsed.output, formats=("npz",), snapshots=()),
-            )
+            trimmed = replace(parsed, sim=sim,
+                              output=replace(parsed.output, formats=("npz",), snapshots=()))
             _, series, ledger = _solve_and_write(trimmed, out_dir)
             energy_final = float(ledger.rows[-1, 1] + ledger.rows[-1, 2])
 
@@ -909,8 +923,8 @@ def _sweep_one(axis: str, value: float, config_text: str, out_dir: str) -> dict:
             "depth_max": pen["depth_max"],
             "energy_final": energy_final,
             "final_time": float(series.times[-1]),
-            "final_eta_xs": series.xs.tolist(),
-            "final_eta": series.fields["eta"][-1].tolist(),
+            "final_eta_xs": series.xs,
+            "final_eta": series.fields["eta"][-1].copy(),  # not a view of every frame
             "wall_seconds": _time.perf_counter() - started,
         }
     except Exception as exc:  # noqa: BLE001 - failures become report rows
@@ -934,10 +948,9 @@ def run_sweep(parsed: ParsedConfig, axis: str, sweep_values: list[float],
     _worker_count(1)  # a malformed OBSTRING_THREADS fails before anything is written
     ordered = sorted(sweep_values, reverse=True)
     os.makedirs(out_dir, exist_ok=True)
-    config_text = emit_config(parsed)
 
     rows = _starmap(_sweep_one, [
-        (axis, v, config_text, os.path.join(out_dir, f"run_{i:02d}"))
+        (axis, v, parsed, os.path.join(out_dir, f"run_{i:02d}"))
         for i, v in enumerate(ordered)
     ])
 
@@ -947,9 +960,9 @@ def run_sweep(parsed: ParsedConfig, axis: str, sweep_values: list[float],
     for a, b in zip(rows, rows[1:]):
         if a["status"] != "ok" or b["status"] != "ok" or coarsest is None:
             continue
-        xs_ref = np.array(coarsest["final_eta_xs"])
-        ya = np.interp(xs_ref, np.array(a["final_eta_xs"]), np.array(a["final_eta"]))
-        yb = np.interp(xs_ref, np.array(b["final_eta_xs"]), np.array(b["final_eta"]))
+        xs_ref = coarsest["final_eta_xs"]
+        ya = np.interp(xs_ref, a["final_eta_xs"], a["final_eta"])
+        yb = np.interp(xs_ref, b["final_eta_xs"], b["final_eta"])
         diff = ya - yb
         a["diff_linf_next"] = float(np.abs(diff).max())
         a["diff_l2_next"] = float(
@@ -988,15 +1001,10 @@ def _load_config_file(path: str) -> ParsedConfig:
 
 def _preset_parsed(which: str, resolution: int, epsilon: float,
                    out_dir: str | None, stride: int) -> ParsedConfig:
+    preset, snaps = ((example1_config, EXAMPLE1_SNAPSHOTS) if which == "example1"
+                     else (example2_config, EXAMPLE2_SNAPSHOTS))
     with _naming(_FLAG_NAMES):
-        if which == "example1":
-            sim = example1_config(resolution=resolution, epsilon=epsilon)
-            snaps = EXAMPLE1_SNAPSHOTS
-        else:
-            sim = example2_config(resolution=resolution, epsilon=epsilon)
-            snaps = EXAMPLE2_SNAPSHOTS
-        if stride:
-            sim = replace(sim, output_stride=stride)
+        sim = preset(resolution=resolution, epsilon=epsilon, output_stride=stride)
     return ParsedConfig(
         sim=sim,
         output=OutputSettings(dir=out_dir, snapshots=snaps),
@@ -1051,13 +1059,13 @@ def cmd_probe(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     run_dir = args.run_dir
     series = series_from_run_dir(run_dir)
+    # read before anything is written, to keep its checksums true for the new files
+    manifest_path = os.path.join(run_dir, "manifest.json")
+    manifest = (_read_manifest(run_dir, "files", dict)
+                if os.path.exists(manifest_path) else None)
     mask = diagnostics.extract_contact(series).mask  # link_cells never moves the mask
     paths = _render_heatmaps(run_dir, series, mask)
-    # keep the manifest's checksums true for the files just written
-    manifest_path = os.path.join(run_dir, "manifest.json")
-    if os.path.exists(manifest_path):
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+    if manifest is not None:
         for path in paths:
             manifest["files"][os.path.basename(path)] = _file_entry(path)
         _write_json(manifest_path, manifest)

@@ -11,18 +11,18 @@ where ``F`` is a contact force that is approximated by a velocity penalty:
 Everything downstream — the finite-difference solver, the spectral oracle and
 the diagnostics — shares the types defined here.  Each config type checks its
 own invariants once, when it is constructed (``dataclasses.replace`` checks
-again), through the one ``check`` that the CLI's settings use too, so a
-Grid1D, TimeGrid, Physics, InitialData or SimConfig that exists is valid;
-``validate_config`` adds only the checks that span parts: the node tables
-against the grid, and one nonnegativity screen of the initial displacement
-for every kind other than the two presets.  All config types are immutable
-and safe to share across threads.
+again), through the one ``check`` that the CLI's settings use too, and a
+SimConfig then runs ``validate_config``, the checks that span parts (the
+node tables against the grid, one nonnegativity screen of the initial
+displacement for every kind but the two presets).  So a config that exists
+is valid, and nothing downstream checks it again.  All config types are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -126,9 +126,9 @@ class InitialData:
     kind = "tabulated"   explicit node tables (length cells_n + 1)
 
     Finite floats and table entries, the kind, the single_mode mode and
-    both tables of kind tabulated are checked at construction;
-    evaluate_initial checks the table lengths, which need the grid, and the
-    nonnegativity screen that every kind but the two presets must pass.
+    both tables of kind tabulated are checked at construction; a SimConfig
+    checks the table lengths, which need the grid, and the nonnegativity
+    screen that every kind but the two presets must pass.
     The presets are evaluated verbatim, with Example 2's sign-changing plateau.
     """
 
@@ -153,7 +153,7 @@ class InitialData:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full experiment description; validate_config resolves its stride."""
+    """Full experiment description, checked whole when it is built."""
 
     grid: Grid1D
     time: TimeGrid
@@ -161,9 +161,15 @@ class SimConfig:
     init: InitialData
     output_stride: int = 0  # 0 = auto: max(1, steps_m // 300)
 
+    @property
+    def stride(self) -> int:
+        """The stride a run stores at: output_stride, or the auto one for 0."""
+        return self.output_stride or max(1, self.time.steps_m // 300)
+
     def __post_init__(self) -> None:
         check("output", self, ("output_stride", isinstance(self.output_stride, int)
                                and self.output_stride >= 0, "an integer >= 0 (0 = auto)"))
+        validate_config(self)
 
 
 def penalty_force(
@@ -281,7 +287,7 @@ def initial_callables(
         def v_fn(x):
             return np.full_like(np.asarray(x, float), init.v0)
 
-    elif init.kind == "tabulated":
+    else:  # tabulated: InitialData refuses any other kind
         nodes = grid.nodes()
         eta_tab = np.asarray(init.eta0_table, float)
         v_tab = np.asarray(init.v0_table, float)
@@ -291,9 +297,6 @@ def initial_callables(
 
         def v_fn(x):
             return np.interp(np.asarray(x, float), nodes, v_tab)
-
-    else:  # pragma: no cover - InitialData refuses other kinds
-        raise ConfigurationError(f"unknown init kind {init.kind!r}")
 
     return eta_fn, v_fn
 
@@ -345,27 +348,18 @@ def evaluate_initial(
     return eta0, v0
 
 
-def validate_config(cfg: SimConfig) -> SimConfig:
-    """Check the invariants that span parts of the config.
-
-    The parts checked themselves when they were built; this evaluates the
-    initial data on the grid (evaluate_initial's table lengths and
-    nonnegativity screen) and returns a new SimConfig with output_stride
-    resolved.
-    """
+def validate_config(cfg: SimConfig) -> None:
+    """The checks that span parts of a config, which SimConfig runs when it
+    is built: evaluate_initial's table lengths and nonnegativity screen."""
     evaluate_initial(cfg.init, cfg.grid)
-
-    stride = cfg.output_stride or max(1, cfg.time.steps_m // 300)
-    return replace(cfg, output_stride=stride)
 
 
 def stored_levels(cfg: SimConfig) -> np.ndarray:
-    """The time levels a run stores: every output_stride-th and the last.
+    """The time levels a run stores: every cfg.stride-th and the last.
 
-    cfg is one that validate_config returned, so its stride is resolved;
-    both solvers store these levels, at times stored_levels(cfg) * dt.
+    Both solvers store these levels, at times stored_levels(cfg) * dt.
     """
-    stride, steps = cfg.output_stride, cfg.time.steps_m
+    stride, steps = cfg.stride, cfg.time.steps_m
     return np.minimum(np.arange(1 + math.ceil(steps / stride)) * stride, steps)
 
 

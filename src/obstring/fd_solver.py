@@ -42,7 +42,6 @@ from .core import (
     evaluate_initial,
     penalty_force,
     stored_levels,
-    validate_config,
 )
 from .diagnostics import EnergyLedger
 from .trisolve import ThomasFactorization, assemble_step_matrix
@@ -70,13 +69,12 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
     A step still makes one penalty_force call, one solve (whose result is
     a new array) and one append_step.
 
-    Fields are stored at core.stored_levels (every output_stride steps
+    Fields are stored at core.stored_levels (every cfg.stride steps
     plus the final step), into arrays preallocated for them; the
     energy ledger gets one append_step per time step regardless of the
     stride, and its residual() closes to rounding.  A non-finite frame
     aborts with the offending step index.
     """
-    cfg = validate_config(cfg)
     grid, tgrid, physics = cfg.grid, cfg.time, cfg.physics
     dt, dx = tgrid.dt, grid.dx
     steps_m = tgrid.steps_m
@@ -91,7 +89,7 @@ def run(cfg: SimConfig) -> tuple[FieldSeries, EnergyLedger]:
 
     log.info(
         "run: N=%d M=%d dt=%g alpha=%g eps=%g stride=%d",
-        grid.cells_n, steps_m, dt, physics.alpha, physics.epsilon, cfg.output_stride,
+        grid.cells_n, steps_m, dt, physics.alpha, physics.epsilon, cfg.stride,
     )
 
     # level i+1 goes into the pair that level i does not hold; eta0 is free

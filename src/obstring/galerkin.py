@@ -48,7 +48,6 @@ from .core import (
     SimConfig,
     initial_callables,
     stored_levels,
-    validate_config,
 )
 
 log = logging.getLogger(__name__)
@@ -285,10 +284,9 @@ def _pinned_offset(cfg: SimConfig) -> float:
 def integrate(cfg: SimConfig, n_modes: int) -> FieldSeries:
     """Integrate the modal system and sample its state on the reference grid.
 
-    The config is validated as fd_solver.run validates it, and frames are
-    stored at its output_stride (plus the final step), so the two solvers
-    report the same instants.  Initial data must take the same value at
-    both ends (see _pinned_offset).
+    Frames are stored at core.stored_levels(cfg), as fd_solver.run stores
+    them, so the two solvers report the same instants.  Initial data must
+    take the same value at both ends (see _pinned_offset).
     The penalty integral uses 4*n_modes midpoints and a velocity cutoff of
     width 1/n_modes, in one pass per evaluation (see _modal_accel).  A
     reporting step dt whose start certifies sum_k sqrt(q_k^2 + qdot_k^2 /
@@ -303,7 +301,6 @@ def integrate(cfg: SimConfig, n_modes: int) -> FieldSeries:
     """
     if n_modes < 1:
         raise ConfigurationError("need at least one mode")
-    cfg = validate_config(cfg)
     grid, time, physics = cfg.grid, cfg.time, cfg.physics
 
     l = grid.length_l

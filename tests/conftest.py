@@ -37,7 +37,7 @@ def desk_ex1():
 
     M = 300 so the auto stride is 1 and consecutive frames are stored.
     """
-    cfg = core.validate_config(core.example1_config(resolution=1000, epsilon=0.002))
+    cfg = core.example1_config(resolution=1000, epsilon=0.002)
     series, ledger = fd_solver.run(cfg)
     return cfg, series, ledger
 
@@ -45,7 +45,7 @@ def desk_ex1():
 @pytest.fixture(scope="session")
 def desk_ex2():
     """Piecewise-ramp preset at desk resolution (stride 1, M = 500)."""
-    cfg = core.validate_config(core.example2_config(resolution=1000, epsilon=0.002))
+    cfg = core.example2_config(resolution=1000, epsilon=0.002)
     series, ledger = fd_solver.run(cfg)
     return cfg, series, ledger
 
@@ -53,6 +53,6 @@ def desk_ex2():
 @pytest.fixture(scope="session")
 def desk_ex2_stiff():
     """The piecewise ramp at desk resolution with eps = 1e-3."""
-    cfg = core.validate_config(core.example2_config(resolution=1000, epsilon=0.001))
+    cfg = core.example2_config(resolution=1000, epsilon=0.001)
     series, ledger = fd_solver.run(cfg)
     return cfg, series, ledger

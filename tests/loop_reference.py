@@ -16,7 +16,6 @@ from obstring.core import (
     NumericBlowupError,
     evaluate_initial,
     penalty_force,
-    validate_config,
 )
 from obstring.diagnostics import EnergyLedger
 from obstring.trisolve import ThomasFactorization, assemble_step_matrix
@@ -24,10 +23,9 @@ from obstring.trisolve import ThomasFactorization, assemble_step_matrix
 
 def run(cfg):
     """fd_solver.run with a new array for every intermediate of every step."""
-    cfg = validate_config(cfg)
     grid, tgrid, physics = cfg.grid, cfg.time, cfg.physics
     dt, dx = tgrid.dt, grid.dx
-    steps_m, stride = tgrid.steps_m, cfg.output_stride
+    steps_m, stride = tgrid.steps_m, cfg.stride
     eta0, v0 = evaluate_initial(cfg.init, grid)
 
     factorization = ThomasFactorization(*assemble_step_matrix(grid, tgrid, physics))

@@ -19,7 +19,7 @@ from dense_oracle import Tridiagonal, dense_solve
 from flat_drop import flat_drop_eta
 from scheme_residual import scheme_residual
 from obstring import diagnostics, fd_solver, galerkin
-from obstring.core import example1_config, example2_config, single_mode_config, validate_config
+from obstring.core import example1_config, example2_config, single_mode_config
 from obstring.trisolve import ThomasFactorization
 
 # ---------------------------------------------------------------------------
@@ -29,7 +29,7 @@ from obstring.trisolve import ThomasFactorization
 @pytest.fixture(scope="module")
 def paper_ex1():
     """Oscillatory drop at reference resolution dt = dx = 1/5000, eps = 5e-4."""
-    cfg = validate_config(example1_config())
+    cfg = example1_config()
     t0 = time.perf_counter()
     series, ledger = fd_solver.run(cfg)
     return cfg, series, ledger, time.perf_counter() - t0
@@ -38,7 +38,7 @@ def paper_ex1():
 @pytest.fixture(scope="module")
 def paper_ex2():
     """Piecewise ramp at reference resolution (T = 0.5, stride 8)."""
-    cfg = validate_config(example2_config())
+    cfg = example2_config()
     t0 = time.perf_counter()
     series, ledger = fd_solver.run(cfg)
     return cfg, series, ledger, time.perf_counter() - t0
@@ -49,7 +49,7 @@ def mode_runs():
     """Contact-free single-mode runs at two resolutions (alpha = 1)."""
     out = {}
     for res in (500, 1000):
-        cfg = validate_config(single_mode_config(resolution=res))
+        cfg = single_mode_config(resolution=res)
         series, _ = fd_solver.run(cfg)
         out[res] = (cfg, series)
     return out
@@ -153,9 +153,9 @@ def test_flat_drop_converges_to_exact_inelastic_solution():
     h, speed = 0.2, 2.0
     rms, deficit = [], []
     for res in (1000, 2000, 4000):
-        cfg = validate_config(single_mode_config(
+        cfg = single_mode_config(
             resolution=res, amplitude=0.0, offset=h, v0=-speed, alpha=0.0,
-            epsilon=2.0 / res, horizon_T=0.4, output_stride=res // 100))
+            epsilon=2.0 / res, horizon_T=0.4, output_stride=res // 100)
         series, ledger = fd_solver.run(cfg)
         error = series.fields["eta"] - flat_drop_eta(series.times, series.xs, h, speed)
         rms.append(float(np.sqrt(np.mean(error * error, axis=1)).max()))
@@ -198,7 +198,7 @@ def test_penetration_mass_scales_linearly_in_epsilon():
     t0 = time.perf_counter()
     masses = []
     for eps in eps_values:
-        cfg = validate_config(example1_config(resolution=1000, epsilon=eps))
+        cfg = example1_config(resolution=1000, epsilon=eps)
         series, _ = fd_solver.run(cfg)
         masses.append(diagnostics.penetration_metrics(series)["l1_max"])
     wall = time.perf_counter() - t0
@@ -355,7 +355,7 @@ def test_stress_jump_matches_concentrated_force_mass(desk_ex2, desk_ex2_stiff):
 
 
 def test_contact_segment_velocity_averages_vanish():
-    cfg = validate_config(example1_config(resolution=1000, epsilon=0.001))
+    cfg = example1_config(resolution=1000, epsilon=0.001)
     series, _ = fd_solver.run(cfg)
     dt = cfg.time.dt
     x0, x1 = 0.48, 0.52

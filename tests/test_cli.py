@@ -10,6 +10,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from obstring.core import (
     Physics,
     SimConfig,
     TimeGrid,
-    validate_config,
 )
 
 GOOD_CONFIG = """\
@@ -959,6 +959,101 @@ def test_an_oracle_that_cannot_run_is_refused_before_the_solve(
     assert not out.exists() and not solves
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("edit, message", [
+    (("amplitude = 0.4", "amplitude = -2.0"), "init.eta0 is negative at node"),
+    (("amplitude = 0.4\nmode = 1\noffset = 1.0", "amplitude = 0.0\nmode = 1\noffset = 0.0"),
+     "init.eta0 touches the obstacle"),
+    (("kind = single_mode", "kind = example2"), "boundary values differ (0 vs 1)"),
+], ids=["negative", "touching", "oracle-on-example2"])
+def test_a_run_or_sweep_that_cannot_start_creates_nothing(tmp_path, capsys, monkeypatch,
+                                                          command, edit, message):
+    monkeypatch.setenv("OBSTRING_THREADS", "1")  # keep a sweep in-process
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(GOOD_CONFIG.replace(*edit))
+    out = tmp_path / "out"
+    sweep = ["--axis", "epsilon", "--values", "0.01,0.02"] if command == "sweep" else []
+    assert cli.main([command, str(cfg), *sweep, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and message in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_tables_that_miss_the_grid_create_nothing(tabulated_dir, capsys, monkeypatch,
+                                                  command):
+    monkeypatch.setenv("OBSTRING_THREADS", "1")
+    (tabulated_dir / "tab.ini").write_text(TABULATED_CONFIG.replace("n = 20", "n = 10"))
+    sweep = ["--axis", "epsilon", "--values", "0.01,0.02"] if command == "sweep" else []
+    assert cli.main([command, "tab.ini", *sweep, "--out", "out"]) == 2
+    assert "table has length 21, expected cells_n + 1 = 11" in capsys.readouterr().err
+    assert not (tabulated_dir / "out").exists()
+
+
+# each velocity_jump setting that obstring probe would refuse
+@pytest.mark.parametrize("probes, keys", [
+    ("velocity_t1 = 0.05\nvelocity_x0 = 0.5\nvelocity_x1 = 0.4\nvelocity_deltas = 0.02",
+     ("[probes].velocity_x0", "[probes].velocity_x1")),
+    ("velocity_t1 = 0.05\nvelocity_x0 = -0.1\nvelocity_x1 = 0.4\nvelocity_deltas = 0.02",
+     ("[probes].velocity_x0", "[probes].velocity_x1")),
+    ("velocity_t1 = 0.05\nvelocity_x0 = 0.3\nvelocity_x1 = 1.5\nvelocity_deltas = 0.02",
+     ("[probes].velocity_x1", "[grid].l")),
+    ("velocity_t1 = 0.095\nvelocity_x0 = 0.3\nvelocity_x1 = 0.4\nvelocity_deltas = 0.02",
+     ("[probes].velocity_t1", "[probes].velocity_deltas", "[time].T")),
+    ("velocity_t1 = 0.01\nvelocity_x0 = 0.3\nvelocity_x1 = 0.4\nvelocity_deltas = 0.02",
+     ("[probes].velocity_t1", "[probes].velocity_deltas")),
+], ids=["x0-past-x1", "negative-x0", "x1-past-l", "window-past-T", "window-before-0"])
+def test_velocity_jump_settings_the_probe_refuses_are_refused_at_run(
+        tmp_path, capsys, probes, keys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(GOOD_CONFIG.replace("oracle_modes = 4", "oracle_modes = 0")
+                   + probes + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"configuration error: {keys[0]} must be")
+    assert all(key in lines[0] for key in keys)
+    assert not out.exists()
+
+
+def test_the_widest_velocity_jump_window_runs_and_probes(tmp_path, capsys):
+    # [0, l] and [t1 - delta, t1 + delta] = [0, T]: the edges the run accepts
+    cfg = tmp_path / "edge.ini"
+    cfg.write_text(GOOD_CONFIG.replace("oracle_modes = 4", "oracle_modes = 0")
+                   + "velocity_t1 = 0.05\nvelocity_x0 = 0.0\nvelocity_x1 = 1.0\n"
+                   + "velocity_deltas = 0.05,0.02\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--out", out]) == 0
+    assert cli.main(["probe", out]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "probes.json")) as fh:
+        assert json.load(fh)["velocity_jump"]["deltas"] == [0.05, 0.02]
+
+
+@pytest.mark.parametrize("command, damage", [
+    ("probe", "truncated"), ("probe", "list"), ("probe", "no-config-text"),
+    ("render", "truncated"), ("render", "list"), ("render", "no-files"),
+])
+def test_a_damaged_manifest_is_refused_by_name(tmp_path, capsys, command, damage):
+    out = _run_good_config(tmp_path, "npz")
+    path = Path(out, "manifest.json")
+    manifest = json.loads(path.read_text())
+    path.write_text({
+        "truncated": path.read_text()[:100],
+        "list": "[1, 2]",
+        "no-config-text": json.dumps({"files": {}}),
+        "no-files": json.dumps({k: v for k, v in manifest.items() if k != "files"}),
+    }[damage])
+    before = {name: Path(out, name).read_bytes() for name in os.listdir(out)}
+    capsys.readouterr()
+    assert cli.main([command, out]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:")
+    assert str(path) in lines[0]
+    # refused before anything is written
+    assert {name: Path(out, name).read_bytes() for name in os.listdir(out)} == before
+
+
 def test_render_keeps_the_manifest_true(tmp_path, capsys):
     out = _run_good_config(tmp_path, "npz")
     manifest_path = os.path.join(out, "manifest.json")
@@ -1127,7 +1222,7 @@ def test_exit_four_on_probe_contract(tmp_path, capsys):
         GOOD_CONFIG.replace("csv,heatmap,snapshots", "csv")
         .replace("oracle_modes = 4", "oracle_modes = 0")
         + "velocity_t1 = 0.05\nvelocity_x0 = 0.4\nvelocity_x1 = 0.6\n"
-        + "velocity_deltas = 0.2\n"  # window leaves the stored range
+        + "velocity_deltas = 0.005\n"  # window holds one stored level (dt = 0.01)
     )
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
@@ -1290,7 +1385,7 @@ def test_example_subcommand_smoke(tmp_path, capsys):
     assert os.path.exists(out / "fields.npz")
     assert not os.path.exists(out / "eta.csv")
     series = cli.series_from_run_dir(str(out))
-    cfg = validate_config(cli._preset_parsed("example1", 60, 0.02, None, 2).sim)
+    cfg = cli._preset_parsed("example1", 60, 0.02, None, 2).sim
     assert cfg.output_stride == 2
     assert len(series.times) == 10  # steps 0,2,...,18 at m = 18
 
@@ -1366,8 +1461,14 @@ def test_no_config_ends_in_a_traceback(tmp_path_factory, cells_n, steps_m, lengt
         f"[output]\nformats = {formats}\nsnapshots = 0,{horizon / 2!r}\n[probes]\n"
         + "".join(f"{key} = {value}\n" for key, value in probes.items()))
     out = str(work / "out")
-    with warnings.catch_warnings():  # the property is the exit code
+    sweep = ["sweep", str(cfg), "--axis", "epsilon", "--values",
+             f"{epsilon!r},{2 * epsilon!r}", "--out", str(work / "sweep")]
+    # the property is the exit code; one worker keeps the sweep in this process
+    with warnings.catch_warnings(), mock.patch.dict(os.environ, {"OBSTRING_THREADS": "1"}):
         warnings.simplefilter("ignore", RuntimeWarning)
-        for argv in (["run", str(cfg), "--out", out], ["probe", out],
+        for argv in (["run", str(cfg), "--out", out], sweep, ["probe", out],
                      ["probe", out, "--probe", "all"], ["render", out]):
-            assert cli.main(argv) in (0, 2, 3, 4, 5), argv
+            code = cli.main(argv)
+            assert code in (0, 2, 3, 4, 5), argv
+            if code == 2 and argv[0] in ("run", "sweep"):  # refused: nothing made
+                assert not os.path.exists(argv[-1]), argv

@@ -24,7 +24,6 @@ from obstring.core import (
     penalty_force,
     single_mode_config,
     stored_levels,
-    validate_config,
 )
 
 
@@ -68,22 +67,22 @@ def test_epsilon_must_be_positive():
 
 def test_preset_configs_validate():
     for builder in (example1_config, example2_config):
-        cfg = validate_config(builder(resolution=200))
-        assert cfg.output_stride >= 1
+        cfg = builder(resolution=200)
+        assert cfg.stride >= 1
         eta0, _ = evaluate_initial(cfg.init, cfg.grid)
         eta = fd_solver.run(cfg)[0].fields["eta"]
         assert np.all(eta[:, 0] == eta0[0]) and np.all(eta[:, -1] == eta0[-1])
 
 
 def test_auto_stride_targets_about_300_frames():
-    cfg = validate_config(example1_config(resolution=5000))
+    cfg = example1_config(resolution=5000)
     assert cfg.time.steps_m == 1500
-    assert cfg.output_stride == 5
-    cfg = validate_config(example2_config(resolution=5000))
-    assert cfg.output_stride == 8
+    assert cfg.stride == 5
+    cfg = example2_config(resolution=5000)
+    assert cfg.stride == 8
     # short runs store every step
-    cfg = validate_config(example1_config(resolution=1000))
-    assert cfg.output_stride == 1
+    cfg = example1_config(resolution=1000)
+    assert cfg.stride == 1
 
 
 def test_example1_initial_values():
@@ -182,9 +181,15 @@ def test_tabulated_requires_matching_length():
     )
     with pytest.raises(ConfigurationError, match="expected cells_n"):
         evaluate_initial(short, grid)
-    cfg = replace(single_mode_config(resolution=10), init=short)
     with pytest.raises(ConfigurationError, match="expected cells_n"):
-        validate_config(cfg)
+        replace(single_mode_config(resolution=10), init=short)
+
+
+def test_a_tabulated_config_moved_onto_a_grid_its_tables_miss_is_refused():
+    tables = InitialData("tabulated", eta0_table=(1.0,) * 5, v0_table=(0.0,) * 5)
+    cfg = SimConfig(Grid1D(1.0, 4), TimeGrid(0.1, 10), Physics(1.0, 0.01), tables)
+    with pytest.raises(ConfigurationError, match="expected cells_n"):
+        replace(cfg, grid=Grid1D(1.0, 8))
 
 
 def test_tabulated_negative_datum_rejected():
@@ -221,10 +226,10 @@ def test_validate_config_snaps_boundaries():
 def test_validate_config_rejects_bad_stride():
     cfg = single_mode_config(resolution=100)
     with pytest.raises(ConfigurationError):
-        validate_config(SimConfig(
+        SimConfig(
             grid=cfg.grid, time=cfg.time, physics=cfg.physics, init=cfg.init,
             output_stride=-3,
-        ))
+        )
 
 
 @pytest.mark.parametrize("stride", [None, 2.5, "3"])
@@ -260,13 +265,22 @@ def test_every_settings_field_refuses_nan_by_name(section, settings, name):
         replace(settings, **{name: bad})
 
 
+def test_stored_levels_resolve_the_auto_stride():
+    cfg = example1_config(100)  # M = 30: the auto stride is 1
+    assert cfg.output_stride == 0 and cfg.stride == 1
+    assert stored_levels(cfg).tolist() == list(range(31))
+    # the stride follows steps_m through replace; output_stride keeps the 0
+    longer = replace(cfg, time=TimeGrid(0.3, 1500))
+    assert longer.output_stride == 0 and longer.stride == 5
+
+
 @pytest.mark.parametrize("stride", range(1, 8))
 def test_grid_and_oracle_store_the_same_levels(stride):
     # M = 10: strides 3, 4, 6 and 7 do not divide it, and level M is stored
     cfg = SimConfig(Grid1D(1.0, 10), TimeGrid(0.1, 10), Physics(1.0, 0.01),
                     InitialData("single_mode", amplitude=0.2, offset=1.0),
                     output_stride=stride)
-    levels = stored_levels(validate_config(cfg))
+    levels = stored_levels(cfg)
     assert levels.tolist() == [*range(0, 10, stride), 10]
     times = fd_solver.run(cfg)[0].times
     assert np.array_equal(times, galerkin.integrate(cfg, 2).times)

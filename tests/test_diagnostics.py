@@ -16,7 +16,6 @@ from obstring.core import (
     TimeGrid,
     single_mode_config,
     stored_levels,
-    validate_config,
 )
 from obstring.diagnostics import (
     BumpTestFunction,
@@ -56,7 +55,7 @@ def flat_run():
     cfg = single_mode_config(resolution=50, amplitude=0.0, offset=2.0,
                              horizon_T=0.5)
     series, ledger = run(cfg)
-    return validate_config(cfg), series, ledger
+    return cfg, series, ledger
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +559,7 @@ def test_renorm_rejects_negative_test_function(desk_ex1):
 
 
 def _precontact_run(resolution, v0=0.0):
-    cfg = validate_config(
-        single_mode_config(resolution=resolution, horizon_T=0.3, v0=v0)
-    )
+    cfg = single_mode_config(resolution=resolution, horizon_T=0.3, v0=v0)
     series, _ = run(cfg)
     return cfg, series
 

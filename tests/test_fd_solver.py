@@ -21,7 +21,6 @@ from obstring.core import (
     evaluate_initial,
     example1_config,
     single_mode_config,
-    validate_config,
 )
 from obstring.fd_solver import penalty_force, run
 
@@ -188,7 +187,7 @@ def test_one_interior_node(steps_m, v0):
     # v0 = -50 takes the node below the obstacle in the first step
     assert (force.max() > 0.0) == (v0 < 0.0)
     dt, dx = cfg.time.dt, cfg.grid.dx
-    res = scheme_residual(series, validate_config(cfg))
+    res = scheme_residual(series, cfg)
     assert res.shape == (steps_m - 1, 1)
     scale = (1.0 / dt**2 + 4.0 * (0.5 / dt + 1.0) / dx**2) * np.abs(eta).max()
     assert np.abs(res).max(initial=0.0) <= 64 * np.finfo(float).eps * (scale + force.max())
@@ -219,7 +218,7 @@ def test_scheme_residual_vanishes_without_contact():
     table[16] = 5.5
     cfg = _tabulated(table, np.zeros(33), horizon_T=0.1, steps_m=32, alpha=0.0)
     series, _ = run(cfg)
-    res = scheme_residual(series, validate_config(cfg))
+    res = scheme_residual(series, cfg)
     scale = (1.0 / cfg.time.dt**2) * np.abs(series.fields["eta"]).max()
     assert np.abs(res).max() <= 1e-10 * scale
 
@@ -228,7 +227,7 @@ def test_scheme_residual_requires_consecutive_frames():
     cfg = single_mode_config(resolution=100, horizon_T=0.1, output_stride=5)
     series, _ = run(cfg)
     with pytest.raises(ValueError, match="stride-1"):
-        scheme_residual(series, validate_config(cfg))
+        scheme_residual(series, cfg)
 
 
 def test_penalty_positivity_and_support_on_stored_run(desk_ex1):

@@ -236,9 +236,9 @@ def test_integrate_requires_equal_endpoints():
 
 def test_integrate_validates_its_config():
     short = InitialData("tabulated", eta0_table=(1.0,) * 10, v0_table=(0.0,) * 10)
-    cfg = SimConfig(Grid1D(1.0, 16), TimeGrid(0.1, 10), Physics(1.0, 0.01), short)
     with pytest.raises(ConfigurationError, match="expected cells_n"):
-        integrate(cfg, 4)
+        SimConfig(Grid1D(1.0, 16), TimeGrid(0.1, 10), Physics(1.0, 0.01), short)
+    cfg = SimConfig(Grid1D(1.0, 9), TimeGrid(0.1, 10), Physics(1.0, 0.01), short)
     with pytest.raises(ConfigurationError, match="at least one mode"):
         integrate(cfg, 0)
 

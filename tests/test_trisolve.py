@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dense_oracle import Tridiagonal, dense_solve, matvec, thomas_sweep
 from obstring import fd_solver, galerkin
-from obstring.core import Grid1D, Physics, TimeGrid, single_mode_config, validate_config
+from obstring.core import Grid1D, Physics, TimeGrid, single_mode_config
 from obstring.trisolve import DENSE_TAIL_ROWS, ThomasFactorization, assemble_step_matrix
 
 
@@ -252,8 +252,8 @@ def test_solver_and_oracle_run_without_lapack(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", refuse)
     # both sides of the cut: 49 interior rows, and 299 (cut after one level)
     for cells_n in (50, 300):
-        cfg = validate_config(single_mode_config(
-            resolution=cells_n, offset=0.3, amplitude=0.5, horizon_T=0.02))
+        cfg = single_mode_config(
+            resolution=cells_n, offset=0.3, amplitude=0.5, horizon_T=0.02)
         series, _ = fd_solver.run(cfg)
         assert np.all(np.isfinite(series.fields["eta"]))
     oracle = galerkin.integrate(cfg, 4)
