@@ -21,7 +21,8 @@ Like the core config types, OutputSettings and ProbeSettings check their
 values through core.check when built (no nan or inf, oracle_modes and
 link_cells >= 0, dissipation_omega_cells and each velocity_deltas > 0,
 0 <= velocity_x0 < velocity_x1 once velocity_x1 > 0); ParsedConfig checks
-the rules across parts, so a refused run, sweep or preset creates nothing.
+the rules across parts (for one, a stress_delta is 0 or at least two
+cells), so a refused run, sweep or preset creates nothing.
 Every run with any output format (all but formats = none), sweep points
 included, stores its state once, in fields.npz: times, node positions, eta,
 velocity and epsilon.  probe and render read that file only, into a
@@ -40,11 +41,16 @@ manifest.json with sha256 checksums, per-phase wall-clock times, the energy
 ledger's closure (energy_residual_max) and the step-to-penalty ratio
 dt_over_eps; render adds the files it writes to that manifest.
 
+probe runs the selected entries of PROBES, one table of evaluators; a probe
+that cannot run (a ProbeContractError) gets {"not_run": reason} in
+probes.json beside the others' results.
+
 Exit codes: 0 success, 2 configuration error (a fields.npz that cannot be
-read or holds no valid series included), 3 numeric blowup, 4 probe-contract
-violation, 5 output error (a file that cannot be written).  OBSTRING_THREADS
-caps that pool, which sweep points share (unset: the CPUs this process may
-run on); a value other than a whole number >= 1 is a configuration error.
+read or holds no valid series included), 3 numeric blowup, 4 a selected
+probe did not run (probes.json is written first), 5 output error (a file
+that cannot be written).  OBSTRING_THREADS caps the process pool, which
+sweep points share (unset: the CPUs this process may run on); a value
+other than a whole number >= 1 is a configuration error.
 """
 
 from __future__ import annotations
@@ -164,7 +170,11 @@ class ParsedConfig:
         if self.output.oracle_modes > 0:
             galerkin._pinned_offset(sim)
         t1, reach = probes.velocity_t1, max(probes.velocity_deltas, default=0.0)
+        strip = diagnostics.MIN_STRIP_CELLS * sim.grid.dx
         check("probes", probes,
+              ("stress_delta", probes.stress_delta == 0.0 or probes.stress_delta >= strip,
+               f"0 (unset) or at least two cells, {diagnostics.MIN_STRIP_CELLS} [grid].l "
+               f"/ [grid].n = {strip!r}"),
               ("velocity_x1", probes.velocity_x1 <= sim.grid.length_l,
                f"<= [grid].l = {sim.grid.length_l!r}"),
               # the velocity_jump window inside the stored run, with the probe's slack
@@ -638,9 +648,14 @@ def _read_manifest(run_dir: str, key: str, kind: type) -> dict:
     return manifest
 
 
+def _json_value(value):
+    """json's fallback for numpy values: an array as a list, a scalar as a float."""
+    return value.tolist() if isinstance(value, np.ndarray) else float(value)
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_value)
         fh.write("\n")
 
 
@@ -768,96 +783,90 @@ def _unset_keys(probe: str, settings: ProbeSettings) -> list[str]:
         [] if settings.velocity_deltas else ["velocity_deltas"])
 
 
+def _contact_summary(series: FieldSeries, sim: SimConfig, settings: ProbeSettings) -> dict:
+    report = diagnostics.extract_contact(series, link_cells=settings.link_cells)
+    return {
+        "first_contact_time": report.first_contact_time,
+        "max_components": report.max_components,
+        "total_penalty_impulse": report.total_penalty_impulse,
+        "graph_count": len(report.boundary_graphs),
+    }
+
+
+def _weak_form(residual: str, series: FieldSeries, sim: SimConfig, settings) -> dict:
+    """diagnostics.<residual> on each of the built-in bump test functions."""
+    bumps = diagnostics.builtin_test_functions(float(series.times[-1]), sim.grid.length_l)
+    return {name: getattr(diagnostics, residual)(series, sim, bump)
+            for name, bump in bumps.items()}
+
+
+def _dissipation(series: FieldSeries, sim: SimConfig, settings: ProbeSettings) -> dict:
+    omega = settings.dissipation_omega_cells * series.dx
+    dt_stored = float(np.min(np.diff(series.times)))
+    kernel = diagnostics.MollifierKernel.build(
+        max(omega, 2.0 * max(dt_stored, series.dx)), dt_stored, series.dx,
+        series.fields["velocity"].shape)
+    est = diagnostics.dissipation_estimate(series, kernel)
+    return {k: v for k, v in est.items() if k != "density"}
+
+
+def _stress_jump(series: FieldSeries, sim: SimConfig, settings: ProbeSettings) -> dict:
+    report = diagnostics.extract_contact(series, link_cells=settings.link_cells)
+    length = sim.grid.length_l
+    graph = next((g for g, side in zip(report.boundary_graphs, report.graph_sides)
+                  if side == "left" and g[:, 1].min() > 0.05 * length
+                  and g[:, 1].max() < 0.95 * length), None)
+    if graph is None:
+        raise ProbeContractError(
+            "needs a left contact boundary inside (0.05 l, 0.95 l), and this run "
+            f"has none among its {len(report.boundary_graphs)} boundary graphs")
+    return diagnostics.stress_jump_probe(series, sim, graph, settings.stress_delta)
+
+
+# name -> evaluator of (series, sim, settings), in report order.  Each looks
+# its diagnostics function up when called, so a wrapper set there sees the call.
+PROBES = {
+    "penetration": lambda series, sim, settings: diagnostics.penetration_metrics(series),
+    "contact": _contact_summary,
+    "momentum": functools.partial(_weak_form, "weak_momentum_residual"),
+    "energy_local": functools.partial(_weak_form, "local_energy_residual"),
+    "renorm": functools.partial(_weak_form, "renormalized_residual"),
+    "dissipation": _dissipation,
+    "stress_jump": _stress_jump,
+    "velocity_jump": lambda series, sim, p: diagnostics.velocity_jump_probe(
+        series, p.velocity_t1, p.velocity_x0, p.velocity_x1, p.velocity_deltas),
+}
+
+
 def run_probes(run_dir: str, names: list[str] | None = None) -> dict:
     """Evaluate the enabled diagnostics over a stored run directory.
 
     Probe names given by the caller are checked before the fields are read,
     and then exactly those run; a named boundary probe whose [probes] keys
-    are unset is a configuration error, and a named stress_jump on a run
-    with no interior left contact boundary a ProbeContractError.  Without
-    names the config's selection runs, plus the boundary probes whose keys
-    are all set (stress_jump only where such a boundary exists).
+    are unset is a configuration error.  Without names the config's
+    selection runs, plus the boundary probes whose keys are all set.  They
+    run in PROBES order, and one that raises ProbeContractError gets the
+    entry {"not_run": reason}.
     """
     chosen = _NAMED_PROBES(",".join(names)) if names else None
     parsed = parse_config(_read_manifest(run_dir, "config_text", str)["config_text"])
-    sim, settings = parsed.sim, parsed.probes
-    if chosen is None:
-        enabled = settings.enabled + tuple(
-            probe for probe in BOUNDARY_PROBES if not _unset_keys(probe, settings))
-    else:
-        enabled = chosen
-        for probe in (p for p in BOUNDARY_PROBES if p in chosen):
-            missing = _unset_keys(probe, settings)
-            if missing:
-                raise ConfigurationError(
-                    f"probe {probe} needs [probes] {', '.join(missing)}")
+    settings = parsed.probes
+    enabled = settings.enabled if chosen is None else chosen
+    for probe in BOUNDARY_PROBES:
+        missing = _unset_keys(probe, settings)
+        if chosen is None and not missing:
+            enabled += (probe,)
+        elif probe in enabled and missing:
+            raise ConfigurationError(f"probe {probe} needs [probes] {', '.join(missing)}")
     series = series_from_run_dir(run_dir)
 
-    results: dict[str, object] = {}
-    bumps = diagnostics.builtin_test_functions(
-        float(series.times[-1]), sim.grid.length_l
-    )
-    if "penetration" in enabled:
-        results["penetration"] = diagnostics.penetration_metrics(series)
-    if "contact" in enabled:
-        report = diagnostics.extract_contact(series, link_cells=settings.link_cells)
-        results["contact"] = {
-            "first_contact_time": report.first_contact_time,
-            "max_components": report.max_components,
-            "total_penalty_impulse": report.total_penalty_impulse,
-            "graph_count": len(report.boundary_graphs),
-        }
-    weak_forms = {
-        "momentum": diagnostics.weak_momentum_residual,
-        "energy_local": diagnostics.local_energy_residual,
-        "renorm": diagnostics.renormalized_residual,
-    }
-    for probe, residual in weak_forms.items():
-        if probe in enabled:
-            results[probe] = {
-                name: residual(series, sim, bump) for name, bump in bumps.items()
-            }
-    if "dissipation" in enabled:
-        omega = settings.dissipation_omega_cells * series.dx
-        dt_stored = float(np.min(np.diff(series.times)))
-        kernel = diagnostics.MollifierKernel.build(
-            max(omega, 2.0 * max(dt_stored, series.dx)), dt_stored, series.dx,
-            series.fields["velocity"].shape)
-        est = diagnostics.dissipation_estimate(series, kernel)
-        results["dissipation"] = {
-            k: v for k, v in est.items() if k != "density"
-        }
-    if "stress_jump" in enabled:
-        report = diagnostics.extract_contact(series, link_cells=settings.link_cells)
-        interior = [
-            (g, s)
-            for g, s in zip(report.boundary_graphs, report.graph_sides)
-            if s == "left"
-            and g[:, 1].min() > 0.05 * sim.grid.length_l
-            and g[:, 1].max() < 0.95 * sim.grid.length_l
-        ]
-        if interior:
-            graph = interior[0][0]
-            results["stress_jump"] = diagnostics.stress_jump_probe(
-                series, sim, graph, settings.stress_delta
-            )
-        elif chosen is not None:
-            raise ProbeContractError(
-                "probe stress_jump needs a left contact boundary inside "
-                "(0.05 l, 0.95 l), and this run has none among its "
-                f"{len(report.boundary_graphs)} boundary graphs")
-    if "velocity_jump" in enabled:
-        probe = diagnostics.velocity_jump_probe(
-            series,
-            settings.velocity_t1,
-            settings.velocity_x0,
-            settings.velocity_x1,
-            settings.velocity_deltas,
-        )
-        results["velocity_jump"] = {
-            k: (v.tolist() if isinstance(v, np.ndarray) else v)
-            for k, v in probe.items()
-        }
+    results = {}
+    for name, evaluate in PROBES.items():
+        if name in enabled:
+            try:
+                results[name] = evaluate(series, parsed.sim, settings)
+            except ProbeContractError as exc:
+                results[name] = {"not_run": str(exc)}
     return results
 
 
@@ -945,6 +954,10 @@ def run_sweep(parsed: ParsedConfig, axis: str, sweep_values: list[float],
         raise ConfigurationError("a sweep needs at least two values")
     if not all(map(math.isfinite, sweep_values)):
         raise ConfigurationError(f"sweep values must be finite, got {sweep_values}")
+    if axis == "dt_dx" and parsed.sim.init.kind == "tabulated":
+        raise ConfigurationError(
+            "a dt_dx sweep regrids, and tabulated initial data fixes [grid].n: "
+            "its tables hold one value per node")
     _worker_count(1)  # a malformed OBSTRING_THREADS fails before anything is written
     ordered = sorted(sweep_values, reverse=True)
     os.makedirs(out_dir, exist_ok=True)
@@ -1047,13 +1060,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
+    """Write probes.json, then exit 4 if a probe did not run, naming each, else 0."""
     results = run_probes(args.run_dir, args.probe or None)
     path = os.path.join(args.run_dir, "probes.json")
     _write_json(path, results)
     for name, payload in results.items():
-        print(f"{name}: {json.dumps(payload, default=float)[:200]}")
+        print(f"{name}: {json.dumps(payload, default=_json_value)[:200]}")
+        if "not_run" in payload:
+            print(f"probe contract violation: {name}: {payload['not_run']}", file=sys.stderr)
     print(f"probe report written to {path}")
-    return 0
+    return 4 if any("not_run" in payload for payload in results.values()) else 0
 
 
 def cmd_render(args: argparse.Namespace) -> int:
@@ -1113,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("run_dir")
     p_probe.add_argument("--probe", action="append",
                          help="probe name, one of "
-                         f"{', '.join(DEFAULT_PROBES + BOUNDARY_PROBES)} or all "
+                         f"{', '.join(PROBES)} or all "
                          "(repeatable; default: config selection)")
     p_probe.set_defaults(func=cmd_probe)
 
@@ -1131,9 +1147,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except ProbeContractError as exc:
-        print(f"probe contract violation: {exc}", file=sys.stderr)
-        return 4
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

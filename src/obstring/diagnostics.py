@@ -649,6 +649,10 @@ def _graph_on_times(
     return inside, f
 
 
+# the narrowest stress_jump strip, in cells
+MIN_STRIP_CELLS = 2
+
+
 def stress_jump_probe(
     series: FieldSeries, cfg: SimConfig, boundary: np.ndarray, delta: float
 ) -> dict[str, float]:
@@ -668,14 +672,18 @@ def stress_jump_probe(
     strip sums run over the window's columns, so their last bits may
     differ from sums over every node.
     """
-    if delta < 2.0 * series.dx:
+    if delta < MIN_STRIP_CELLS * series.dx:
         raise ProbeContractError(
-            f"strip width {delta:g} must be at least two cells ({2.0 * series.dx:g})"
+            f"strip width {delta:g} must be at least two cells "
+            f"({MIN_STRIP_CELLS * series.dx:g})"
         )
     rows, f = _graph_on_times(boundary, series.times)
     xs = series.xs
     if np.any(f - delta < xs[0]) or np.any(f + delta > xs[-1]):
-        raise ProbeContractError("strips around the boundary leave the domain")
+        raise ProbeContractError(
+            f"strips of width {delta:g} around the boundary, which spans "
+            f"x in [{f.min():g}, {f.max():g}], leave the domain [{xs[0]:g}, {xs[-1]:g}]"
+        )
 
     # a node in some strip has xs - max(f) <= delta and xs - min(f) >= -delta
     # (rounding is monotone); one more node on each side keeps np.gradient
@@ -732,7 +740,9 @@ def velocity_jump_probe(
     if np.any(deltas <= 0.0):
         raise ProbeContractError("window lengths must be positive")
     if not (xs[0] <= x0 < x1 <= xs[-1]):
-        raise ProbeContractError("probe interval must satisfy 0 <= x0 < x1 <= l")
+        raise ProbeContractError(
+            f"probe interval [{x0:g}, {x1:g}] must satisfy 0 <= x0 < x1 <= l = {xs[-1]:g}"
+        )
     dmax = float(deltas[0])
     if t1 - dmax < times[0] - 1e-12 or t1 + dmax > times[-1] + 1e-12:
         raise ProbeContractError(
@@ -747,7 +757,10 @@ def velocity_jump_probe(
     def window_mean(values: np.ndarray, lo: float, hi: float) -> float:
         rows = np.nonzero((times >= lo - 1e-12) & (times <= hi + 1e-12))[0]
         if len(rows) < 2:
-            raise ProbeContractError("window shorter than the storage stride")
+            raise ProbeContractError(
+                f"window [{lo:g}, {hi:g}] holds {len(rows)} stored instant(s), not the "
+                f"two it needs: the storage stride is {float(np.max(np.diff(times))):g}"
+            )
         w = time_weights(times[rows])
         return float(np.sum(values[rows] * w) / (hi - lo))
 

@@ -148,7 +148,7 @@ def test_every_schema_key_round_trips(tmp_path):
                                   snapshots=(0.0, 0.1), oracle_modes=5),
         probes=cli.ProbeSettings(
             enabled=("renorm", "penetration"), link_cells=3,
-            dissipation_omega_cells=2.5, stress_delta=0.01, velocity_t1=0.1,
+            dissipation_omega_cells=2.5, stress_delta=1.0, velocity_t1=0.1,
             velocity_x0=0.2, velocity_x1=0.8, velocity_deltas=(0.05, 0.025),
         ),
         table_files=table_files,
@@ -721,9 +721,9 @@ def boundary_run_dir(tmp_path_factory):
     return str(out)
 
 
-def _probe_report(out: str, *names: str) -> dict:
+def _probe_report(out: str, *names: str, code: int = 0) -> dict:
     argv = ["probe", out] + [arg for name in names for arg in ("--probe", name)]
-    assert cli.main(argv) == 0
+    assert cli.main(argv) == code
     with open(os.path.join(out, "probes.json")) as fh:
         return json.load(fh)
 
@@ -783,13 +783,32 @@ def test_named_stress_jump_without_an_interior_boundary_says_why(tmp_path, capsy
                    + "stress_delta = 0.05\n")
     out = str(tmp_path / "out")
     assert cli.main(["run", str(cfg), "--out", out]) == 0
-    # selected by its key, it is left out where it cannot run
-    assert set(_probe_report(out)) == {"penetration", "contact"}
-    capsys.readouterr()
-    assert cli.main(["probe", out, "--probe", "stress_jump"]) == 4
-    err = capsys.readouterr().err
-    assert "probe stress_jump needs a left contact boundary" in err
-    assert "none among its 0 boundary graphs" in err
+    # selected by its key or by name, it is reported as not run, and the
+    # probes that can run still report
+    report = _probe_report(out, code=4)
+    assert set(report) == {"penetration", "contact", "stress_jump"}
+    reason = report["stress_jump"]["not_run"]
+    assert _probe_report(out, "stress_jump", code=4) == {"stress_jump": {"not_run": reason}}
+    assert capsys.readouterr().err.splitlines() == [
+        f"probe contract violation: stress_jump: {reason}"] * 2
+    assert reason.startswith("needs a left contact boundary")
+    assert "none among its 0 boundary graphs" in reason
+
+
+def test_stress_jump_strips_that_leave_the_rod_keep_the_other_results(tmp_path, capsys):
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text(BOUNDARY_CONFIG.replace("stress_delta = 0.02", "stress_delta = 0.45"))
+    out = str(tmp_path / "out")
+    assert cli.main(["run", str(cfg), "--out", out]) == 0
+    report = _probe_report(out, code=4)
+    assert set(report) == set(cli.PROBES)
+    reason = report["stress_jump"]["not_run"]
+    assert "leave the domain" in reason and "0.45" in reason
+    assert all("not_run" not in payload
+               for name, payload in report.items() if name != "stress_jump")
+    assert _probe_report(out, "stress_jump", code=4) == {"stress_jump": {"not_run": reason}}
+    assert capsys.readouterr().err.splitlines() == [
+        f"probe contract violation: stress_jump: {reason}"] * 2
 
 
 def _run_good_config(tmp_path, formats: str) -> str:
@@ -911,6 +930,8 @@ def test_an_unreadable_store_is_refused_by_name(tmp_path, capsys, damage):
      "probes.dissipation_omega_cells", "[probes].dissipation_omega_cells"),
     ("[probes]", "[probes]\nstress_delta = inf", "probes.stress_delta",
      "[probes].stress_delta"),
+    ("[probes]", "[probes]\nstress_delta = 0.03", "probes.stress_delta",
+     "[probes].stress_delta"),  # under two cells (dx = 0.02)
     ("[probes]", "[probes]\nvelocity_deltas = 0.02,-inf", "probes.velocity_deltas",
      "[probes].velocity_deltas"),
     ("[probes]", "[probes]\nvelocity_deltas = 0.02,-0.01", "probes.velocity_deltas",
@@ -987,6 +1008,15 @@ def test_tables_that_miss_the_grid_create_nothing(tabulated_dir, capsys, monkeyp
     sweep = ["--axis", "epsilon", "--values", "0.01,0.02"] if command == "sweep" else []
     assert cli.main([command, "tab.ini", *sweep, "--out", "out"]) == 2
     assert "table has length 21, expected cells_n + 1 = 11" in capsys.readouterr().err
+    assert not (tabulated_dir / "out").exists()
+
+
+def test_a_tabulated_dt_dx_sweep_creates_nothing(tabulated_dir, capsys, monkeypatch):
+    # a dt_dx sweep regrids, and the tables fix the grid
+    monkeypatch.setenv("OBSTRING_THREADS", "1")
+    assert cli.main(["sweep", "tab.ini", "--axis", "dt_dx", "--values", "0.1,0.05",
+                     "--out", "out"]) == 2
+    assert "a dt_dx sweep regrids" in capsys.readouterr().err
     assert not (tabulated_dir / "out").exists()
 
 
@@ -1229,6 +1259,13 @@ def test_exit_four_on_probe_contract(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["probe", str(out)]) == 4
     assert "probe contract" in capsys.readouterr().err
+    # the report is still written: the config's selection, and why velocity_jump did not run
+    with open(out / "probes.json") as fh:
+        report = json.load(fh)
+    assert set(report) == {"penetration", "contact", "velocity_jump"}
+    assert np.isfinite(report["penetration"]["l1_max"])
+    reason = report["velocity_jump"]["not_run"]
+    assert "stride" in reason and "[0.045, 0.05]" in reason
 
 
 # ---------------------------------------------------------------------------
@@ -1470,5 +1507,10 @@ def test_no_config_ends_in_a_traceback(tmp_path_factory, cells_n, steps_m, lengt
                      ["probe", out, "--probe", "all"], ["render", out]):
             code = cli.main(argv)
             assert code in (0, 2, 3, 4, 5), argv
+            if argv[0] == "run":
+                stored = code == 0 and formats != "none"
+            elif argv == ["probe", out] and stored:
+                # a probe that cannot run is reported beside the others
+                assert code in (0, 4) and os.path.exists(os.path.join(out, "probes.json"))
             if code == 2 and argv[0] in ("run", "sweep"):  # refused: nothing made
                 assert not os.path.exists(argv[-1]), argv
