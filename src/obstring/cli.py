@@ -794,10 +794,9 @@ def _contact_summary(series: FieldSeries, sim: SimConfig, settings: ProbeSetting
 
 
 def _weak_form(residual: str, series: FieldSeries, sim: SimConfig, settings) -> dict:
-    """diagnostics.<residual> on each of the built-in bump test functions."""
+    """diagnostics.<residual> on the built-in bump test functions, in one call."""
     bumps = diagnostics.builtin_test_functions(float(series.times[-1]), sim.grid.length_l)
-    return {name: getattr(diagnostics, residual)(series, sim, bump)
-            for name, bump in bumps.items()}
+    return getattr(diagnostics, residual)(series, sim, bumps)
 
 
 def _dissipation(series: FieldSeries, sim: SimConfig, settings: ProbeSettings) -> dict:
@@ -988,13 +987,15 @@ def run_sweep(parsed: ParsedConfig, axis: str, sweep_values: list[float],
 
     columns = [
         "value", "status", "l1_max", "depth_max", "energy_final",
-        "diff_linf_next", "diff_l2_next", "slope_l1_next", "wall_seconds",
+        "diff_linf_next", "diff_l2_next", "slope_l1_next", "wall_seconds", "error",
     ]
     sweep_path = os.path.join(out_dir, "sweep.csv")
-    table = np.array([[row.get(col, math.nan) for col in columns] for row in rows],
+    # the failure reason, quoted as CSV quotes a field, so its commas stay in it
+    table = np.array([[row.get(col, math.nan) for col in columns[:-1]]
+                      + ['"%s"' % row.get("error", "").replace('"', '""')] for row in rows],
                      dtype=object)
     _write_csv(sweep_path, columns, [table],
-               fmt=["%s" if col == "status" else "%.17g" for col in columns])
+               fmt=["%s" if col in ("status", "error") else "%.17g" for col in columns])
     log.info("sweep report written to %s", sweep_path)
     return rows
 
@@ -1054,7 +1055,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = run_sweep(parsed, args.axis, values, out_dir)
     failures = [r for r in rows if r["status"] != "ok"]
     for row in rows:
-        print(f"  {args.axis}={row['value']:g}: {row['status']}")
+        reason = f": {row['error']}" if "error" in row else ""
+        print(f"  {args.axis}={row['value']:g}: {row['status']}{reason}")
     print(f"sweep complete: {len(rows) - len(failures)}/{len(rows)} ok")
     return 0
 

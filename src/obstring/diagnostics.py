@@ -16,16 +16,16 @@ Every space-time integral uses one rule: cell sums in x and trapezoidal
 weights over the stored instants in t (time_weights), so probes stay
 meaningful on strided output.  Test functions are separable polynomial
 bumps phi = a(t) b(x) and enter only through their 1-D profiles, so the
-rule applied to II[f phi] is the bilinear form (w_t dx a) . f . b, which
-_form evaluates for the weak-form residuals; dissipation_estimate and
-velocity_jump_probe apply the rule directly.
+rule applied to II[f phi] is the bilinear form (w_t dx a) . f . b; the
+weak forms stack k bumps' b as a (nodes x k) B, so one f @ B serves all k,
+and dissipation_estimate and velocity_jump_probe apply the rule directly.
 
 A probe whose integrand vanishes outside a known set slices the stored
 fields to a window around it before any derivative or product is formed,
 and every value it forms on that set is the whole-field one bitwise:
 
-- a weak-form residual: phi's support, since phi is compactly supported
-  (plus one node on each side for the x-derivatives);
+- the weak-form residuals: the union of the bumps' supports (plus one node
+  on each side for the x-derivatives), walked FRAME_BLOCK frames at a time;
 - dissipation_estimate: the bounding box of the penalty force's support
   {F > 0}, widened on each axis by the mollifier's radius;
 - stress_jump_probe: the frames its boundary graph covers, and the strip
@@ -495,113 +495,122 @@ def builtin_test_functions(horizon_T: float, length_l: float) -> dict[str, BumpT
 # weak-form residuals
 
 
-class _BumpWindow:
-    """One bump phi = a(t) b(x) on its support window, after the contract checks.
+# frames per block of the weak-form walk: at 1/5000, faster than 16, 64 or one pass
+FRAME_BLOCK = 32
 
-    The window's rows are the frames where a or a' is nonzero; its columns
-    the nodes where b or b' is nonzero plus one node on each side, clipped
-    to the rod, so np.gradient along x on the window is central wherever b
-    or b' is nonzero and there equals the full-field derivative bitwise.
-    The _form weights are those of the full grid restricted to the window;
-    v, force, dxv = d_x v and dxeta = d_x eta are the window's.  Only a
-    window starting at frame 0 has initial terms; otherwise phi(0, .) = 0
-    and p0 gives 0.0.
+
+def _weak_terms(series: FieldSeries, bumps: dict[str, BumpTestFunction], integrands,
+                require_nonneg: bool = False) -> dict[str, dict[str, float]]:
+    """{bump name: {term: coefficient * II[field * factor]}} for every bump at once.
+
+    The walk covers the frames where some a or a' is nonzero and the nodes
+    where some b or b' is, plus one node on each side (clipped to the rod),
+    so np.gradient along x is the whole-field one wherever b or b' is not 0.
+    integrands(eta, v, force, dx) gets FRAME_BLOCK frames of it at a time and
+    returns {term: (factor, coefficient, field)}: "p", "p_t" or "p_x" is one
+    field @ B with the bumps' b or b' stacked as (nodes x k) B, and "p0" is
+    I[field p(0, .)] from the walk's first frame, 0.0 unless it is frame 0.
     """
+    profiles = [phi.profiles(series.times, series.xs) for phi in bumps.values()]
+    a, a_t, b, b_x = (np.column_stack(p) for p in zip(*profiles))
+    if np.abs(a[-1] * b).max() > 0.0 or np.abs(a[:, None] * b[[0, -1]]).max() > 0.0:
+        raise ProbeContractError(
+            "test function must vanish at the final time and at both rod ends"
+        )
+    # the extremes of a(t) b(x) are products of the extremes of a and of b
+    if require_nonneg and (np.array([a.min(0), a.max(0)])[:, None]
+                           * [b.min(0), b.max(0)]).min() < 0.0:
+        raise ProbeContractError("test function must be nonnegative")
+    rows = _span(((a != 0.0) | (a_t != 0.0)).any(axis=1), halo=0)
+    cols = _span(((b != 0.0) | (b_x != 0.0)).any(axis=1), halo=1)
+    w = time_weights(series.times)[rows, None] * series.dx
+    against = {"p": (w * a[rows], b[cols]), "p_t": (w * a_t[rows], b[cols]),
+               "p_x": (w * a[rows], b_x[cols])}
+    a0 = a[0] * series.dx if rows.start == 0 else np.zeros(len(bumps))
+    eta, v = series.fields["eta"][rows, cols], series.fields["velocity"][rows, cols]
+    force = series.penalty_force[rows, cols]
+    sums: dict[str, np.ndarray] = {}
+    for start in range(0, len(eta), FRAME_BLOCK):
+        block = slice(start, start + FRAME_BLOCK)
+        for term, (factor, coefficient, f) in integrands(
+                eta[block], v[block], force[block], series.dx).items():
+            if factor == "p0":
+                part = a0 * (f[0] @ b[cols]) if start == 0 else 0.0
+            else:
+                wa, bb = against[factor]
+                part = np.einsum("fk,fk->k", wa[block], f @ bb)
+            sums[term] = sums.get(term, 0.0) + coefficient * part
+    return {name: {term: float(total[j]) for term, total in sums.items()}
+            for j, name in enumerate(bumps)}
 
-    def __init__(self, series: FieldSeries, phi: BumpTestFunction,
-                 require_nonneg: bool = False):
-        a, a_t, b, b_x = phi.profiles(series.times, series.xs)
-        if abs(a[-1] * b).max() > 0.0 or abs(a[:, None] * b[[0, -1]]).max() > 0.0:
-            raise ProbeContractError(
-                "test function must vanish at the final time and at both rod ends"
-            )
-        # the extremes of a(t) b(x) are products of the extremes of a and of b
-        if require_nonneg and np.outer([a.min(), a.max()], [b.min(), b.max()]).min() < 0.0:
-            raise ProbeContractError("test function must be nonnegative")
-        rows = _span((a != 0.0) | (a_t != 0.0), halo=0)
-        cols = _span((b != 0.0) | (b_x != 0.0), halo=1)
-        w = time_weights(series.times)[rows] * series.dx
-        self.wa, self.wa_t, self.b, self.b_x = w * a[rows], w * a_t[rows], b[cols], b_x[cols]
-        self.a0 = a[0] * series.dx if rows.start == 0 else None
-        self.v = series.fields["velocity"][rows, cols]
-        self.force = series.penalty_force[rows, cols]
-        self.dxv = np.gradient(self.v, series.dx, axis=1)
-        self.dxeta = np.gradient(series.fields["eta"][rows, cols], series.dx, axis=1)
 
-    def pt(self, f: np.ndarray) -> float:  # II[f p_t]
-        return _form(f, self.wa_t, self.b)
-
-    def px(self, f: np.ndarray) -> float:  # II[f p_x]
-        return _form(f, self.wa, self.b_x)
-
-    def p(self, f: np.ndarray) -> float:  # II[f p]
-        return _form(f, self.wa, self.b)
-
-    def p0(self, row: np.ndarray) -> float:  # I[f p(0, .)], row = f on frame 0
-        return 0.0 if self.a0 is None else self.a0 * float(row @ self.b)
-
-
-def _tally(terms: dict[str, float]) -> tuple[dict[str, float], float, float]:
-    """The terms, their sum and the sum of their magnitudes.  + 0.0 makes a
-    zero term +0.0 (-alpha * 0.0 is -0.0) and keeps every other's bits."""
+def _tally(terms: dict[str, float], total: str) -> dict[str, float]:
+    """{total: their sum, "scale": the sum of their magnitudes, **terms}.  + 0.0
+    makes a zero term +0.0 (-alpha * 0.0 is -0.0) and keeps every other's bits."""
     terms = {name: t + 0.0 for name, t in terms.items()}
-    return terms, sum(terms.values()), sum(abs(t) for t in terms.values())
+    return {total: sum(terms.values()), "scale": sum(abs(t) for t in terms.values()),
+            **terms}
 
 
 def weak_momentum_residual(
-    series: FieldSeries, cfg: SimConfig, phi: BumpTestFunction
-) -> dict[str, float]:
-    """Residual of the weak momentum balance against one test function.
+    series: FieldSeries, cfg: SimConfig, bumps: dict[str, BumpTestFunction]
+) -> dict[str, dict[str, float]]:
+    """Residual of the weak momentum balance against each test function.
 
     For a solution, transport + viscous + elastic terms balance the
     initial-velocity term and the penalty-force mass:
 
         II[v p_t - a (d_x v) p_x - (d_x eta) p_x] + I[v0 p(0,.)] + II[F p] = 0.
 
-    Returns the residual, the individual terms, and scale = sum of their
-    magnitudes for relative comparison.
+    Returns, per name of bumps, the residual, the individual terms, and
+    scale = sum of their magnitudes for relative comparison.
     """
-    win = _BumpWindow(series, phi)
     alpha = cfg.physics.alpha
-    terms, residual, scale = _tally({
-        "transport": win.pt(win.v),
-        "viscous": -alpha * win.px(win.dxv),
-        "elastic": -win.px(win.dxeta),
-        "initial": win.p0(win.v[0]),
-        "forcing": win.p(win.force),
-    })
-    return {"residual": residual, "scale": scale, **terms}
+
+    def integrands(eta, v, force, dx):
+        return {"transport": ("p_t", 1.0, v),
+                "viscous": ("p_x", -alpha, np.gradient(v, dx, axis=1)),
+                "elastic": ("p_x", -1.0, np.gradient(eta, dx, axis=1)),
+                "initial": ("p0", 1.0, v[:1]), "forcing": ("p", 1.0, force)}
+
+    return {name: _tally(terms, "residual")
+            for name, terms in _weak_terms(series, bumps, integrands).items()}
 
 
 def local_energy_residual(
-    series: FieldSeries, cfg: SimConfig, phi: BumpTestFunction
-) -> dict[str, float]:
-    """Slack of the localized energy inequality (nonnegative test function).
+    series: FieldSeries, cfg: SimConfig, bumps: dict[str, BumpTestFunction]
+) -> dict[str, dict[str, float]]:
+    """Slack of the localized energy inequality per (nonnegative) test function.
 
     lhs collects the transported energy density, viscous dissipation,
     contact dissipation (density F * (-v)^+), and the flux terms; rhs is
     the initial energy weighted by phi(0, .).  For a dissipative solution
     lhs <= rhs, so slack = rhs - lhs should not be significantly negative.
     """
-    win = _BumpWindow(series, phi, require_nonneg=True)
-    v, dxv, dxeta = win.v, win.dxv, win.dxeta
     alpha = cfg.physics.alpha
-    lhs_terms, lhs, lhs_scale = _tally({
-        "kinetic_transport": -0.5 * win.pt(v * v),
-        "elastic_transport": -0.5 * win.pt(dxeta * dxeta),
-        "viscous": alpha * win.p(dxv * dxv),
-        "contact": win.p(win.force * np.maximum(-v, 0.0)),
-        "viscous_flux": alpha * win.px(dxv * v),
-        "elastic_flux": win.px(dxeta * v),
-    })
-    rhs = win.p0(0.5 * v[0] ** 2 + 0.5 * dxeta[0] ** 2)
-    return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs, "scale": abs(rhs) + lhs_scale,
-            **lhs_terms}
+
+    def integrands(eta, v, force, dx):
+        dxv, dxeta = np.gradient(v, dx, axis=1), np.gradient(eta, dx, axis=1)
+        kinetic, elastic = v * v, dxeta * dxeta
+        return {"kinetic_transport": ("p_t", -0.5, kinetic),
+                "elastic_transport": ("p_t", -0.5, elastic),
+                "viscous": ("p", alpha, dxv * dxv),
+                "contact": ("p", 1.0, force * np.maximum(-v, 0.0)),
+                "viscous_flux": ("p_x", alpha, dxv * v),
+                "elastic_flux": ("p_x", 1.0, dxeta * v),
+                "rhs": ("p0", 1.0, 0.5 * kinetic[:1] + 0.5 * elastic[:1])}
+
+    out = {}
+    for name, terms in _weak_terms(series, bumps, integrands, require_nonneg=True).items():
+        rhs, lhs = terms.pop("rhs"), _tally(terms, "lhs")
+        out[name] = {"lhs": lhs["lhs"], "rhs": rhs, "slack": rhs - lhs["lhs"],
+                     **lhs, "scale": abs(rhs) + lhs["scale"]}
+    return out
 
 
 def renormalized_residual(
-    series: FieldSeries, cfg: SimConfig, phi: BumpTestFunction
-) -> dict[str, float]:
+    series: FieldSeries, cfg: SimConfig, bumps: dict[str, BumpTestFunction]
+) -> dict[str, dict[str, float]]:
     """Slack of the renormalization identity for w = max(v, 0).
 
     With b(w) = w^2 the identity reads, for nonnegative phi:
@@ -612,21 +621,22 @@ def renormalized_residual(
 
     with equality in the continuum because the penalty only acts where the
     velocity is negative, where b'(w) vanishes.  Returns the slack and a
-    magnitude scale.
+    magnitude scale per name of bumps.
     """
-    win = _BumpWindow(series, phi, require_nonneg=True)
     alpha = cfg.physics.alpha
-    w = np.maximum(win.v, 0.0)
-    dxw = np.gradient(w, series.dx, axis=1)
-    terms, slack, scale = _tally({
-        "transport": win.pt(w * w),
-        "viscous_flux": -alpha * win.px(win.dxv * 2.0 * w),
-        "viscous_bulk": -alpha * win.p(dxw * dxw * 2.0),
-        "elastic_flux": -win.px(win.dxeta * 2.0 * w),
-        "elastic_bulk": -win.p(win.dxeta * 2.0 * dxw),
-        "initial": win.p0(w[0] ** 2),
-    })
-    return {"slack": slack, "scale": scale, **terms}
+
+    def integrands(eta, v, force, dx):
+        w = np.maximum(v, 0.0)
+        dxv, dxw, dxeta = (np.gradient(f, dx, axis=1) for f in (v, w, eta))
+        return {"transport": ("p_t", 1.0, w * w),
+                "viscous_flux": ("p_x", -2.0 * alpha, dxv * w),
+                "viscous_bulk": ("p", -2.0 * alpha, dxw * dxw),
+                "elastic_flux": ("p_x", -2.0, dxeta * w),
+                "elastic_bulk": ("p", -2.0, dxeta * dxw),
+                "initial": ("p0", 1.0, w[:1] * w[:1])}
+
+    return {name: _tally(terms, "slack") for name, terms in
+            _weak_terms(series, bumps, integrands, require_nonneg=True).items()}
 
 
 # ---------------------------------------------------------------------------

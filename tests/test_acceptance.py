@@ -393,8 +393,8 @@ def test_renormalized_energy_slack_is_nonnegative(desk_ex1, desk_ex2):
         bumps = diagnostics.builtin_test_functions(
             float(series.times[-1]), cfg.grid.length_l
         )
-        for bump_name, bump in bumps.items():
-            result = diagnostics.renormalized_residual(series, cfg, bump)
+        for bump_name, result in diagnostics.renormalized_residual(
+                series, cfg, bumps).items():
             rel = result["slack"] / result["scale"]
             if worst is None or rel < worst[0]:
                 worst = (rel, f"{name}/{bump_name}")

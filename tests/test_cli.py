@@ -1,5 +1,6 @@
 """Config text, run artifacts, probes, sweeps, rendering, and exit codes."""
 
+import csv
 import dataclasses
 import json
 import multiprocessing
@@ -1332,9 +1333,9 @@ def test_sweep_runs_each_value(tmp_path, monkeypatch, capsys):
         rows = [line.strip().split(",") for line in fh]
     assert header == ["value", "status", "l1_max", "depth_max", "energy_final",
                       "diff_linf_next", "diff_l2_next", "slope_l1_next",
-                      "wall_seconds"]
+                      "wall_seconds", "error"]
     assert len(rows) == 2
-    assert all(r[1] == "ok" for r in rows)
+    assert all(r[1] == "ok" and r[-1] == '""' for r in rows)
     assert float(rows[0][0]) == 0.02  # descending order
     point = out / "run_00"
     assert os.path.exists(point / "manifest.json")
@@ -1364,6 +1365,30 @@ def test_sweep_in_a_process_pool_reports_the_penetration_slope(tmp_path, monkeyp
     assert [float(row["value"]) for row in rows] == [0.02, 0.01]
     assert all(float(row["l1_max"]) > 0.0 for row in rows)  # both reach the obstacle
     assert np.isfinite(float(rows[0]["slope_l1_next"]))
+
+
+def test_sweep_reports_why_a_point_failed(tmp_path, monkeypatch, capsys):
+    # stress_delta = 0.02 is two cells at dx = 0.01, but one at the coarser
+    # point's dx = 0.02, which ParsedConfig refuses
+    monkeypatch.setenv("OBSTRING_THREADS", "1")  # keep the test in-process
+    cfg = tmp_path / "drop.ini"
+    cfg.write_text("[grid]\nl = 1.0\nn = 100\n[time]\nT = 0.04\nm = 4\n"
+                   "[physics]\nalpha = 0.01\nepsilon = 0.02\n"
+                   "[init]\nkind = example1\n[output]\nformats = npz\n"
+                   "[probes]\nstress_delta = 0.02\n")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(cfg), "--axis", "dt_dx", "--values", "0.01,0.02",
+                     "--out", str(out)]) == 0
+    reason = ("probes.stress_delta must be 0 (unset) or at least two cells, "
+              "2 [grid].l / [grid].n = 0.04, got 0.02")
+    printed = capsys.readouterr().out
+    assert f"  dt_dx=0.02: error:ConfigurationError: {reason}\n" in printed
+    assert "  dt_dx=0.01: ok\n" in printed
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["value"], row["status"], row["error"]) for row in rows] == [
+        ("0.02", "error:ConfigurationError", reason), ("0.01", "ok", "")]
+    assert all(None not in row for row in rows)  # no field spilled past the header
 
 
 @pytest.mark.parametrize("axis, good, bad", [
@@ -1471,25 +1496,38 @@ def test_presets_write_snapshots_only_when_asked(tmp_path, capsys):
     epsilon=log_uniform(1e-300, 1e300),
     init=st.one_of(
         st.sampled_from(["kind = example1", "kind = example2"]),
+        # offset > 0: eta0 >= offset, so the string starts above the obstacle
         st.builds("kind = single_mode\namplitude = {}\noffset = {}\nv0 = {}".format,
-                  st.floats(0.0, 1.0), st.floats(-1.0, 2.0),
+                  st.floats(0.0, 1.0), st.floats(0.0, 2.0, exclude_min=True),
                   st.one_of(st.floats(-100.0, 0.0), log_uniform(1e-3, 1e6).map(abs)))),
-    formats=st.sampled_from(["none", "npz", "csv", "heatmap", "snapshots",
-                             "npz,csv,heatmap,snapshots"]),
+    # "none" last: hypothesis draws the first entry most often, and none
+    # stores nothing to probe
+    formats=st.sampled_from(["npz", "csv", "heatmap", "snapshots",
+                             "npz,csv,heatmap,snapshots", "none"]),
+    # the boundary keys in shares of the rod and of the horizon, stress_delta
+    # in cells.  Each range crosses a limit that run refuses (under two cells,
+    # velocity_x1 > l, a window past 0 or T) just past the end that
+    # hypothesis favours, so a quarter of the examples are refused and most
+    # of the rest reach a stored run
     probes=st.fixed_dictionaries({
         "link_cells": st.integers(0, 10**6),
         "dissipation_omega_cells": log_uniform(1e-3, 1e6),
-        "stress_delta": st.one_of(st.just(0.0), log_uniform(1e-9, 1e3)),
-        "velocity_t1": st.one_of(st.just(-1.0), log_uniform(1e-12, 1e3)),
-        "velocity_x0": st.floats(-1.0, 2.0),
-        "velocity_x1": st.floats(-1.0, 2.0),
-        "velocity_deltas": st.lists(log_uniform(1e-9, 1e3), max_size=3).map(
-            lambda deltas: ",".join(map(repr, deltas))),
+        "stress_delta": st.one_of(st.just(0.0), log_uniform(1.9, 1e3)),
+        "velocity_t1": st.one_of(st.just(-1.0), st.floats(0.0, 1.05)),
+        "velocity_x0": st.floats(0.0, 0.99),  # a share of velocity_x1: in [0, x1)
+        "velocity_x1": st.floats(-0.5, 1.5),
+        "velocity_deltas": st.lists(log_uniform(1e-6, 2.0), max_size=3),
     }),
 )
 def test_no_config_ends_in_a_traceback(tmp_path_factory, cells_n, steps_m, length,
                                        horizon, alpha, epsilon, init, formats, probes):
     # oracle_modes stays 0: a stiff config can keep the oracle's substeps going
+    x1 = probes["velocity_x1"] * length  # <= 0 leaves the window unset
+    probes = {**probes, "stress_delta": probes["stress_delta"] * length / cells_n,
+              "velocity_t1": probes["velocity_t1"] * horizon,  # -1 stays unset
+              "velocity_x0": probes["velocity_x0"] * max(x1, 0.0), "velocity_x1": x1,
+              "velocity_deltas": ",".join(repr(d * horizon)
+                                          for d in probes["velocity_deltas"])}
     work = tmp_path_factory.mktemp("fuzz")
     cfg = work / "fuzz.ini"
     cfg.write_text(

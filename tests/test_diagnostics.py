@@ -482,80 +482,116 @@ def _grid_rule_terms(series, cfg, phi):
     }
 
 
+WEAK_FORMS = (weak_momentum_residual, local_energy_residual, renormalized_residual)
+
+
 @pytest.mark.parametrize("run_name", ["desk_ex1", "desk_ex2"])
 def test_weak_form_terms_match_the_grid_rule(run_name, request):
     cfg, series, _ = request.getfixturevalue(run_name)
     T, L = float(series.times[-1]), cfg.grid.length_l
-    bumps = [
-        *builtin_test_functions(T, L).values(),
+    block = diagnostics.FRAME_BLOCK * float(series.times[1] - series.times[0])
+    bumps = {
+        **builtin_test_functions(T, L),
         # x-support (0, 0.4 l): the window starts at the rod end, with no halo
-        BumpTestFunction(0.0, 0.4 * T, 0.2 * L, 0.2 * L, name="rod_end"),
+        "rod_end": BumpTestFunction(0.0, 0.4 * T, 0.2 * L, 0.2 * L),
         # t-support starts at 0.3 T: the window holds no initial frame
-        BumpTestFunction(0.6 * T, 0.3 * T, 0.5 * L, 0.3 * L, name="late_start"),
+        "late_start": BumpTestFunction(0.6 * T, 0.3 * T, 0.5 * L, 0.3 * L),
         # five nodes inside the x-support
-        BumpTestFunction(0.3 * T, 0.2 * T, 0.55 * L, 2.5 * series.dx, name="few_nodes"),
-    ]
-    for phi in bumps:
-        for probe, expected in _grid_rule_terms(series, cfg, phi).items():
-            out = probe(series, cfg, phi)
-            assert out["scale"] > 0.0
-            for term, value in expected.items():
-                assert abs(out[term] - value) <= 1e-13 * out["scale"], (
-                    probe.__name__, phi.name, term)
+        "few_nodes": BumpTestFunction(0.3 * T, 0.2 * T, 0.55 * L, 2.5 * series.dx),
+        # t-support shorter than one frame block
+        "short": BumpTestFunction(0.5 * T, 0.4 * block, 0.4 * L, 0.2 * L),
+        # t-support of two and a half frame blocks
+        "ragged": BumpTestFunction(0.25 * T, 1.25 * block, 0.6 * L, 0.3 * L),
+    }
+    expected = {name: _grid_rule_terms(series, cfg, phi) for name, phi in bumps.items()}
+    # every bump in one call, then each of the last five alone, so that its
+    # edge case sets the window: the rod end, no initial frame, a window a
+    # few nodes wide, a walk of less than one block, one that ends on a
+    # partial block
+    alone = ("rod_end", "late_start", "few_nodes", "short", "ragged")
+    for chosen in (bumps, *({name: bumps[name]} for name in alone)):
+        for probe in WEAK_FORMS:
+            out = probe(series, cfg, chosen)
+            assert list(out) == list(chosen)
+            for name, terms in out.items():
+                assert terms["scale"] > 0.0
+                for term, value in expected[name][probe].items():
+                    assert abs(terms[term] - value) <= 1e-13 * terms["scale"], (
+                        probe.__name__, name, term)
+
+
+def _poisoned(series, window):
+    """series with NaN in eta and velocity wherever window is False."""
+    assert not window.all()
+    return FieldSeries(
+        times=series.times, xs=series.xs,
+        fields={k: np.where(window, f, np.nan) for k, f in series.fields.items()},
+        epsilon=series.epsilon,
+    )
+
+
+def _support_window(series, bumps):
+    """The frames where some a or a' is nonzero, by the nodes where some b or
+    b' is nonzero plus one on each side."""
+    on_t = np.zeros(len(series.times), dtype=bool)
+    on_x = np.zeros(len(series.xs), dtype=bool)
+    for phi in bumps.values():
+        a, a_t, b, b_x = phi.profiles(series.times, series.xs)
+        on_t |= (a != 0.0) | (a_t != 0.0)
+        on_x |= (b != 0.0) | (b_x != 0.0)
+    rows, cols = np.flatnonzero(on_t), np.flatnonzero(on_x)
+    window = np.zeros((len(series.times), len(series.xs)), dtype=bool)
+    window[rows[0]:rows[-1] + 1, max(cols[0] - 1, 0):cols[-1] + 2] = True
+    return window
 
 
 def test_weak_form_probes_read_only_the_support_window(desk_ex2):
-    # the window: frames where a or a' is nonzero, nodes where b or b' is
-    # nonzero plus one on each side; NaN anywhere else must not reach a term
+    # NaN outside the window of the bumps in the call must not reach a term:
+    # each bump alone, then the five together on the union of their windows
     cfg, series, _ = desk_ex2
     bumps = builtin_test_functions(float(series.times[-1]), cfg.grid.length_l)
-    for phi in bumps.values():
-        a, a_t, b, b_x = phi.profiles(series.times, series.xs)
-        on_t = np.flatnonzero((a != 0.0) | (a_t != 0.0))
-        on_x = np.flatnonzero((b != 0.0) | (b_x != 0.0))
-        window = np.zeros((len(series.times), len(series.xs)), dtype=bool)
-        window[on_t[0]:on_t[-1] + 1, max(on_x[0] - 1, 0):on_x[-1] + 2] = True
-        assert not window.all()
-        poisoned = FieldSeries(
-            times=series.times, xs=series.xs,
-            fields={k: np.where(window, f, np.nan) for k, f in series.fields.items()},
-            epsilon=series.epsilon,
-        )
-        for probe in (weak_momentum_residual, local_energy_residual,
-                      renormalized_residual):
-            out = probe(poisoned, cfg, phi)
-            assert all(np.isfinite(list(out.values()))), (probe.__name__, phi.name)
-            assert out == probe(series, cfg, phi), (probe.__name__, phi.name)
+    for chosen in [*({name: phi} for name, phi in bumps.items()), bumps]:
+        poisoned = _poisoned(series, _support_window(series, chosen))
+        for probe in WEAK_FORMS:
+            out = probe(poisoned, cfg, chosen)
+            for name, terms in out.items():
+                assert all(np.isfinite(list(terms.values()))), (probe.__name__, name)
+            assert out == probe(series, cfg, chosen), (probe.__name__, list(chosen))
 
 
 def test_weak_forms_vanish_for_a_bump_between_grid_points(desk_ex1):
-    # no node (or no stored frame) inside the support: an empty window
+    # no node (or no stored frame) inside the support: an empty window alone,
+    # and zero profiles inside the other bump's window together
     cfg, series, _ = desk_ex1
     dx, dt = series.dx, float(series.times[1] - series.times[0])
-    between_nodes = BumpTestFunction(0.1, 0.05, 0.5 + 0.5 * dx, 0.4 * dx)
-    between_frames = BumpTestFunction(0.1 + 0.5 * dt, 0.4 * dt, 0.5, 0.2)
-    for phi in (between_nodes, between_frames):
-        for probe in (weak_momentum_residual, local_energy_residual,
-                      renormalized_residual):
-            out = probe(series, cfg, phi)
-            assert out["scale"] == 0.0, (probe.__name__, out)
+    bumps = {"between_nodes": BumpTestFunction(0.1, 0.05, 0.5 + 0.5 * dx, 0.4 * dx),
+             "between_frames": BumpTestFunction(0.1 + 0.5 * dt, 0.4 * dt, 0.5, 0.2)}
+    for chosen in [*({name: phi} for name, phi in bumps.items()), bumps]:
+        for probe in WEAK_FORMS:
+            for name, terms in probe(series, cfg, chosen).items():
+                assert terms["scale"] == 0.0, (probe.__name__, name, terms)
 
 
 def test_probe_rejects_unsupported_test_function(desk_ex1):
     cfg, series, _ = desk_ex1
+    builtin = builtin_test_functions(float(series.times[-1]), cfg.grid.length_l)
     late = BumpTestFunction(0.3, 0.1, 0.5, 0.2)  # still on at t = T
-    with pytest.raises(ProbeContractError):
-        weak_momentum_residual(series, cfg, late)
     wide = BumpTestFunction(0.1, 0.05, 0.5, 0.8)  # spills over the rod ends
-    with pytest.raises(ProbeContractError):
-        weak_momentum_residual(series, cfg, wide)
+    for bad in (late, wide):
+        for chosen in ({"bad": bad}, {**builtin, "bad": bad}):
+            with pytest.raises(ProbeContractError):
+                weak_momentum_residual(series, cfg, chosen)
 
 
 def test_renorm_rejects_negative_test_function(desk_ex1):
     cfg, series, _ = desk_ex1
+    builtin = builtin_test_functions(float(series.times[-1]), cfg.grid.length_l)
     bad = BumpTestFunction(0.1, 0.05, 0.5, 0.2, amplitude=-1.0)
-    with pytest.raises(ProbeContractError):
-        renormalized_residual(series, cfg, bad)
+    for probe in (local_energy_residual, renormalized_residual):
+        for chosen in ({"bad": bad}, {**builtin, "bad": bad}):
+            with pytest.raises(ProbeContractError):
+                probe(series, cfg, chosen)
+    weak_momentum_residual(series, cfg, {"bad": bad})  # takes any sign
 
 
 def _precontact_run(resolution, v0=0.0):
@@ -569,7 +605,7 @@ def test_momentum_residual_shrinks_under_refinement():
     res = {}
     for resolution in (250, 500):
         cfg, series = _precontact_run(resolution)
-        out = weak_momentum_residual(series, cfg, bump)
+        out = weak_momentum_residual(series, cfg, {"mid_left": bump})["mid_left"]
         res[resolution] = abs(out["residual"])
         assert out["scale"] > 0.1
     assert res[500] < 0.65 * res[250]  # first-order refinement
@@ -581,7 +617,7 @@ def test_energy_residual_shrinks_under_refinement():
     slacks = {}
     for resolution in (250, 500):
         cfg, series = _precontact_run(resolution)
-        out = local_energy_residual(series, cfg, bump)
+        out = local_energy_residual(series, cfg, {"mid_left": bump})["mid_left"]
         slacks[resolution] = abs(out["slack"])
     assert slacks[500] < 0.65 * slacks[250]
     assert slacks[500] < 1e-3
@@ -592,7 +628,7 @@ def test_renorm_slack_shrinks_under_refinement():
     slacks = {}
     for resolution in (250, 500):
         cfg, series = _precontact_run(resolution, v0=1.0)
-        out = renormalized_residual(series, cfg, bump)
+        out = renormalized_residual(series, cfg, {"mid_left": bump})["mid_left"]
         slacks[resolution] = abs(out["slack"])
     assert slacks[500] < 0.65 * slacks[250]
     assert slacks[500] < 1e-3
@@ -601,8 +637,8 @@ def test_renorm_slack_shrinks_under_refinement():
 def test_renorm_zero_when_velocity_never_positive():
     cfg, series = _precontact_run(250)
     assert np.all(series.fields["velocity"] <= 1e-15)
-    out = renormalized_residual(series, cfg,
-                                builtin_test_functions(0.3, 1.0)["mid_left"])
+    bumps = {"mid_left": builtin_test_functions(0.3, 1.0)["mid_left"]}
+    out = renormalized_residual(series, cfg, bumps)["mid_left"]
     assert out["slack"] == 0.0 and out["scale"] == 0.0
 
 

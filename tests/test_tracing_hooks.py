@@ -114,9 +114,12 @@ velocity_deltas = 0.02,0.01,0.005
 
 
 def test_one_probe_makes_the_pinned_layer_calls(monkeypatch, tmp_path):
-    # 7 x-derivatives for each of the 5 bumps, 2 more for stress_jump; one
-    # contact extraction for contact and one for stress_jump; one penalty
-    # force, derived from the stored state on read
+    # one call per weak form over the 5 bumps; their union window holds
+    # frames 0-489 (late_right ends at 0.98 T), which the walk takes in
+    # blocks of FRAME_BLOCK (16 of 32), forming 7 x-derivatives on each (2
+    # for momentum, 2 for energy_local, 3 for renorm), and 2 more for
+    # stress_jump; one contact extraction for contact and one for
+    # stress_jump; one penalty force, derived from the stored state on read
     run_dir = str(tmp_path / "ramp")
     cli.execute_run(cli.parse_config(RAMP_PROBE_CONFIG), run_dir)
     calls, counted = _counter(monkeypatch)
@@ -128,6 +131,7 @@ def test_one_probe_makes_the_pinned_layer_calls(monkeypatch, tmp_path):
         counted(diagnostics, name)
     results = cli.run_probes(run_dir)
     assert set(results) == set(cli.DEFAULT_PROBES + cli.BOUNDARY_PROBES)
-    assert calls == {"gradient": 37, "extract_contact": 2, "penalty_force": 1,
-                     "weak_momentum_residual": 5, "local_energy_residual": 5,
-                     "renormalized_residual": 5}
+    blocks = -(-490 // diagnostics.FRAME_BLOCK)
+    assert calls == {"gradient": 7 * blocks + 2, "extract_contact": 2, "penalty_force": 1,
+                     "weak_momentum_residual": 1, "local_energy_residual": 1,
+                     "renormalized_residual": 1}
